@@ -93,32 +93,5 @@ main(int argc, char **argv)
         std::printf("\n\n");
     }
 
-    // Batched-execution cross-check (repro-gate claim fig08/batch):
-    // a fixed dict probe executed twice with the cache bypassed —
-    // batched (lockstep lanes) and forced-serial — must serialize to
-    // byte-identical results.  Zero mismatches is an *exact* claim:
-    // batching may change wall-clock, never numbers.
-    {
-        std::vector<exp::RunSpec> probe;
-        for (SystemShape shape : shapes)
-            for (Variant v : allVariants())
-                probe.push_back({"dict", shape, v});
-        exp::EngineOptions opts = cli.engine;
-        opts.use_cache = false;
-        opts.progress = false;
-        opts.bench_json.clear();
-        opts.batching = true;
-        std::vector<RunResult> batched = exp::runBatch(probe, opts);
-        opts.batching = false;
-        std::vector<RunResult> serial = exp::runBatch(probe, opts);
-        double mismatches = 0.0;
-        for (size_t i = 0; i < probe.size(); ++i)
-            if (exp::runResultToJson(batched[i]) !=
-                exp::runResultToJson(serial[i]))
-                mismatches += 1.0;
-        cli.results.add("batch_check", "json_mismatches", mismatches);
-        std::printf("batched-vs-serial cross-check: %.0f/%zu results "
-                    "differ (must be 0)\n", mismatches, probe.size());
-    }
     return 0;
 }

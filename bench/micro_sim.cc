@@ -5,15 +5,14 @@
  * kernels, and task-DAG generation.
  *
  * Custom main: after the registered benchmarks run, a small engine
- * batch produces the BENCH_sim.json perf record (sims/sec, events/sec,
- * batching counters) when `--bench-json=PATH` or AAWS_BENCH_JSON is set
+ * batch produces the BENCH_sim.json perf record (sims/sec, events/sec)
+ * when `--bench-json=PATH` or AAWS_BENCH_JSON is set
  * (AAWS_BENCH_SIM_JSON is a deprecated alias), so CI can upload one
  * machine-readable artifact per run.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +23,6 @@
 #include "exp/cli.h"
 #include "exp/engine.h"
 #include "kernels/registry.h"
-#include "sim/batch_machine.h"
 #include "sim/event_queue.h"
 #include "sim/machine.h"
 
@@ -125,85 +123,6 @@ BM_MachineRun(benchmark::State &state)
 BENCHMARK(BM_MachineRun)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_BatchMachineLanes(benchmark::State &state)
-{
-    // Lanes-scaling: N independent seeds of one kernel stepped through
-    // a shared event queue.  events/sec should hold (or improve, via
-    // shared DAG + queue locality) as lanes grow; tools/bench_compare.py
-    // watches the per-lane throughput ratio.
-    const int lanes = static_cast<int>(state.range(0));
-    uint64_t events = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        // Kernel DAGs are built outside the timed region: the bench
-        // measures the batch engine, not workload synthesis.
-        std::vector<Kernel> kernels;
-        kernels.reserve(lanes);
-        for (int lane = 0; lane < lanes; ++lane)
-            kernels.push_back(
-                makeKernel("dict", exp::kDefaultSeed + lane));
-        state.ResumeTiming();
-        sim::BatchMachine batch;
-        for (int lane = 0; lane < lanes; ++lane)
-            batch.addLane(configFor(kernels[lane], SystemShape::s4B4L,
-                                    Variant::base_psm),
-                          kernels[lane].dag);
-        for (const SimResult &result : batch.run()) {
-            events += result.sim_events;
-            benchmark::DoNotOptimize(result.exec_seconds);
-        }
-    }
-    state.counters["lanes"] = static_cast<double>(lanes);
-    state.counters["events"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BatchMachineLanes)->Arg(1)->Arg(4)->Arg(16);
-
-void
-BM_SnapshotForkReuse(benchmark::State &state)
-{
-    // Fork-reuse: simulate to the point where the mug-latency knob is
-    // first read, snapshot, then serve N sweep values by restore +
-    // resumeRun instead of N full runs.  The figure of merit is events
-    // actually executed per sweep value (lower = more prefix reuse).
-    const int sweep_values = static_cast<int>(state.range(0));
-    Kernel kernel = makeKernel("dict");
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-
-    // Learn the fork point once from a throwaway reference run.
-    Machine probe(config, kernel.dag);
-    probe.run();
-    uint64_t first_read =
-        probe.knobFirstReadEvent(SweepKnob::mug_interrupt_cycles);
-    if (first_read == Machine::kKnobNeverRead || first_read == 0) {
-        state.SkipWithError("mug knob fork point unavailable for dict");
-        return;
-    }
-
-    uint64_t events = 0;
-    for (auto _ : state) {
-        Machine prefix(config, kernel.dag);
-        prefix.runEvents(first_read - 1);
-        Machine::Snapshot snap = prefix.snapshot();
-        for (int i = 0; i < sweep_values; ++i) {
-            MachineConfig swept = config;
-            swept.costs.mug_interrupt_cycles = 100 + 300 * i;
-            Machine machine(swept, kernel.dag);
-            machine.restore(snap);
-            SimResult result = machine.resumeRun();
-            // Only the post-fork suffix was simulated for this value.
-            events += result.sim_events - (first_read - 1);
-            benchmark::DoNotOptimize(result.exec_seconds);
-        }
-    }
-    state.counters["sweep_values"] = static_cast<double>(sweep_values);
-    state.counters["suffix_events"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SnapshotForkReuse)->Arg(2)->Arg(4)->Arg(8);
-
-void
 BM_DagGeneration(benchmark::State &state)
 {
     const char *names[] = {"dict", "radix-1", "qsort-1"};
@@ -219,8 +138,7 @@ BENCHMARK(BM_DagGeneration)->Arg(0)->Arg(1)->Arg(2);
 /**
  * Timed engine batch (cache off, single job): 3 kernels x all variants
  * plus a seed fan-out and two mug-latency sweeps, which smoke-tests the
- * engine plumbing — the lane-batching, snapshot-fork, and clone paths —
- * and yields the sims/sec + events/sec + batching-counter record CI
+ * engine plumbing and yields the sims/sec + events/sec record CI
  * archives.
  */
 void
@@ -230,14 +148,12 @@ emitBenchJson(const std::string &path)
     for (const char *kernel : {"dict", "radix-1", "qsort-1"})
         for (Variant variant : allVariants())
             specs.emplace_back(kernel, SystemShape::s4B4L, variant);
-    // Seed fan-out: same kernel/config under distinct seeds — distinct
-    // (kernel, seed) DAGs, so these run as singles/lanes, not clones.
+    // Seed fan-out: same kernel/config under distinct seeds.
     for (uint64_t seed_offset = 1; seed_offset <= 4; ++seed_offset)
         specs.emplace_back("dict", SystemShape::s4B4L, Variant::base_psm,
                            exp::kDefaultSeed + seed_offset);
-    // One-knob sweeps: dict reads the mug knob mid-run, so its sweep
-    // exercises the snapshot-fork unit; radix-1 never reads it, so its
-    // sweep resolves to one reference run plus clones.
+    // One-knob sweeps: dict reads the mug knob mid-run; radix-1 never
+    // mugs, so its four results are identical.
     for (const char *kernel : {"dict", "radix-1"})
         for (uint64_t cycles : {100ull, 400ull, 700ull, 1000ull}) {
             exp::RunSpec spec(kernel, SystemShape::s4B4L,
@@ -245,30 +161,6 @@ emitBenchJson(const std::string &path)
             spec.overrides.mug_interrupt_cycles = cycles;
             specs.push_back(spec);
         }
-    // Lanes-scaling metric: a fixed 16-lane batch, timed end to end, so
-    // tools/bench_compare.py can watch lane throughput by name instead
-    // of inferring it from the aggregate events_per_second.
-    double lane_events_per_second = 0.0;
-    {
-        std::vector<Kernel> kernels;
-        for (int lane = 0; lane < 16; ++lane)
-            kernels.push_back(
-                makeKernel("dict", exp::kDefaultSeed + lane));
-        auto start = std::chrono::steady_clock::now();
-        sim::BatchMachine batch;
-        for (const Kernel &kernel : kernels)
-            batch.addLane(configFor(kernel, SystemShape::s4B4L,
-                                    Variant::base_psm),
-                          kernel.dag);
-        uint64_t events = 0;
-        for (const SimResult &result : batch.run())
-            events += result.sim_events;
-        std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        lane_events_per_second =
-            static_cast<double>(events) /
-            (elapsed.count() > 0.0 ? elapsed.count() : 1e-9);
-    }
 
     exp::EngineOptions options;
     options.jobs = 1;
@@ -277,8 +169,6 @@ emitBenchJson(const std::string &path)
     options.time_report = true;
     options.bench_json = path;
     options.bench_name = "micro_sim";
-    options.extra_metrics.emplace_back("lane_events_per_second",
-                                       lane_events_per_second);
     exp::runBatch(specs, options);
     std::fprintf(stderr, "[micro_sim] wrote perf record to %s\n",
                  path.c_str());

@@ -79,34 +79,5 @@ main(int argc, char **argv)
     std::printf("\nworst 1000-cycle slowdown: %.1f%% (paper: < 1%%; "
                 "mug rate < 40/Minstr)\n", 100.0 * (maxOf(worst) - 1.0));
 
-    // Batched-execution cross-check (repro-gate claim sens_mug/batch):
-    // the dict sweep row re-executed with the cache bypassed, batched
-    // (snapshot-fork unit: shared prefix + one fork per latency) and
-    // forced-serial, must serialize byte-identically.
-    {
-        std::vector<exp::RunSpec> probe;
-        for (uint64_t c : cycles) {
-            exp::RunSpec spec{"dict", SystemShape::s4B4L,
-                              Variant::base_psm};
-            spec.overrides.mug_interrupt_cycles = c;
-            probe.push_back(std::move(spec));
-        }
-        exp::EngineOptions opts = cli.engine;
-        opts.use_cache = false;
-        opts.progress = false;
-        opts.bench_json.clear();
-        opts.batching = true;
-        std::vector<RunResult> batched = exp::runBatch(probe, opts);
-        opts.batching = false;
-        std::vector<RunResult> serial = exp::runBatch(probe, opts);
-        double mismatches = 0.0;
-        for (size_t i = 0; i < probe.size(); ++i)
-            if (exp::runResultToJson(batched[i]) !=
-                exp::runResultToJson(serial[i]))
-                mismatches += 1.0;
-        cli.results.add("batch_check", "json_mismatches", mismatches);
-        std::printf("batched-vs-serial cross-check: %.0f/%zu results "
-                    "differ (must be 0)\n", mismatches, probe.size());
-    }
     return 0;
 }

@@ -82,41 +82,6 @@ class EnergyAccountant
     /** Average power over [0, end] given the finish() time. */
     double averagePower() const;
 
-    /**
-     * Value copy of the mutable timeline state (per-core totals, power
-     * states, voltages, last-charge times).  The simulator's
-     * snapshot-and-fork support captures and reinstates accountants
-     * with these; the referenced model is construction-time state and
-     * is not part of it.
-     */
-    struct State
-    {
-        std::vector<CoreEnergy> energy;
-        std::vector<PowerState> state;
-        std::vector<double> voltage;
-        std::vector<double> last_time;
-        double end_time = 0.0;
-        bool finished = false;
-    };
-
-    State
-    exportState() const
-    {
-        return State{energy_, state_, voltage_, last_time_, end_time_,
-                     finished_};
-    }
-
-    void
-    importState(const State &s)
-    {
-        energy_ = s.energy;
-        state_ = s.state;
-        voltage_ = s.voltage;
-        last_time_ = s.last_time;
-        end_time_ = s.end_time;
-        finished_ = s.finished;
-    }
-
   private:
     void charge(int core, double until);
 

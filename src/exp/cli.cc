@@ -38,8 +38,6 @@ printUsage(const char *prog)
         "(env AAWS_EXP_NO_CACHE)\n"
         "  --cache-dir=D   cache directory "
         "(env AAWS_EXP_CACHE_DIR; default .aaws-cache)\n"
-        "  --no-batch      disable batched execution (lockstep lanes "
-        "and snapshot forks)\n"
         "  --no-progress   suppress engine progress lines on stderr\n"
         "  --time          print a sims/sec + events/sec line on stderr\n"
         "  --bench-json=F  write a machine-readable perf record to F "
@@ -154,8 +152,6 @@ BenchCli::parse(int argc, char **argv)
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             engine.use_cache = false;
             no_cache_given = true;
-        } else if (std::strcmp(arg, "--no-batch") == 0) {
-            engine.batching = false;
         } else if (const char *value = flagValue(arg, "--bench-json")) {
             engine.bench_json = value;
             bench_json_given = true;

@@ -13,8 +13,6 @@
  *   --no-cache      disable the result cache for this run
  *                   (env AAWS_EXP_NO_CACHE)
  *   --cache-dir=D   cache directory (env AAWS_EXP_CACHE_DIR)
- *   --no-batch      disable batched execution (lockstep lanes and
- *                   snapshot forks; see exp/engine.h)
  *   --no-progress   suppress the engine's stderr progress lines
  *   --time          print a sims/sec + events/sec self-report line
  *   --bench-json=F  write a machine-readable perf record to F

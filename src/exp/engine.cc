@@ -1,6 +1,5 @@
 #include "exp/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "kernels/registry.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
-#include "sim/batch_machine.h"
 
 namespace aaws {
 namespace exp {
@@ -182,143 +180,10 @@ class KernelPool
     std::map<std::pair<std::string, uint64_t>, Slot> slots_;
 };
 
-/**
- * One unit of batched work: a set of miss indices executed together on
- * one worker.  Units are derived deterministically from the spec list
- * and the hit/miss split, execute serially inside themselves, and
- * write only their own result slots — so `--jobs=N` stays
- * byte-identical to `--jobs=1` at unit granularity.
- */
-struct WorkUnit
-{
-    enum class Kind
-    {
-        single, ///< One spec through executeSpec (serve, opt-outs).
-        lanes,  ///< Lockstep BatchMachine lanes, same (kernel, seed).
-        fork,   ///< One-knob sweep: reference + snapshot forks.
-    };
-
-    Kind kind = Kind::single;
-    SweepKnob knob = SweepKnob::steal_attempt_cycles; ///< fork only
-    std::vector<size_t> indices; ///< ascending spec indices
-};
-
-/**
- * Fork-group key: the canonical form with the swept knob's value
- * masked out.  Specs mapping to the same key differ in at most that
- * one config knob, which is exactly the snapshot-fork compatibility
- * contract (see SweepKnob).  Returns false for specs that are not
- * one-knob sweeps.
- */
-bool
-forkGroupKey(const RunSpec &spec, SweepKnob &knob_out, std::string &key_out)
-{
-    const SpecOverrides &o = spec.overrides;
-    int set_knobs = (o.steal_attempt_cycles ? 1 : 0) +
-                    (o.mug_interrupt_cycles ? 1 : 0) +
-                    (o.regulator_ns_per_step ? 1 : 0);
-    if (set_knobs != 1 || spec.serve)
-        return false;
-    RunSpec masked = spec;
-    const char *name = nullptr;
-    if (o.steal_attempt_cycles) {
-        knob_out = SweepKnob::steal_attempt_cycles;
-        masked.overrides.steal_attempt_cycles.reset();
-        name = "steal_attempt_cycles";
-    } else if (o.mug_interrupt_cycles) {
-        knob_out = SweepKnob::mug_interrupt_cycles;
-        masked.overrides.mug_interrupt_cycles.reset();
-        name = "mug_interrupt_cycles";
-    } else {
-        knob_out = SweepKnob::regulator_ns_per_step;
-        masked.overrides.regulator_ns_per_step.reset();
-        name = "regulator_ns_per_step";
-    }
-    key_out = canonicalSpec(masked);
-    key_out += ";sweep=";
-    key_out += name;
-    return true;
-}
-
-/**
- * Partition the miss indices into work units.  Grouping is a pure
- * function of the spec list and the miss set: fork units collect
- * one-knob sweeps by masked canonical form, lane units collect the
- * rest by (kernel, seed), and serving or batching-opt-out specs run as
- * singles.  std::map keeps unit order deterministic.
- */
-std::vector<WorkUnit>
-planUnits(const std::vector<RunSpec> &specs,
-          const std::vector<size_t> &miss, bool batching)
-{
-    std::vector<WorkUnit> units;
-    if (!batching) {
-        for (size_t i : miss)
-            units.push_back({WorkUnit::Kind::single,
-                             SweepKnob::steal_attempt_cycles, {i}});
-        return units;
-    }
-
-    std::map<std::string, std::pair<SweepKnob, std::vector<size_t>>>
-        fork_groups;
-    std::map<std::pair<std::string, uint64_t>, std::vector<size_t>>
-        lane_groups;
-    std::vector<size_t> singles;
-    std::vector<std::string> fork_order; // first-appearance order
-
-    for (size_t i : miss) {
-        const RunSpec &spec = specs[i];
-        if (spec.serve || !spec.batchable) {
-            singles.push_back(i);
-            continue;
-        }
-        SweepKnob knob = SweepKnob::steal_attempt_cycles;
-        std::string key;
-        if (forkGroupKey(spec, knob, key)) {
-            auto [it, inserted] =
-                fork_groups.try_emplace(key, knob, std::vector<size_t>{});
-            if (inserted)
-                fork_order.push_back(key);
-            it->second.second.push_back(i);
-        } else {
-            lane_groups[{spec.kernel, spec.seed}].push_back(i);
-        }
-    }
-
-    // Fork groups of one spec have nothing to share; demote them to
-    // the lane pool so they still batch with same-kernel misses.
-    for (const std::string &key : fork_order) {
-        auto &group = fork_groups.at(key);
-        if (group.second.size() < 2) {
-            const RunSpec &spec = specs[group.second[0]];
-            lane_groups[{spec.kernel, spec.seed}].push_back(
-                group.second[0]);
-        } else {
-            units.push_back(
-                {WorkUnit::Kind::fork, group.first, group.second});
-        }
-    }
-    for (auto &[key, indices] : lane_groups) {
-        std::sort(indices.begin(), indices.end());
-        if (indices.size() < 2)
-            units.push_back({WorkUnit::Kind::single,
-                             SweepKnob::steal_attempt_cycles, indices});
-        else
-            units.push_back({WorkUnit::Kind::lanes,
-                             SweepKnob::steal_attempt_cycles, indices});
-    }
-    for (size_t i : singles)
-        units.push_back({WorkUnit::Kind::single,
-                         SweepKnob::steal_attempt_cycles, {i}});
-    return units;
-}
-
 /** One-line machine-readable perf record (see EXPERIMENTS.md schema). */
 void
 writeBenchJson(const std::string &path, const std::string &bench_name,
-               const std::string &topology_tag, const BatchStats &stats,
-               const std::vector<std::pair<std::string, double>>
-                   &extra_metrics)
+               const std::string &topology_tag, const BatchStats &stats)
 {
     double elapsed = stats.elapsed_seconds > 0.0 ? stats.elapsed_seconds
                                                  : 1e-9;
@@ -337,19 +202,11 @@ writeBenchJson(const std::string &path, const std::string &bench_name,
            json::encodeDouble(stats.elapsed_seconds);
     out += strfmt(",\"sim_events\":%llu",
                   static_cast<unsigned long long>(stats.sim_events));
-    out += strfmt(",\"batched_lanes\":%llu,\"fork_runs\":%llu,"
-                  "\"cloned_results\":%llu",
-                  static_cast<unsigned long long>(stats.batched_lanes),
-                  static_cast<unsigned long long>(stats.fork_runs),
-                  static_cast<unsigned long long>(stats.cloned_results));
     out += ",\"sims_per_second\":" +
            json::encodeDouble(static_cast<double>(stats.misses) / elapsed);
     out += ",\"events_per_second\":" +
            json::encodeDouble(static_cast<double>(stats.sim_events) /
                               elapsed);
-    for (const auto &[name, value] : extra_metrics)
-        out += "," + json::encodeString(name) + ":" +
-               json::encodeDouble(value);
     out += "}\n";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
@@ -368,17 +225,13 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
 {
     ResultCache cache(options.use_cache, options.cache_dir);
     std::vector<RunResult> results(specs.size());
-    std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> sim_events{0};
-    std::atomic<uint64_t> batched_lanes{0};
-    std::atomic<uint64_t> fork_runs{0};
-    std::atomic<uint64_t> cloned_results{0};
     ProgressReporter progress(options.progress, specs.size());
     KernelPool kernels(specs);
 
-    // Pass 1 (serial): resolve cache hits and collect the miss set.
-    // Grouping needs the full hit/miss split up front, and the lookups
-    // are file reads — not worth fanning out.
+    // Pass 1 (serial): resolve cache hits and collect the miss set, so
+    // the hit/miss split never depends on which simulations finish
+    // first (a duplicate spec misses in both of its slots).
     uint64_t hits = 0;
     std::vector<size_t> miss;
     miss.reserve(specs.size());
@@ -391,21 +244,17 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         }
     }
 
-    // Pass 2: plan work units (fork sweeps, lockstep lanes, singles).
-    std::vector<WorkUnit> units =
-        planUnits(specs, miss, options.batching);
-
-    int jobs = resolveJobs(options.jobs, units.size());
+    int jobs = resolveJobs(options.jobs, miss.size());
     if (options.progress)
         std::fprintf(stderr,
                      "[aaws-exp] running %zu specs (%zu cached, %zu to "
-                     "simulate in %zu units) on %d jobs\n",
+                     "simulate) on %d jobs\n",
                      specs.size(), static_cast<size_t>(hits), miss.size(),
-                     units.size(), jobs);
+                     jobs);
 
-    // Record one executed (non-cached, non-cloned) result.
-    auto record = [&](size_t i, RunResult result) {
-        misses.fetch_add(1, std::memory_order_relaxed);
+    // Pass 2: one executeSpec() per miss.
+    auto runOne = [&](size_t i) {
+        RunResult result = executeSpec(specs[i], kernels.get(specs[i]));
         sim_events.fetch_add(result.sim.sim_events,
                              std::memory_order_relaxed);
         cache.store(specs[i], result);
@@ -413,135 +262,25 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         progress.onRunDone(false);
     };
 
-    // Clone path: the swept knob was never read during the reference
-    // run, so the reference history *is* this spec's history.
-    auto recordClone = [&](size_t i, const RunResult &reference) {
-        RunResult result;
-        result.kernel = specs[i].kernel;
-        result.system = specs[i].system;
-        result.variant = specs[i].variant;
-        result.sim = reference.sim;
-        misses.fetch_add(1, std::memory_order_relaxed);
-        cloned_results.fetch_add(1, std::memory_order_relaxed);
-        cache.store(specs[i], result);
-        results[i] = std::move(result);
-        progress.onRunDone(false);
-    };
-
-    auto runLanes = [&](const std::vector<size_t> &indices) {
-        sim::BatchMachine batch;
-        for (size_t i : indices) {
-            const Kernel &kernel = kernels.get(specs[i]);
-            batch.addLane(configForSpec(kernel, specs[i]), kernel.dag);
-        }
-        std::vector<SimResult> lane_results = batch.run();
-        for (size_t k = 0; k < indices.size(); ++k) {
-            const size_t i = indices[k];
-            RunResult result;
-            result.kernel = specs[i].kernel;
-            result.system = specs[i].system;
-            result.variant = specs[i].variant;
-            result.sim = std::move(lane_results[k]);
-            batched_lanes.fetch_add(1, std::memory_order_relaxed);
-            record(i, std::move(result));
-        }
-    };
-
-    auto runFork = [&](const WorkUnit &unit) {
-        // Reference run: the first spec of the sweep, instrumented for
-        // the event index at which the swept knob is first read.
-        const size_t ref_idx = unit.indices[0];
-        const RunSpec &ref_spec = specs[ref_idx];
-        const Kernel &kernel = kernels.get(ref_spec);
-        const MachineConfig ref_config = configForSpec(kernel, ref_spec);
-        Machine reference(ref_config, kernel.dag);
-        RunResult ref_result;
-        ref_result.kernel = ref_spec.kernel;
-        ref_result.system = ref_spec.system;
-        ref_result.variant = ref_spec.variant;
-        ref_result.sim = reference.run();
-        const uint64_t first_read =
-            reference.knobFirstReadEvent(unit.knob);
-        RunResult ref_copy = ref_result; // record() consumes the original
-        record(ref_idx, std::move(ref_result));
-
-        std::vector<size_t> rest(unit.indices.begin() + 1,
-                                 unit.indices.end());
-        if (first_read == Machine::kKnobNeverRead) {
-            // The whole run never consumed the knob: every sweep value
-            // yields the identical history.
-            for (size_t i : rest)
-                recordClone(i, ref_copy);
-            return;
-        }
-        if (first_read == 0 ||
-            first_read - 1 < options.fork_min_prefix_events) {
-            // Knob read at boot (no shareable prefix) or the prefix is
-            // too short to pay for the replay.  Plain serial runs, not
-            // lockstep lanes: lanes widen the shared heap and interleave
-            // lane state, which costs more per event than independent
-            // runs when there is no prefix to share (bench/micro_sim
-            // BM_BatchMachineLanes quantifies the gap).
-            for (size_t i : rest)
-                record(i, executeSpec(specs[i], kernels.get(specs[i])));
-            return;
-        }
-
-        // Replay the shared prefix once — events [1, first_read - 1]
-        // provably do not depend on the knob — then fork per value.
-        Machine prefix(ref_config, kernel.dag);
-        prefix.runEvents(first_read - 1);
-        const Machine::Snapshot snap = prefix.snapshot();
-        for (size_t i : rest) {
-            Machine forked(configForSpec(kernel, specs[i]), kernel.dag);
-            forked.restore(snap);
-            RunResult result;
-            result.kernel = specs[i].kernel;
-            result.system = specs[i].system;
-            result.variant = specs[i].variant;
-            result.sim = forked.resumeRun();
-            fork_runs.fetch_add(1, std::memory_order_relaxed);
-            record(i, std::move(result));
-        }
-    };
-
-    auto runUnit = [&](const WorkUnit &unit) {
-        switch (unit.kind) {
-          case WorkUnit::Kind::single:
-            for (size_t i : unit.indices)
-                record(i, executeSpec(specs[i], kernels.get(specs[i])));
-            break;
-          case WorkUnit::Kind::lanes:
-            runLanes(unit.indices);
-            break;
-          case WorkUnit::Kind::fork:
-            runFork(unit);
-            break;
-        }
-    };
-
-    if (jobs <= 1 || units.size() <= 1) {
-        for (const WorkUnit &unit : units)
-            runUnit(unit);
+    if (jobs <= 1 || miss.size() <= 1) {
+        for (size_t i : miss)
+            runOne(i);
     } else {
-        // Dogfood the native runtime: one work unit per stealable
+        // Dogfood the native runtime: one simulation per stealable
         // task; the master participates through the blocking join.
         WorkerPool pool(jobs);
         TaskGroup group(pool);
-        for (const WorkUnit &unit : units)
-            group.run([&runUnit, &unit] { runUnit(unit); });
+        for (size_t i : miss)
+            group.run([&runOne, i] { runOne(i); });
         group.wait();
     }
 
     BatchStats stats;
     stats.hits = hits;
-    stats.misses = misses.load(std::memory_order_relaxed);
+    stats.misses = miss.size();
     stats.jobs = jobs;
     stats.elapsed_seconds = secondsSince(progress.start());
     stats.sim_events = sim_events.load(std::memory_order_relaxed);
-    stats.batched_lanes = batched_lanes.load(std::memory_order_relaxed);
-    stats.fork_runs = fork_runs.load(std::memory_order_relaxed);
-    stats.cloned_results = cloned_results.load(std::memory_order_relaxed);
     progress.summary(stats);
     if (options.time_report) {
         double elapsed =
@@ -560,8 +299,7 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
         writeBenchJson(options.bench_json,
                        options.bench_name.empty() ? "batch"
                                                   : options.bench_name,
-                       options.topology_tag, stats,
-                       options.extra_metrics);
+                       options.topology_tag, stats);
     if (stats_out)
         *stats_out = stats;
     return results;

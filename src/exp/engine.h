@@ -4,28 +4,11 @@
  * work-stealing runtime, backed by the content-addressed result cache.
  *
  * runBatch() takes a declarative list of RunSpecs and returns one
- * RunResult per spec *in spec order*: every work unit is one task on a
- * WorkerPool/TaskGroup and writes into its pre-sized slots, so output
- * is independent of scheduling interleavings and `--jobs=N` is
- * byte-identical to `--jobs=1`.  Cache hits skip simulation entirely.
- *
- * Batched execution (EngineOptions::batching, default on): cache
- * misses are grouped into work units before execution —
- *
- *  - *fork units*: specs identical except for the value of exactly one
- *    SweepKnob (a sensitivity sweep row).  The unit simulates a
- *    reference run, learns where the knob is first read, replays that
- *    shared prefix once, snapshots, and forks per sweep value; when
- *    the knob is never read, the remaining results are clones of the
- *    reference (the run provably cannot depend on the knob).
- *
- *  - *lane units*: remaining misses sharing (kernel, seed) step as
- *    lockstep lanes of one sim::BatchMachine through a shared event
- *    queue.
- *
- * Every batched path produces results bit-identical to serial
- * Machine::run (DESIGN.md §10; enforced by the stress fuzz), so
- * batching changes wall-clock, never output.
+ * RunResult per spec *in spec order*: every cache miss is one task on a
+ * WorkerPool/TaskGroup that runs executeSpec() and writes into its
+ * pre-sized slot, so output is independent of scheduling interleavings
+ * and `--jobs=N` is byte-identical to `--jobs=1`.  Cache hits skip
+ * simulation entirely.
  *
  * Observability: progress lines on stderr (done/total, hit/miss
  * counts, elapsed, ETA) plus a final batch summary.
@@ -43,7 +26,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/run_spec.h"
@@ -76,27 +58,6 @@ struct EngineOptions
      * shapes.
      */
     std::string topology_tag;
-    /**
-     * Extra (name, value) metrics appended verbatim to the bench-JSON
-     * record — bench-specific numbers measured outside the engine batch
-     * (e.g. micro_sim's lane_events_per_second) that
-     * tools/bench_compare.py should be able to track by name.
-     */
-    std::vector<std::pair<std::string, double>> extra_metrics;
-    /**
-     * Batched execution (--no-batch disables): group compatible cache
-     * misses into lockstep BatchMachine lanes per (kernel, seed), and
-     * sweep groups differing in exactly one SweepKnob into
-     * snapshot-fork units that simulate the shared prefix once.  Both
-     * paths return results bit-identical to serial execution.
-     */
-    bool batching = true;
-    /**
-     * Smallest shared-prefix length (in events) worth snapshot-forking;
-     * shorter prefixes fall back to lane batching, where the fork
-     * bookkeeping would cost more than the replay it saves.
-     */
-    uint64_t fork_min_prefix_events = 5000;
 };
 
 /** What a batch did (for tests, CI assertions, and callers' logging). */
@@ -108,15 +69,6 @@ struct BatchStats
     double elapsed_seconds = 0.0;
     /** Discrete events processed across executed (non-cached) sims. */
     uint64_t sim_events = 0;
-    /** Misses executed as lanes of a shared-queue BatchMachine. */
-    uint64_t batched_lanes = 0;
-    /** Misses satisfied by a snapshot-fork continuation. */
-    uint64_t fork_runs = 0;
-    /**
-     * Misses satisfied by cloning a reference result because the swept
-     * knob was never read (the run provably cannot depend on it).
-     */
-    uint64_t cloned_results = 0;
 };
 
 /**

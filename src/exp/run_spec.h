@@ -33,12 +33,12 @@ namespace exp {
  * v3: RunSpec grew the optional open-loop serving dimension (`serve`),
  * and SimResult grew the ServeStats block those runs fill.
  *
- * v4: the engine gained batched execution (lockstep BatchMachine lanes
- * and snapshot-fork sweep groups).  Batched results are proven
- * bit-identical to serial ones (tests/stress/stress_batch_sim.cc), but
- * the bump retires every record produced by the pre-batching engine so
- * a batched run can never be served a result the new execution paths
- * were never checked against.
+ * v4: the engine briefly gained alternative execution paths (shared
+ * event queues across simulations, prefix replay across sweep values).
+ * They were bit-identical to serial runs, but the bump retired every
+ * record of the engine before them so no result could be served that
+ * the new paths were never checked against.  The paths are gone again;
+ * results are unchanged, so the version stays.
  *
  * v5: the big/little dichotomy generalized into an N-cluster
  * CoreTopology threaded through every layer (machine, census, DVFS
@@ -104,17 +104,6 @@ struct RunSpec
     uint64_t seed = kDefaultSeed;
     bool collect_trace = false;
     SpecOverrides overrides;
-    /**
-     * Batching hint: when true (the default) the engine may execute
-     * this spec as a lane of a lockstep BatchMachine or as a
-     * snapshot-fork continuation instead of a standalone Machine::run.
-     * Both paths are bit-identical to serial execution, so the hint is
-     * not part of the canonical form; it exists for callers that want
-     * a spec pinned to the serial path (A/B timing, bug triage).
-     * Serving specs ignore it (the request-level simulation has its
-     * own driver).
-     */
-    bool batchable = true;
     /**
      * Open-loop serving dimension: when set, executeSpec() runs the
      * request-level serving simulation (serve/sim_server.h) instead of

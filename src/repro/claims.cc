@@ -442,24 +442,6 @@ buildClaims()
                "time ratio; generous band for shared runners)",
                agg(t2, "summary", "median_chan_vs_ws"), 1.5, 1.0));
 
-    // --- Batched execution: harness invariants ----------------------
-    // The engine's lockstep-lane and snapshot-fork paths (DESIGN.md
-    // §10) promise results bit-identical to serial Machine::run; each
-    // claim counts serialized-result mismatches between a batched and
-    // a forced-serial execution of the same uncached probe, so any
-    // divergence — a single flipped double bit — fails the gate.
-    add(exact("batch/fig08_bit_identical", "harness invariant",
-              "batched fig08 probe (lockstep lanes) serializes "
-              "byte-identically to serial execution",
-              agg("fig08_exec_breakdown", "batch_check",
-                  "json_mismatches"),
-              0.0));
-    add(exact("batch/sens_mug_bit_identical", "harness invariant",
-              "batched mug-latency sweep (snapshot forks) serializes "
-              "byte-identically to serial execution",
-              agg("sens_mug_latency", "batch_check", "json_mismatches"),
-              0.0));
-
     // --- N-cluster topology extension (ext_asymmetry) ---------------
     // The CoreTopology generalization promises two things: the legacy
     // big/little path is unchanged (bit-identity, not approximation),

@@ -179,14 +179,6 @@ class RandomVictimSelector final : public VictimSelector
                           static_cast<uint64_t>(n)];
     }
 
-    /**
-     * Current stream position, for engines that snapshot and restore
-     * mid-run state (the simulator's fork support): restoring the
-     * value replays the exact remaining draw sequence.
-     */
-    uint64_t rngState() const { return rng_; }
-    void setRngState(uint64_t state) { rng_ = state ? state : kDefaultSeed; }
-
   private:
     uint64_t rng_;
 };

@@ -65,8 +65,7 @@ MachineConfig::system1B7L()
     return config;
 }
 
-Machine::Machine(const MachineConfig &config, const TaskDag &dag,
-                 const BatchBinding &binding)
+Machine::Machine(const MachineConfig &config, const TaskDag &dag)
     : config_(config), dag_(dag), app_model_(config.app_params),
       topo_(config.resolvedTopology()),
       table_shared_(config.table_override
@@ -82,11 +81,7 @@ Machine::Machine(const MachineConfig &config, const TaskDag &dag,
       energy_(app_model_, topo_),
       regions_(topo_.cluster(0).count,
                topo_.numCores() - topo_.cluster(0).count),
-      num_cores_(topo_.numCores()),
-      own_events_(binding.queue ? 0 : 2 * config.numCores() + 1),
-      events_(binding.queue ? binding.queue : &own_events_),
-      slot_base_(binding.queue ? binding.slot_base : 0),
-      seq_(binding.seq ? binding.seq : &own_seq_)
+      num_cores_(topo_.numCores()), events_(2 * num_cores_ + 1)
 {
     AAWS_ASSERT(!dag_.phases().empty(), "kernel has no phases");
     int n = num_cores_;
@@ -214,7 +209,7 @@ Machine::schedule(int c, double delay_seconds)
     Core &core = cores_[c];
     core.last_update = now_;
     Tick when = now_ + std::max<Tick>(1, secondsToTicks(delay_seconds));
-    events_->schedule(opSlot(c), when, (*seq_)++);
+    events_.schedule(opSlot(c), when, seq_++);
 }
 
 void
@@ -404,7 +399,6 @@ Machine::enterStealLoop(int c)
     core.backoff = 1.0;
     setCoreState(c, CoreState::stealing);
     core.pending = Pending::steal;
-    noteKnobRead(SweepKnob::steal_attempt_cycles);
     core.remaining = static_cast<double>(config_.costs.steal_attempt_cycles);
     schedule(c, core.remaining / cycleRate(core));
 }
@@ -544,7 +538,7 @@ Machine::onChildJoined(int32_t pf)
     if (core.state == CoreState::stealing &&
         core.pending == Pending::steal && !w.stack.empty() &&
         w.stack.back() == pf) {
-        events_->cancel(opSlot(owner_core)); // in-flight steal attempt
+        events_.cancel(opSlot(owner_core)); // in-flight steal attempt
         core.pending = Pending::none;
         advanceWorker(owner_core);
     }
@@ -602,7 +596,6 @@ Machine::onStealDone(int c)
     core.backoff = std::min(costs.steal_backoff_max,
                             core.backoff * costs.steal_backoff_growth);
     core.pending = Pending::steal;
-    noteKnobRead(SweepKnob::steal_attempt_cycles);
     core.remaining =
         static_cast<double>(costs.steal_attempt_cycles) * core.backoff;
     schedule(c, core.remaining / cycleRate(core));
@@ -637,7 +630,6 @@ Machine::issueMug(int c, int target, bool for_phase)
     core.mug_for_phase = for_phase;
     setCoreState(c, CoreState::mugging);
     core.pending = Pending::mug_issue;
-    noteKnobRead(SweepKnob::mug_interrupt_cycles);
     core.remaining =
         static_cast<double>(config_.costs.mug_interrupt_cycles);
     schedule(c, core.remaining / cycleRate(core));
@@ -845,7 +837,6 @@ Machine::applyDecision(const std::vector<double> &targets)
             continue;
         double v_from = core.v_now;
         double v_to = targets[i];
-        noteKnobRead(SweepKnob::regulator_ns_per_step);
         Tick dt = regulator_.transitionPs(v_from, v_to);
         core.transitioning = true;
         core.v_goal = v_to;
@@ -858,14 +849,13 @@ Machine::applyDecision(const std::vector<double> &targets)
                      std::min(app_model_.freq(v_from),
                               app_model_.freq(v_to)));
         Tick end = now_ + std::max<Tick>(1, dt);
-        events_->schedule(transitionSlot(static_cast<int>(i)), end,
-                         (*seq_)++);
+        events_.schedule(transitionSlot(static_cast<int>(i)), end, seq_++);
         latest = std::max(latest, end);
     }
     if (latest > now_) {
         controller_busy_ = true;
         controller_free_at_ = latest;
-        events_->schedule(controllerSlot(), latest, (*seq_)++);
+        events_.schedule(controllerSlot(), latest, seq_++);
     }
 }
 
@@ -936,9 +926,6 @@ Machine::dumpStateAndPanic()
 void
 Machine::boot()
 {
-    AAWS_ASSERT(!booted_, "Machine booted twice");
-    booted_ = true;
-
     // Boot: worker 0 starts the program; everyone else hunts for work.
     for (size_t c = 0; c < cores_.size(); ++c) {
         updateEnergy(static_cast<int>(c));
@@ -954,20 +941,16 @@ Machine::boot()
 }
 
 void
-Machine::dispatchEvent(int local_slot, Tick tick)
+Machine::dispatchEvent(int slot)
 {
-    AAWS_ASSERT(tick >= now_, "time went backwards");
-    now_ = tick;
-    if (++result_.sim_events > config_.max_events)
-        dumpStateAndPanic();
-    if (local_slot >= num_cores_) {
-        if (local_slot == 2 * num_cores_)
+    if (slot >= num_cores_) {
+        if (slot == controllerSlot())
             onControllerFree();
         else
-            onTransitionDone(local_slot - num_cores_);
+            onTransitionDone(slot - num_cores_);
         return;
     }
-    Core &core = cores_[local_slot];
+    Core &core = cores_[slot];
     Pending p = core.pending;
     core.pending = Pending::none;
     core.remaining = 0.0;
@@ -975,10 +958,10 @@ Machine::dispatchEvent(int local_slot, Tick tick)
       case Pending::work:
         switch (core.after_work) {
           case After::advance:
-            advanceWorker(local_slot);
+            advanceWorker(slot);
             break;
           case After::phase:
-            phaseTransition(local_slot);
+            phaseTransition(slot);
             break;
           case After::phase_serial_done: {
             serial_core_ = -1;
@@ -989,37 +972,29 @@ Machine::dispatchEvent(int local_slot, Tick tick)
                 w.stack.push_back(
                     allocFrame(static_cast<uint32_t>(phase.root_task),
                                -1, core.worker));
-                advanceWorker(local_slot);
+                advanceWorker(slot);
             } else {
-                startNextPhase(local_slot);
+                startNextPhase(slot);
             }
             break;
           }
         }
         break;
       case Pending::steal:
-        onStealDone(local_slot);
+        onStealDone(slot);
         break;
       case Pending::steal_fetch:
-        onStealFetchDone(local_slot);
+        onStealFetchDone(slot);
         break;
       case Pending::mug_issue:
-        onMugIssueDone(local_slot);
+        onMugIssueDone(slot);
         break;
       case Pending::mug_save:
-        onMugSaveDone(local_slot);
+        onMugSaveDone(slot);
         break;
       case Pending::none:
         panic("event for core with no pending operation");
     }
-}
-
-void
-Machine::cancelPendingEvents()
-{
-    // cancel() is a no-op on inactive slots, so just sweep the range.
-    for (int s = 0; s < eventSlots(); ++s)
-        events_->cancel(slot_base_ + s);
 }
 
 SimResult
@@ -1027,8 +1002,6 @@ Machine::finalize()
 {
     AAWS_ASSERT(finished_, "simulation ran out of events before the "
                            "program completed (deadlock)");
-    AAWS_ASSERT(!finalized_, "Machine finalized twice");
-    finalized_ = true;
     double end = ticksToSeconds(finish_tick_);
     energy_.finish(end);
     regions_.finish(end);
@@ -1060,117 +1033,21 @@ Machine::finalize()
 }
 
 SimResult
-Machine::resumeRun()
-{
-    AAWS_ASSERT(events_ == &own_events_, "resumeRun on a bound machine");
-    AAWS_ASSERT(booted_, "resumeRun before boot");
-    while (!finished_ && !own_events_.empty()) {
-        Tick tick = own_events_.topTick();
-        int slot = own_events_.pop();
-        dispatchEvent(slot, tick);
-    }
-    return finalize();
-}
-
-SimResult
 Machine::run()
 {
+    AAWS_ASSERT(!ran_, "Machine::run() called twice");
+    ran_ = true;
     boot();
-    return resumeRun();
-}
-
-uint64_t
-Machine::runEvents(uint64_t max_total_events)
-{
-    AAWS_ASSERT(events_ == &own_events_, "runEvents on a bound machine");
-    if (!booted_)
-        boot();
-    while (!finished_ && result_.sim_events < max_total_events &&
-           !own_events_.empty()) {
-        Tick tick = own_events_.topTick();
-        int slot = own_events_.pop();
-        dispatchEvent(slot, tick);
+    while (!finished_ && !events_.empty()) {
+        Tick tick = events_.topTick();
+        int slot = events_.pop();
+        AAWS_ASSERT(tick >= now_, "time went backwards");
+        now_ = tick;
+        if (++result_.sim_events > config_.max_events)
+            dumpStateAndPanic();
+        dispatchEvent(slot);
     }
-    return result_.sim_events;
-}
-
-// --- snapshot-and-fork ------------------------------------------------------
-
-Machine::Snapshot
-Machine::snapshot() const
-{
-    AAWS_ASSERT(events_ == &own_events_, "snapshot of a bound machine");
-    AAWS_ASSERT(booted_ && !finalized_, "snapshot outside an active run");
-    Snapshot s;
-    s.cores = cores_;
-    s.workers = workers_;
-    s.worker_core = worker_core_;
-    s.frames = frames_;
-    s.free_frames = free_frames_;
-    s.events = own_events_;
-    s.now = now_;
-    s.seq = own_seq_;
-    s.phase_idx = phase_idx_;
-    s.serial_core = serial_core_;
-    s.finished = finished_;
-    s.finish_tick = finish_tick_;
-    s.controller_busy = controller_busy_;
-    s.controller_pending = controller_pending_;
-    s.controller_free_at = controller_free_at_;
-    s.result = result_;
-    s.active_count = active_count_;
-    s.contention_factor = contention_factor_;
-    s.state_census = state_census_;
-    s.hint_census = hint_census_;
-    s.census_idx = census_idx_;
-    s.census_since = census_since_;
-    s.occupancy_seconds = occupancy_seconds_;
-    s.victim_rng = rand_victim_ ? rand_victim_->rngState() : 0;
-    s.energy = energy_.exportState();
-    s.regions = regions_;
-    for (int k = 0; k < kNumSweepKnobs; ++k)
-        s.knob_first_read[k] = knob_first_read_[k];
-    return s;
-}
-
-void
-Machine::restore(const Snapshot &snap)
-{
-    AAWS_ASSERT(events_ == &own_events_, "restore into a bound machine");
-    AAWS_ASSERT(!finalized_, "restore into a finalized machine");
-    AAWS_ASSERT(snap.cores.size() == cores_.size() &&
-                    snap.workers.size() == workers_.size(),
-                "snapshot shape mismatch");
-    cores_ = snap.cores;
-    workers_ = snap.workers;
-    worker_core_ = snap.worker_core;
-    frames_ = snap.frames;
-    free_frames_ = snap.free_frames;
-    own_events_ = snap.events;
-    now_ = snap.now;
-    own_seq_ = snap.seq;
-    phase_idx_ = snap.phase_idx;
-    serial_core_ = snap.serial_core;
-    finished_ = snap.finished;
-    finish_tick_ = snap.finish_tick;
-    controller_busy_ = snap.controller_busy;
-    controller_pending_ = snap.controller_pending;
-    controller_free_at_ = snap.controller_free_at;
-    result_ = snap.result;
-    active_count_ = snap.active_count;
-    contention_factor_ = snap.contention_factor;
-    state_census_ = snap.state_census;
-    hint_census_ = snap.hint_census;
-    census_idx_ = snap.census_idx;
-    census_since_ = snap.census_since;
-    occupancy_seconds_ = snap.occupancy_seconds;
-    if (rand_victim_)
-        rand_victim_->setRngState(snap.victim_rng);
-    energy_.importState(snap.energy);
-    regions_ = snap.regions;
-    for (int k = 0; k < kNumSweepKnobs; ++k)
-        knob_first_read_[k] = snap.knob_first_read[k];
-    booted_ = true;
+    return finalize();
 }
 
 } // namespace aaws

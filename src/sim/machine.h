@@ -39,23 +39,6 @@
  * (core pending-op, core transition, controller), so rescheduling a
  * core's in-flight charge is an in-place heap update instead of a stale
  * entry plus an epoch check at pop time.
- *
- * Two extensions serve the batch engine (DESIGN.md §10):
- *
- *  - The event loop is split into boot() / dispatchEvent() / finalize()
- *    and the machine can be *bound* to an external event queue with a
- *    slot base and a shared sequence counter, so sim::BatchMachine can
- *    step many lanes through one heap (per-lane slot stride) while each
- *    lane's internal (tick, seq) pop order — and therefore its entire
- *    numeric history — stays bit-identical to a serial run.
- *
- *  - snapshot()/restore() capture and reinstate every piece of mutable
- *    simulation state (cores, deques, frames, event queue, DVFS and
- *    census state, energy timelines, RNG streams), so a sweep that
- *    varies only a tail parameter can simulate the common prefix once
- *    and fork.  The machine also records the event index at which each
- *    spec-sweepable config knob is *first read*; a fork taken before
- *    that index is provably bit-identical to a from-scratch run.
  */
 
 #ifndef AAWS_SIM_MACHINE_H
@@ -79,42 +62,8 @@
 namespace aaws {
 
 /**
- * The machine-config knobs the experiment engine sweeps (SpecOverrides
- * cost/regulator dimensions).  The machine records the event index at
- * which each is first consumed so the engine can prove when a
- * snapshot-and-fork run is equivalent to a from-scratch one: if a knob
- * is never read before event E, two configs differing only in that
- * knob simulate bit-identical histories through event E.
- */
-enum class SweepKnob
-{
-    steal_attempt_cycles = 0,
-    mug_interrupt_cycles = 1,
-    regulator_ns_per_step = 2,
-};
-
-/** Number of SweepKnob dimensions. */
-inline constexpr int kNumSweepKnobs = 3;
-
-/**
- * Binding onto an external event queue: the machine schedules its
- * events into `queue` at slots [slot_base, slot_base + eventSlots())
- * and draws tie-break sequence numbers from the shared `*seq` counter.
- * sim::BatchMachine uses this to step many lanes through one indexed
- * heap; a default-constructed binding (all null) means the machine owns
- * its queue and run() drives it.
- */
-struct BatchBinding
-{
-    IndexedEventQueue *queue = nullptr;
-    int slot_base = 0;
-    uint64_t *seq = nullptr;
-};
-
-/**
  * One simulated machine executing one task DAG.  Construct and run()
- * once; the object is not reusable (but see snapshot()/restore(), which
- * reinstate a mid-run state into a freshly constructed machine).
+ * once; the object is not reusable.
  *
  * Implements the `sched::SchedView` *concept* statically: the policy
  * components' templates bind `Machine` directly, so the millions of
@@ -134,89 +83,12 @@ class Machine final
      *     a temporary is fine, but `config.table_override`, when set,
      *     is borrowed and must outlive the machine).
      * @param dag Borrowed task graph; must outlive the machine.
-     * @param binding Optional external-queue binding (batch lanes).
      */
-    Machine(const MachineConfig &config, const TaskDag &dag,
-            const BatchBinding &binding = BatchBinding());
+    Machine(const MachineConfig &config, const TaskDag &dag);
     ~Machine();
 
     /** Execute the whole program and return the measurements. */
     SimResult run();
-
-    // --- externally driven event loop (sim::BatchMachine) ---------------
-    //
-    // run() is boot() + a pop/dispatch loop + finalize().  A batch
-    // driver owns the loop instead: it pops the shared queue, maps the
-    // global slot back to a lane, and calls dispatchEvent() — each
-    // lane's internal (tick, seq) order is exactly the serial order, so
-    // per-lane results are bit-identical to Machine::run().
-
-    /** Schedule the boot events (phase 0, steal loops, boot decision). */
-    void boot();
-
-    /** Has the simulated program completed? */
-    bool finished() const { return finished_; }
-
-    /** Number of event slots this machine occupies (2*cores + 1). */
-    int eventSlots() const { return 2 * num_cores_ + 1; }
-
-    /**
-     * Handle one popped event.  `local_slot` is relative to this
-     * machine's slot base; `tick` is the popped event's deadline (must
-     * be monotone per machine).
-     */
-    void dispatchEvent(int local_slot, Tick tick);
-
-    /** Disarm every live event of this machine (finished batch lane). */
-    void cancelPendingEvents();
-
-    /**
-     * Close the timelines and return the measurements.  Call exactly
-     * once, after finished() turns true.
-     */
-    SimResult finalize();
-
-    /** Discrete events dispatched so far (== result sim_events). */
-    uint64_t eventsProcessed() const { return result_.sim_events; }
-
-    // --- snapshot-and-fork ----------------------------------------------
-
-    /** Full copy of the mutable simulation state (see class comment). */
-    struct Snapshot;
-
-    /**
-     * Drive the owned event loop until `max_total_events` events have
-     * been dispatched since boot (boots first when needed); stops early
-     * when the program finishes.  Returns the events dispatched so far.
-     */
-    uint64_t runEvents(uint64_t max_total_events);
-
-    /** Capture the complete mutable state (owned-queue machines only). */
-    Snapshot snapshot() const;
-
-    /**
-     * Reinstate a snapshot taken from a machine of the same shape and
-     * DAG.  The *configuration* may differ in knobs that were never
-     * read before the snapshot (the fork contract — see SweepKnob);
-     * everything else must match or the continuation is undefined.
-     */
-    void restore(const Snapshot &snap);
-
-    /** Continue an in-progress (booted or restored) run to completion. */
-    SimResult resumeRun();
-
-    /**
-     * Event index (1-based dispatch count) at which `knob` was first
-     * read; kKnobNeverRead when the whole run never consumed it, 0 when
-     * it was read during boot().  Valid during and after a run.
-     */
-    uint64_t
-    knobFirstReadEvent(SweepKnob knob) const
-    {
-        return knob_first_read_[static_cast<int>(knob)];
-    }
-
-    static constexpr uint64_t kKnobNeverRead = ~0ull;
 
     // --- sched::SchedView concept (read-only policy inputs) -------------
     //
@@ -413,32 +285,31 @@ class Machine final
     void setActiveCount(int active);
     double now() const { return ticksToSeconds(now_); }
 
+    // --- event loop -----------------------------------------------------------
+
+    /** Schedule the boot events (phase 0, steal loops, boot decision). */
+    void boot();
+    /** Handle one popped event of `slot` (now_ already advanced). */
+    void dispatchEvent(int slot);
+    /** Close the timelines and return the measurements. */
+    SimResult finalize();
+
     // --- event slots -------------------------------------------------------------
     //
-    // Global slot ids: local layout [ops | transitions | controller],
-    // offset by the batch binding's slot base (0 when self-owned).
+    // Slot layout: [ops | transitions | controller].
 
     /** Slot of core c's pending-op event. */
-    int opSlot(int c) const { return slot_base_ + c; }
+    int opSlot(int c) const { return c; }
     /** Slot of core c's transition-end event. */
-    int transitionSlot(int c) const { return slot_base_ + num_cores_ + c; }
+    int transitionSlot(int c) const { return num_cores_ + c; }
     /** Slot of the controller-free event. */
-    int controllerSlot() const { return slot_base_ + 2 * num_cores_; }
-
-    /** Record the first read of a sweepable config knob. */
-    void
-    noteKnobRead(SweepKnob knob)
-    {
-        uint64_t &first = knob_first_read_[static_cast<int>(knob)];
-        if (first == kKnobNeverRead)
-            first = result_.sim_events;
-    }
+    int controllerSlot() const { return 2 * num_cores_; }
 
     // --- members -----------------------------------------------------------------
 
-    // Owned copy, not a reference: callers (the engine's fork path, the
-    // batch driver) routinely construct machines from temporary or
-    // loop-local configs, and the config is read on every event.
+    // Owned copy, not a reference: callers routinely construct machines
+    // from temporary or loop-local configs, and the config is read on
+    // every event.
     const MachineConfig config_;
     const TaskDag &dag_;
     FirstOrderModel app_model_;
@@ -458,15 +329,10 @@ class Machine final
     std::vector<int32_t> free_frames_;
 
     int num_cores_ = 0;
-    /** Owned queue (unused when a batch binding supplies one). */
-    IndexedEventQueue own_events_;
-    /** The queue events actually go to (own_events_ or the binding's). */
-    IndexedEventQueue *events_ = nullptr;
-    int slot_base_ = 0;
+    IndexedEventQueue events_;
     Tick now_ = 0;
-    uint64_t own_seq_ = 0;
-    /** Tie-break counter (own_seq_ or the binding's shared counter). */
-    uint64_t *seq_ = nullptr;
+    /** Tie-break counter for same-tick events (earlier schedule first). */
+    uint64_t seq_ = 0;
 
     // Packed DAG op view (flat array + per-task span offsets).
     const TaskOp *dag_ops_ = nullptr;
@@ -484,13 +350,8 @@ class Machine final
     Tick controller_free_at_ = 0;
 
     SimResult result_;
-    bool booted_ = false;
-    bool finalized_ = false;
+    bool ran_ = false;
     bool trace_enabled_ = false;
-    /** First-read event index per SweepKnob (kKnobNeverRead = never). */
-    uint64_t knob_first_read_[kNumSweepKnobs] = {kKnobNeverRead,
-                                                 kKnobNeverRead,
-                                                 kKnobNeverRead};
     /** Victim choice / biasing / mug policy stack (src/sched/). */
     sched::PolicyStack policy_;
     // Concrete selector for the hot steal path (exactly one non-null):
@@ -515,45 +376,6 @@ class Machine final
     // Reused decision buffers (avoid per-census allocation).
     std::vector<bool> hints_buf_;
     std::vector<double> targets_buf_;
-};
-
-/**
- * Complete copy of a machine's mutable simulation state at an event
- * boundary.  Opaque to callers: produce with Machine::snapshot(),
- * consume with Machine::restore() on a machine built from the same DAG
- * and a fork-compatible configuration.  Everything is stored by value,
- * so a snapshot outlives the machine it was taken from.
- */
-struct Machine::Snapshot
-{
-    std::vector<Core> cores;
-    std::vector<Worker> workers;
-    std::vector<int16_t> worker_core;
-    std::vector<Frame> frames;
-    std::vector<int32_t> free_frames;
-    IndexedEventQueue events{0};
-    Tick now = 0;
-    uint64_t seq = 0;
-    size_t phase_idx = 0;
-    int serial_core = -1;
-    bool finished = false;
-    Tick finish_tick = 0;
-    bool controller_busy = false;
-    bool controller_pending = false;
-    Tick controller_free_at = 0;
-    SimResult result;
-    int active_count = 0;
-    double contention_factor = 1.0;
-    sched::ActivityCensus state_census;
-    sched::ActivityCensus hint_census;
-    int census_idx = 0;
-    Tick census_since = 0;
-    std::vector<double> occupancy_seconds;
-    /** Seeded random-victim stream position (0 = occupancy selector). */
-    uint64_t victim_rng = 0;
-    EnergyAccountant::State energy;
-    RegionTracker regions{0, 0};
-    uint64_t knob_first_read[kNumSweepKnobs] = {0, 0, 0};
 };
 
 // The policy templates bind Machine directly; keep the accessor set in

@@ -8,10 +8,11 @@
  * spec order whether it runs on 1, 2, or N workers, from a cold cache
  * (every spec simulated) or a warm one (every spec loaded), and a
  * corrupted cache must only ever cost re-simulation, never wrong
- * results or a crash.  The golden cross-check drives the committed
- * Table III statistics dump through the engine and requires
- * byte-for-byte equality with tests/stress/golden/table3_stats.txt,
- * proving the bench ports changed orchestration only.
+ * results or a crash.  Every slot must also equal executeSpec() on its
+ * own spec.  The golden cross-check drives the committed Table III
+ * statistics dump through the engine and requires byte-for-byte
+ * equality with tests/stress/golden/table3_stats.txt, proving the bench
+ * ports changed orchestration only.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +44,12 @@ scratchDir(const char *name)
     return dir;
 }
 
-/** A small but heterogeneous batch: shapes, variants, and overrides. */
+/**
+ * A small but heterogeneous batch: shapes, variants, and overrides,
+ * plus the shapes a sweep throws at the engine: one kernel's twelve
+ * sens_* one-knob values (whose simulations share a long common
+ * prefix), a three-cluster topology, and a spec that appears twice.
+ */
 std::vector<exp::RunSpec>
 sampleBatch()
 {
@@ -65,6 +71,23 @@ sampleBatch()
     scaled.overrides.n_big = 2;
     scaled.overrides.n_little = 6;
     specs.push_back(std::move(scaled));
+
+    auto sens = [&]() -> exp::SpecOverrides & {
+        specs.emplace_back("dict", SystemShape::s4B4L, Variant::base_psm);
+        return specs.back().overrides;
+    };
+    for (uint64_t cycles : {20, 100, 400, 1000})
+        sens().mug_interrupt_cycles = cycles;
+    for (uint64_t cycles : {10, 30, 60, 120})
+        sens().steal_attempt_cycles = cycles;
+    for (double ns : {40.0, 100.0, 175.0, 250.0})
+        sens().regulator_ns_per_step = ns;
+
+    exp::RunSpec three_cluster("qsort-1", SystemShape::s4B4L,
+                               Variant::base_psm);
+    three_cluster.overrides.topology = "2b2m4l";
+    specs.push_back(three_cluster);
+    specs.push_back(std::move(three_cluster));
     return specs;
 }
 
@@ -105,6 +128,11 @@ TEST(ExpEngine, ThreadCountAndCacheStateNeverChangeResults)
     ASSERT_EQ(reference.size(), specs.size());
     EXPECT_EQ(stats.hits, 0u);
     EXPECT_EQ(stats.misses, specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "spec slot " << i);
+        stress::expectIdenticalResults(exp::executeSpec(specs[i]).sim,
+                                       reference[i].sim);
+    }
 
     // Cold cache, 2 workers.
     std::vector<RunResult> cold2 =

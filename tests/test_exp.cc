@@ -532,22 +532,6 @@ TEST(BenchCli, BenchJsonEnvPrefersNeutralName)
     EXPECT_EQ(exp::benchJsonEnv("AAWS_BENCH_SIM_JSON"), nullptr);
 }
 
-TEST(BenchCli, ParseReadsNoBatchFlag)
-{
-    {
-        const char *argv[] = {"bench"};
-        exp::BenchCli cli;
-        cli.parse(1, const_cast<char **>(argv));
-        EXPECT_TRUE(cli.engine.batching) << "batching is the default";
-    }
-    {
-        const char *argv[] = {"bench", "--no-batch"};
-        exp::BenchCli cli;
-        cli.parse(2, const_cast<char **>(argv));
-        EXPECT_FALSE(cli.engine.batching);
-    }
-}
-
 TEST(Engine, ResolveJobsClampsToBatchSize)
 {
     EXPECT_EQ(exp::resolveJobs(8, 3), 3);
@@ -845,8 +829,8 @@ serveSpecSample()
 TEST(RunSpec, CacheSchemaCoversServeDimension)
 {
     // v3 made the serving fields spec-addressable; v4 retired every
-    // record of the pre-batching engine; v5 retired pre-topology
-    // records (see kCacheSchemaVersion).  A tree that adds spec
+    // record of an older engine; v5 retired pre-topology records (see
+    // kCacheSchemaVersion).  A tree that adds spec
     // dimensions or execution paths without bumping this would alias
     // stale entries (alias-miss test below).
     EXPECT_EQ(exp::kCacheSchemaVersion, 5u);

@@ -34,6 +34,7 @@
 #include <type_traits>
 
 #include "common/logging.h"
+#include "runtime/task.h"
 
 namespace aaws::chan {
 
@@ -48,9 +49,6 @@ enum class ChanStatus
     /** Channel closed: sends refused; recv drains then reports this. */
     closed,
 };
-
-/** Destructive-interference padding (std::hardware_* is still shaky). */
-inline constexpr std::size_t kCacheLine = 64;
 
 namespace detail {
 

@@ -188,6 +188,8 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
         {
         }
     };
+    static_assert(alignof(WorkerState) == kCacheLine,
+                  "per-worker blocks must not share a cache line");
 
     void workerLoop(int index);
     void wakeOne();

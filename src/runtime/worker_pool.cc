@@ -36,16 +36,14 @@ WorkerPool::WorkerPool(int threads, const PoolOptions &options)
                     "pool topology has %d cores for %d workers",
                     topo_.numCores(), threads);
     }
-    deques_.reserve(threads);
-    hints_ = std::make_unique<HintState[]>(threads);
-    victims_.reserve(threads);
+    workers_.reserve(threads);
     for (int i = 0; i < threads; ++i) {
-        deques_.push_back(std::make_unique<ChaseLevDeque<RtTask *>>());
         // Stateful selectors (random) must not be shared across
         // threads: one per worker, streams decorrelated by index.
-        victims_.push_back(sched::makeVictimSelector(
-            options.policy.victim,
-            options.policy.victim_seed + static_cast<uint64_t>(i)));
+        workers_.push_back(
+            std::make_unique<WorkerState>(sched::makeVictimSelector(
+                options.policy.victim,
+                options.policy.victim_seed + static_cast<uint64_t>(i))));
     }
     // All hint bits power up active, as the paper's cores do.
     cluster_active_ =
@@ -71,9 +69,9 @@ WorkerPool::~WorkerPool()
     for (auto &thread : threads_)
         thread.join();
     // Drain any un-executed tasks so they do not leak.
-    for (auto &dq : deques_) {
+    for (auto &worker : workers_) {
         RtTask *task = nullptr;
-        while (dq->steal(task))
+        while (worker->deque.steal(task))
             delete task;
     }
     while (RtTask *task = tryTakeInjected())
@@ -104,7 +102,7 @@ WorkerPool::spawnTask(RtTask *task)
     }
     if (hooks_)
         hooks_->onSpawn(w);
-    deques_[w]->push(task);
+    workers_[w]->deque.push(task);
     wakeOne();
 }
 
@@ -138,7 +136,7 @@ WorkerPool::tryTakeTask()
 {
     int self = currentWorker();
     RtTask *task = nullptr;
-    if (self >= 0 && deques_[self]->pop(task)) {
+    if (self >= 0 && workers_[self]->deque.pop(task)) {
         noteFound(self);
         return task;
     }
@@ -159,12 +157,12 @@ WorkerPool::tryTakeTask()
         noteFound(self);
         return task;
     }
-    int victim = self >= 0 ? victims_[self]->pick(view, self)
+    int victim = self >= 0 ? workers_[self]->victim->pick(view, self)
                            : foreign_victim_.pick(view, self);
     if (victim >= 0) {
         if (hooks_)
             hooks_->onStealAttempt(self, victim);
-        if (deques_[victim]->steal(task)) {
+        if (workers_[victim]->deque.steal(task)) {
             steals_.fetch_add(1, std::memory_order_relaxed);
             if (hooks_)
                 hooks_->onStealSuccess(self, victim);
@@ -188,7 +186,7 @@ WorkerPool::tryMug(int self)
     // normal victim selection, which may have just failed on a stale
     // estimate.
     const sched::SchedView &view = *this;
-    if (!policy_.mug.wantsMug(view, self, hints_[self].failed))
+    if (!policy_.mug.wantsMug(view, self, workers_[self]->failed))
         return nullptr;
     int muggee = policy_.mug.pickMuggee(view, topo_.clusterOf(self));
     if (muggee < 0)
@@ -197,7 +195,7 @@ WorkerPool::tryMug(int self)
     if (hooks_)
         hooks_->onStealAttempt(self, muggee);
     RtTask *task = nullptr;
-    if (!deques_[muggee]->steal(task))
+    if (!workers_[muggee]->deque.steal(task))
         return nullptr;
     mugs_.fetch_add(1, std::memory_order_relaxed);
     steals_.fetch_add(1, std::memory_order_relaxed);
@@ -214,10 +212,10 @@ WorkerPool::noteFound(int self)
 {
     if (self < 0)
         return;
-    HintState &hint = hints_[self];
-    hint.failed = 0;
-    if (hint.waiting.load(std::memory_order_relaxed)) {
-        hint.waiting.store(false, std::memory_order_relaxed);
+    WorkerState &worker = *workers_[self];
+    worker.failed = 0;
+    if (worker.waiting.load(std::memory_order_relaxed)) {
+        worker.waiting.store(false, std::memory_order_relaxed);
         cluster_active_[topo_.clusterOf(self)].fetch_add(
             1, std::memory_order_relaxed);
         if (hooks_)
@@ -230,13 +228,14 @@ WorkerPool::noteFailed(int self)
 {
     if (self < 0)
         return;
-    HintState &hint = hints_[self];
+    WorkerState &worker = *workers_[self];
     // The paper toggles the activity bit on the *second* consecutive
     // failed steal attempt (Section III-A); the count keeps running
     // (saturating) so the mug trigger can read the starvation streak.
-    hint.failed = std::min(hint.failed + 1, 1 << 20);
-    if (hint.failed == 2 && !hint.waiting.load(std::memory_order_relaxed)) {
-        hint.waiting.store(true, std::memory_order_relaxed);
+    worker.failed = std::min(worker.failed + 1, 1 << 20);
+    if (worker.failed == 2 &&
+        !worker.waiting.load(std::memory_order_relaxed)) {
+        worker.waiting.store(true, std::memory_order_relaxed);
         cluster_active_[topo_.clusterOf(self)].fetch_sub(
             1, std::memory_order_relaxed);
         if (hooks_)

@@ -27,6 +27,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -106,7 +107,7 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
     /** Single final overrider for both RuntimeBackend and SchedView. */
     int numWorkers() const override
     {
-        return static_cast<int>(deques_.size());
+        return static_cast<int>(workers_.size());
     }
 
     /** Total successful steals (statistics; includes mugs). */
@@ -172,12 +173,12 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
 
     int64_t dequeSize(int worker) const override
     {
-        return deques_[worker]->sizeEstimate();
+        return workers_[worker]->deque.sizeEstimate();
     }
 
     sched::CoreActivity activity(int core) const override
     {
-        return hints_[core].waiting.load(std::memory_order_relaxed)
+        return workers_[core]->waiting.load(std::memory_order_relaxed)
                    ? sched::CoreActivity::stealing
                    : sched::CoreActivity::running;
     }
@@ -197,24 +198,34 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
     }
 
     /**
-     * Per-worker activity-hint state.  `failed` is owner-thread only;
-     * `waiting` is written by the owner and read by foreign threads
-     * (the census view), hence atomic.
+     * Everything one worker writes on its spawn/pop path, in a
+     * cache-line-aligned block of its own: every successful pop
+     * rewrites `failed`, so two workers' blocks must never share a
+     * line.
      */
-    struct HintState
+    struct alignas(kCacheLine) WorkerState
     {
+        /** Owner pushes and pops the bottom; thieves steal the top. */
+        ChaseLevDeque<RtTask *> deque;
+        /** Consecutive failed take attempts (owner-thread only). */
         int failed = 0;
+        /** Activity hint bit read by the concurrent census. */
         std::atomic<bool> waiting{false};
-    };
+        /** Stateful victim selector (owner-thread only). */
+        std::unique_ptr<sched::VictimSelector> victim;
 
-    std::vector<std::unique_ptr<ChaseLevDeque<RtTask *>>> deques_;
-    /** Array (not vector): atomics are not movable. */
-    std::unique_ptr<HintState[]> hints_;
+        explicit WorkerState(std::unique_ptr<sched::VictimSelector> v)
+            : victim(std::move(v))
+        {
+        }
+    };
+    static_assert(alignof(WorkerState) == kCacheLine,
+                  "per-worker blocks must not share a cache line");
+
+    std::vector<std::unique_ptr<WorkerState>> workers_;
     SchedulerHooks *hooks_ = nullptr;
     sched::PolicyConfig policy_config_{};
     sched::PolicyStack policy_;
-    /** One stateful selector per worker (pick() is single-threaded). */
-    std::vector<std::unique_ptr<sched::VictimSelector>> victims_;
     /** Stateless fallback for foreign threads (no own deque). */
     sched::OccupancyVictimSelector foreign_victim_;
     /** Worker-cluster assignment (options.topology or the n_big split). */

@@ -13,6 +13,7 @@
 #include "energy/accountant.h"
 #include "model/first_order.h"
 #include "chan/backend_factory.h"
+#include "runtime/task.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
 #include "serve/arrival.h"
@@ -230,15 +231,36 @@ buildSchedule(const ServeSpec &spec, uint64_t seed,
     return schedule;
 }
 
-/** Per-worker measurement slot, padded against false sharing. */
-struct alignas(64) WorkerSlot
+/** Per-tenant completion counts that fit in one cache line. */
+constexpr uint32_t kCountsPerLine = kCacheLine / sizeof(uint64_t);
+
+/** One cache line of per-tenant completion counts. */
+struct alignas(kCacheLine) CountLine
+{
+    uint64_t count[kCountsPerLine] = {};
+};
+
+/**
+ * Per-worker measurement slot, padded against false sharing: the slot
+ * starts on its own cache line, and so does its heap buffer of
+ * per-tenant counts, which is whole cache lines long.  (The latency
+ * histogram's 2.5 KB bucket buffer is only written far from its ends.)
+ */
+struct alignas(kCacheLine) WorkerSlot
 {
     LatencyHistogram latency;
     uint64_t completed = 0;
     uint64_t deadline_misses = 0;
     uint64_t checksum = 0;
     double last_completion = 0.0;
-    std::vector<uint64_t> tenant_completed;
+    std::vector<CountLine> tenant_lines;
+
+    uint64_t &
+    tenantCompleted(uint32_t tenant)
+    {
+        return tenant_lines[tenant / kCountsPerLine]
+            .count[tenant % kCountsPerLine];
+    }
 };
 
 } // namespace
@@ -275,7 +297,8 @@ runNativeService(const NativeServeOptions &options)
 
     std::vector<WorkerSlot> slots(options.threads);
     for (WorkerSlot &slot : slots)
-        slot.tenant_completed.assign(spec.tenants, 0);
+        slot.tenant_lines.resize((spec.tenants + kCountsPerLine - 1) /
+                                 kCountsPerLine);
 
     // Admission census: requests admitted but not yet completed.  The
     // ingest thread is the only admitter, so check-then-increment can
@@ -322,7 +345,7 @@ runNativeService(const NativeServeOptions &options)
                 if (spec.deadline_s > 0.0 && latency > spec.deadline_s)
                     ++slot.deadline_misses;
                 ++slot.completed;
-                ++slot.tenant_completed[req.tenant];
+                ++slot.tenantCompleted(req.tenant);
                 slot.checksum ^= sum;
                 if (done > slot.last_completion)
                     slot.last_completion = done;
@@ -357,12 +380,12 @@ runNativeService(const NativeServeOptions &options)
     stats.tenant_shed = tenant_shed;
     stats.tenant_completed.assign(spec.tenants, 0);
     double last_completion = 0.0;
-    for (const WorkerSlot &slot : slots) {
+    for (WorkerSlot &slot : slots) {
         stats.latency.merge(slot.latency);
         stats.completed += slot.completed;
         stats.deadline_misses += slot.deadline_misses;
         for (uint32_t t = 0; t < spec.tenants; ++t)
-            stats.tenant_completed[t] += slot.tenant_completed[t];
+            stats.tenant_completed[t] += slot.tenantCompleted(t);
         last_completion = std::max(last_completion,
                                    slot.last_completion);
         result.checksum ^= slot.checksum;

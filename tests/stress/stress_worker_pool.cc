@@ -2,7 +2,9 @@
  * @file
  * WorkerPool churn stress: pools constructed and destroyed in a loop
  * with work in flight, spawn storms that force worker-thread steals,
- * deep nested joins, and activity-census consistency under load.
+ * deep nested joins, and activity-census consistency under load.  The
+ * fork-join storm runs on both backends, so the channel pool shares
+ * the fork-join benchmark's own load here.
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +12,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "aaws/variant.h"
+#include "chan/backend_factory.h"
 #include "runtime/parallel_for.h"
 #include "runtime/parallel_invoke.h"
 #include "runtime/task_group.h"
@@ -200,26 +207,96 @@ TEST(WorkerPoolStress, PolicyStackPoolSurvivesShaking)
     }
 }
 
-TEST(WorkerPoolStress, RecursiveInvokeStorm)
+/** One cell of the fork-join storm matrix. */
+struct StormCase
+{
+    BackendKind backend;
+    /** base+psm with one big worker, as the fork-join benchmark runs. */
+    bool base_psm;
+};
+
+void
+PrintTo(const StormCase &storm, std::ostream *os)
+{
+    *os << backendName(storm.backend)
+        << (storm.base_psm ? "/base_psm" : "/default");
+}
+
+class ForkJoinStormStress : public testing::TestWithParam<StormCase>
+{
+};
+
+/** Below this n, the storm's fib runs serially inside one task. */
+constexpr int kStormSerialBelow = 10;
+
+uint64_t
+fibSerial(int n)
+{
+    uint64_t a = 0, b = 1;
+    for (int i = 0; i < n; ++i) {
+        uint64_t next = a + b;
+        a = b;
+        b = next;
+    }
+    return a;
+}
+
+TEST_P(ForkJoinStormStress, RecursiveInvokeStorm)
 {
     // Deep spawn-and-sync recursion (the classic work-stealing torture
-    // test) repeated across pool lifetimes.
+    // test) in the fork-join benchmark's shape: fib with a serial
+    // cutoff, so each worker spawns and pops its own subtree between
+    // steals.  Repeated across pool lifetimes, with every steal, mug
+    // and hint transition reported to a monitor.
+    const StormCase &storm = GetParam();
     const int64_t rounds = envKnob("AAWS_STRESS_CHURN", 10, 3);
+    const int workers = 4;
     for (int64_t round = 0; round < rounds; ++round) {
         SCOPED_TRACE(testing::Message() << "round " << round);
-        WorkerPool pool(4);
-        std::function<int64_t(int64_t)> fib = [&](int64_t n) -> int64_t {
-            if (n < 2)
-                return n;
-            int64_t a = 0;
-            int64_t b = 0;
-            parallelInvoke(pool, [&] { a = fib(n - 1); },
+        ActivityMonitor monitor(workers);
+        PoolOptions options;
+        if (storm.base_psm) {
+            options.policy = policyConfigFor(Variant::base_psm);
+            options.n_big = 1;
+        }
+        options.hooks = &monitor;
+        std::unique_ptr<RuntimeBackend> pool =
+            chan::makeBackend(storm.backend, workers, options);
+        std::atomic<int> census_out_of_bounds{0};
+        std::function<uint64_t(int)> fib = [&](int n) -> uint64_t {
+            if (n < kStormSerialBelow) {
+                int census = monitor.activeWorkers();
+                if (census < 0 || census > workers)
+                    census_out_of_bounds.fetch_add(1);
+                return fibSerial(n);
+            }
+            uint64_t a = 0;
+            uint64_t b = 0;
+            parallelInvoke(*pool, [&] { a = fib(n - 1); },
                            [&] { b = fib(n - 2); });
             return a + b;
         };
-        ASSERT_EQ(fib(17), 1597);
+        ASSERT_EQ(fib(30), 832040u);
+        ASSERT_EQ(census_out_of_bounds.load(), 0);
+        int census = monitor.activeWorkers();
+        ASSERT_GE(census, 0);
+        ASSERT_LE(census, workers);
+        // Every committed steal reports through onStealSuccess.
+        ASSERT_EQ(monitor.stealSuccesses(), pool->steals());
+        ASSERT_LE(pool->mugs(), pool->steals());
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ForkJoinStormStress,
+    testing::Values(StormCase{BackendKind::deque, false},
+                    StormCase{BackendKind::deque, true},
+                    StormCase{BackendKind::chan, false},
+                    StormCase{BackendKind::chan, true}),
+    [](const testing::TestParamInfo<StormCase> &info) {
+        return std::string(backendName(info.param.backend)) +
+               (info.param.base_psm ? "_base_psm" : "_default");
+    });
 
 TEST(WorkerPoolStress, ForeignProducersVsDrainingWorkers)
 {

@@ -4,11 +4,12 @@
 Both files are single-object JSON records as emitted by
 ``micro_sim --bench-json=...`` (schema aaws-bench-sim/v1) or
 ``micro_runtime --bench-json=...`` (schema aaws-bench-runtime/v1);
-baseline and current must carry the same schema.  The comparison is
-*warn-only* by default: shared CI runners are far too noisy to gate
-merges on throughput, so the job prints the delta, annotates the log,
-and exits 0 unless ``--fail-below`` is given (for local, quiet-machine
-use).
+baseline and current must carry the same schema, and the same
+``topology`` and ``threads`` where both records have them.  The
+comparison is *warn-only* by default: shared CI runners are far too
+noisy to gate merges on throughput, so the job prints the delta,
+annotates the log, and exits 0 unless ``--fail-below`` is given (for
+local, quiet-machine use).
 
 Usage:
     tools/bench_compare.py BASELINE CURRENT [--metric NAME]
@@ -74,21 +75,26 @@ def main(argv=None):
             f"bench_compare: schema mismatch: baseline is "
             f"{base.get('schema')!r}, current is {curr.get('schema')!r}")
 
-    # Records measured under a --topology restriction carry a topology
-    # tag.  A tag on only one side is tolerated (older baselines
-    # predate the field; an untagged record is the default full sweep),
-    # but two different tags mean the runs measured different machine
-    # shapes and the delta would be meaningless.
-    base_topo = base.get("topology")
-    curr_topo = curr.get("topology")
-    if base_topo != curr_topo:
-        if base_topo is not None and curr_topo is not None:
+    # Records carry the shape they measured: simulator records run
+    # under a --topology restriction carry a topology tag, runtime
+    # records the worker count.  A field on only one side is tolerated
+    # (older baselines predate it; an untagged simulator record is the
+    # default full sweep), but two different values mean the runs
+    # measured different machine shapes and the delta would be
+    # meaningless.
+    for field in ("topology", "threads"):
+        base_shape = base.get(field)
+        curr_shape = curr.get(field)
+        if base_shape == curr_shape:
+            continue
+        if base_shape is not None and curr_shape is not None:
             raise SystemExit(
-                f"bench_compare: topology mismatch: baseline measured "
-                f"{base_topo!r}, current measured {curr_topo!r}")
-        print(f"bench_compare: note: topology tag only on "
-              f"{'baseline' if base_topo else 'current'} "
-              f"({base_topo or curr_topo!r}); comparing anyway")
+                f"bench_compare: {field} mismatch: baseline measured "
+                f"{base_shape!r}, current measured {curr_shape!r}")
+        side = "baseline" if base_shape is not None else "current"
+        shape = base_shape if base_shape is not None else curr_shape
+        print(f"bench_compare: note: {field} only on {side} "
+              f"({shape!r}); comparing anyway")
 
     for name, record, path in (("baseline", base, args.baseline),
                                ("current", curr, args.current)):

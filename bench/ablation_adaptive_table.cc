@@ -10,6 +10,7 @@
 
 #include "aaws/adaptive.h"
 #include "exp/cli.h"
+#include "exp/run_spec.h"
 
 using namespace aaws;
 
@@ -27,8 +28,9 @@ main(int argc, char **argv)
     for (const char *name : names) {
         Kernel kernel = makeKernel(name);
         AdaptiveOptions options;
-        AdaptiveReport report =
-            adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+        AdaptiveReport report = adaptDvfsTable(
+            kernel, exp::configForSpec(kernel, {name, Variant::base_psm}),
+            options);
         std::printf("%-9s %8.2fms %8.2fms %7.1f%% %8.3f %8.3f %7zu\n",
                     name, report.static_seconds * 1e3,
                     report.tuned_seconds * 1e3,

@@ -13,6 +13,7 @@
 #include "aaws/experiment.h"
 #include "common/stats.h"
 #include "exp/cli.h"
+#include "exp/run_spec.h"
 
 using namespace aaws;
 
@@ -22,8 +23,8 @@ double
 runWith(const Kernel &kernel,
         const std::function<void(MachineConfig &)> &tweak)
 {
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
+    MachineConfig config = exp::configForSpec(
+        kernel, {kernel.stats.name, Variant::base_psm});
     tweak(config);
     return Machine(config, kernel.dag).run().exec_seconds;
 }
@@ -43,8 +44,8 @@ main(int argc, char **argv)
     for (const auto &name : kernelNames()) {
         Kernel kernel = makeKernel(name);
         double base = runWith(kernel, [](MachineConfig &) {});
-        double random_victim = runWith(kernel, [](MachineConfig &c) {
-            c.random_victim = true;
+        double random_pick = runWith(kernel, [](MachineConfig &c) {
+            c.victim = sched::VictimPolicy::random;
         });
         double no_biasing = runWith(kernel, [](MachineConfig &c) {
             c.work_biasing = false;
@@ -52,7 +53,7 @@ main(int argc, char **argv)
         double no_serial = runWith(kernel, [](MachineConfig &c) {
             c.policy.serial_sprinting = false;
         });
-        rv.push_back(random_victim / base);
+        rv.push_back(random_pick / base);
         nb.push_back(no_biasing / base);
         ns.push_back(no_serial / base);
         auto addSlowdown = [&](const char *metric, double value) {
@@ -63,11 +64,11 @@ main(int argc, char **argv)
                              .metric = metric,
                              .value = value});
         };
-        addSlowdown("random_victim", random_victim / base);
+        addSlowdown("random_victim", random_pick / base);
         addSlowdown("no_biasing", no_biasing / base);
         addSlowdown("no_serial_sprint", no_serial / base);
         std::printf("%-9s %13.3fx %11.3fx %13.3fx\n", name.c_str(),
-                    random_victim / base, no_biasing / base,
+                    random_pick / base, no_biasing / base,
                     no_serial / base);
     }
     cli.results.add("summary", "median_random_victim", median(rv));

@@ -11,16 +11,12 @@
  *     speedup and perf-per-joule gain vs the `base` runtime on the
  *     same topology (engine-cached; the DVFS lookup table is
  *     regenerated per topology, one cell per census tuple);
- *  2. legacy cross-check: a run under `--topology`-style overrides
- *     ("4b4l") must serialize byte-identically to the legacy 4B4L
- *     config path for every variant (the repro-gate claim
- *     ext_asym/topo_4b4l_bit_identical);
- *  3. criticality-victim ablation: direct (uncached) runs comparing
+ *  2. criticality-victim ablation: direct (uncached) runs comparing
  *     Costero-style criticality-aware victim selection against the
  *     paper's occupancy policy on each topology.
  *
- * `--topology=NAME` (or AAWS_TOPOLOGY) restricts sweep legs 1 and 3 to
- * one preset; the cross-check always runs on 4b4l.
+ * `--topology=NAME` (or AAWS_TOPOLOGY) restricts both legs to one
+ * preset.
  */
 
 #include <cstdio>
@@ -31,7 +27,6 @@
 #include "common/stats.h"
 #include "exp/cli.h"
 #include "exp/engine.h"
-#include "model/topology.h"
 #include "sim/machine.h"
 
 using namespace aaws;
@@ -46,9 +41,9 @@ double
 runCriticality(const Kernel &kernel, const std::string &preset,
                bool criticality)
 {
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-    config.topology = makeTopology(preset, config.app_params);
+    exp::RunSpec spec{kernel.stats.name, Variant::base_psm};
+    spec.overrides.topology = preset;
+    MachineConfig config = exp::configForSpec(kernel, spec);
     if (criticality)
         config.victim = sched::VictimPolicy::criticality;
     return Machine(config, kernel.dag).run().exec_seconds;
@@ -74,7 +69,7 @@ main(int argc, char **argv)
     for (const auto &preset : presets) {
         for (const auto &name : names) {
             for (Variant v : allVariants()) {
-                exp::RunSpec spec{name, SystemShape::s4B4L, v};
+                exp::RunSpec spec{name, v};
                 spec.overrides.topology = preset;
                 specs.push_back(std::move(spec));
             }
@@ -135,35 +130,7 @@ main(int argc, char **argv)
                 presets.size(), minOf(psm_speedups),
                 median(psm_speedups), minOf(psm_gains));
 
-    // --- 2. legacy 4B4L vs topology-override 4b4l cross-check -------
-    // The topology path must not merely approximate the legacy
-    // big/little machine: for every variant the serialized result must
-    // be byte-identical (cache bypassed so both sides really execute).
-    {
-        std::vector<exp::RunSpec> legacy, topo;
-        for (Variant v : allVariants()) {
-            exp::RunSpec spec{"dict", SystemShape::s4B4L, v};
-            legacy.push_back(spec);
-            spec.overrides.topology = "4b4l";
-            topo.push_back(std::move(spec));
-        }
-        exp::EngineOptions opts = cli.engine;
-        opts.use_cache = false;
-        opts.progress = false;
-        opts.bench_json.clear();
-        std::vector<RunResult> a = exp::runBatch(legacy, opts);
-        std::vector<RunResult> b = exp::runBatch(topo, opts);
-        double mismatches = 0.0;
-        for (size_t i = 0; i < a.size(); ++i)
-            if (exp::runResultToJson(a[i]) != exp::runResultToJson(b[i]))
-                mismatches += 1.0;
-        cli.results.add("topo_check", "json_mismatches", mismatches);
-        std::printf("\nlegacy-4B4L vs topology-4b4l cross-check: "
-                    "%.0f/%zu variants differ (must be 0)\n",
-                    mismatches, a.size());
-    }
-
-    // --- 3. criticality-aware victim selection ablation -------------
+    // --- 2. criticality-aware victim selection ablation -------------
     // Direct runs: the victim policy is not spec-addressable, so these
     // bypass the engine cache like ablation_victim_biasing.
     std::printf("\n--- criticality vs occupancy victim selection "

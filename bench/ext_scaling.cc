@@ -6,9 +6,9 @@
  * at a fixed 1:1 big/little ratio and reports base+psm speedup and
  * energy-efficiency gain per shape.
  *
- * Driven by the experiment engine: the shape sweep is expressed as
- * n_big/n_little spec overrides, so each (shape, kernel, variant)
- * simulation is an independently cached parallel task.
+ * Driven by the experiment engine: each shape is an "<N>b<N>l"
+ * topology preset, so each (shape, kernel, variant) simulation is an
+ * independently cached parallel task.
  */
 
 #include <cstdio>
@@ -27,7 +27,7 @@ main(int argc, char **argv)
 {
     exp::BenchCli cli;
     cli.parse(argc, argv);
-    const int shapes[][2] = {{1, 1}, {2, 2}, {4, 4}, {6, 6}, {8, 8}};
+    const int sizes[] = {1, 2, 4, 6, 8};
     const char *all_names[] = {"radix-2", "qsort-1", "cilksort", "dict",
                                "uts"};
     std::vector<std::string> names;
@@ -36,12 +36,11 @@ main(int argc, char **argv)
             names.push_back(name);
 
     std::vector<exp::RunSpec> specs;
-    for (const auto &shape : shapes) {
+    for (int n : sizes) {
         for (const auto &name : names) {
             for (Variant v : {Variant::base, Variant::base_psm}) {
-                exp::RunSpec spec{name, SystemShape::s4B4L, v};
-                spec.overrides.n_big = shape[0];
-                spec.overrides.n_little = shape[1];
+                exp::RunSpec spec{name, v};
+                spec.overrides.topology = strfmt("%db%dl", n, n);
                 specs.push_back(std::move(spec));
             }
         }
@@ -55,8 +54,8 @@ main(int argc, char **argv)
         std::printf(" %14s", name.c_str());
     std::printf("\n");
     size_t idx = 0;
-    for (const auto &shape : shapes) {
-        std::string shape_name = strfmt("%dB%dL", shape[0], shape[1]);
+    for (int n : sizes) {
+        std::string shape_name = strfmt("%dB%dL", n, n);
         std::printf("%-7s", shape_name.c_str());
         for (size_t k = 0; k < names.size(); ++k) {
             const SimResult &b = results[idx++].sim;

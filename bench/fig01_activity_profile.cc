@@ -12,6 +12,7 @@
 
 #include "aaws/experiment.h"
 #include "exp/cli.h"
+#include "exp/run_spec.h"
 
 using namespace aaws;
 
@@ -23,8 +24,8 @@ main(int argc, char **argv)
     std::printf("=== Figure 1: activity profile, hull on 4B4L (base) "
                 "===\n\n");
     Kernel kernel = makeKernel("hull");
-    RunResult result = runKernel(kernel, SystemShape::s4B4L,
-                                 Variant::base, /*collect_trace=*/true);
+    RunResult result = exp::executeSpec(
+        {"hull", Variant::base, exp::kDefaultSeed, /*trace=*/true}, kernel);
     std::printf("%s\n", result.sim.trace
                             .renderAscii(8, 100, 1.0)
                             .c_str());

@@ -12,6 +12,7 @@
 
 #include "aaws/experiment.h"
 #include "exp/cli.h"
+#include "exp/run_spec.h"
 
 using namespace aaws;
 
@@ -31,8 +32,9 @@ main(int argc, char **argv)
     std::printf("=== Figure 7: radix-2 activity profiles on 4B4L "
                 "===\n");
     for (int i = 0; i < 5; ++i) {
-        RunResult result = runKernel(kernel, SystemShape::s4B4L,
-                                     variants[i], /*trace=*/true);
+        RunResult result = exp::executeSpec(
+            {"radix-2", variants[i], exp::kDefaultSeed, /*trace=*/true},
+            kernel);
         if (i == 0)
             base_seconds = result.sim.exec_seconds;
         cli.results.add({.series = "profile",

@@ -6,13 +6,14 @@
  * Each bar is broken into serial / HP / BI<LA / BI>=LA / oLP time, all
  * normalized to that kernel's baseline.
  *
- * Driven by the experiment engine: all (shape x kernel x variant)
+ * Driven by the experiment engine: all (topology x kernel x variant)
  * simulations fan out on the native runtime and hit the result cache
  * on re-runs.  Shares the engine CLI (--jobs, --filter, --no-cache,
  * ...; see src/exp/cli.h).
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "aaws/experiment.h"
@@ -28,19 +29,27 @@ main(int argc, char **argv)
     exp::BenchCli cli;
     cli.parse(argc, argv);
     const std::vector<std::string> names = cli.filterNames(kernelNames());
-    const SystemShape shapes[] = {SystemShape::s1B7L, SystemShape::s4B4L};
+    // Each machine's topology preset and its display name.
+    const struct
+    {
+        std::string topology;
+        const char *name;
+    } shapes[] = {{"1b7l", "1B7L"}, {"4b4l", "4B4L"}};
 
     std::vector<exp::RunSpec> specs;
-    for (SystemShape shape : shapes)
+    for (const auto &shape : shapes)
         for (const auto &name : names)
-            for (Variant v : allVariants())
-                specs.push_back({name, shape, v});
+            for (Variant v : allVariants()) {
+                exp::RunSpec spec{name, v};
+                spec.overrides.topology = shape.topology;
+                specs.push_back(std::move(spec));
+            }
     std::vector<RunResult> results = exp::runBatch(specs, cli.engine);
 
     size_t idx = 0;
-    for (SystemShape shape : shapes) {
+    for (const auto &shape : shapes) {
         std::printf("=== Figure 8 (%s): normalized execution time "
-                    "breakdown ===\n", systemName(shape));
+                    "breakdown ===\n", shape.name);
         std::printf("%-9s %-9s %8s %8s %8s %8s %8s %8s %9s\n", "kernel",
                     "variant", "serial", "hp", "BI<LA", "BI>=LA", "oLP",
                     "total", "speedup");
@@ -58,7 +67,7 @@ main(int argc, char **argv)
                     psm_speedups.push_back(speedup);
                 cli.results.add({.series = "breakdown",
                                  .kernel = name,
-                                 .shape = systemName(shape),
+                                 .shape = shape.name,
                                  .variant = variantName(v),
                                  .metric = "speedup",
                                  .value = speedup});
@@ -71,24 +80,24 @@ main(int argc, char **argv)
             }
         }
         cli.results.add({.series = "psm_speedup",
-                         .shape = systemName(shape),
+                         .shape = shape.name,
                          .variant = "base+psm",
                          .metric = "min",
                          .value = minOf(psm_speedups)});
         cli.results.add({.series = "psm_speedup",
-                         .shape = systemName(shape),
+                         .shape = shape.name,
                          .variant = "base+psm",
                          .metric = "median",
                          .value = median(psm_speedups)});
         cli.results.add({.series = "psm_speedup",
-                         .shape = systemName(shape),
+                         .shape = shape.name,
                          .variant = "base+psm",
                          .metric = "max",
                          .value = maxOf(psm_speedups)});
         std::printf("\n%s base+psm speedups: min %.2fx median %.2fx "
-                    "max %.2fx", systemName(shape), minOf(psm_speedups),
+                    "max %.2fx", shape.name, minOf(psm_speedups),
                     median(psm_speedups), maxOf(psm_speedups));
-        if (shape == SystemShape::s4B4L)
+        if (shape.topology == "4b4l")
             std::printf("   [paper 4B4L: 1.02x / 1.10x / 1.32x]");
         std::printf("\n\n");
     }

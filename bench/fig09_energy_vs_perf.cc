@@ -30,9 +30,9 @@ main(int argc, char **argv)
 
     std::vector<exp::RunSpec> specs;
     for (const auto &name : names) {
-        specs.push_back({name, SystemShape::s4B4L, Variant::base});
+        specs.push_back({name, Variant::base});
         for (Variant v : techniques)
-            specs.push_back({name, SystemShape::s4B4L, v});
+            specs.push_back({name, v});
     }
     std::vector<RunResult> results = exp::runBatch(specs, cli.engine);
 

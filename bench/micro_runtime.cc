@@ -8,8 +8,7 @@
  * Custom main (mirroring micro_sim): after the registered benchmarks
  * run, a fixed parallel_for workload is timed on each backend and the
  * BENCH_runtime.json perf record (tasks/sec per backend) is written
- * when `--bench-json=PATH` or AAWS_BENCH_JSON is set (the historical
- * AAWS_BENCH_RUNTIME_JSON is a deprecated alias), so CI can archive
+ * when `--bench-json=PATH` or AAWS_BENCH_JSON is set, so CI can archive
  * and warn-compare one machine-readable artifact per run.
  */
 
@@ -229,23 +228,10 @@ int
 main(int argc, char **argv)
 {
     std::string bench_json;
-    // Schema-neutral AAWS_BENCH_JSON wins; the historical name is a
-    // deprecated alias.  (Mirrors exp::benchJsonEnv — this bench does
-    // not link the experiment library.)
-    if (const char *env = std::getenv("AAWS_BENCH_JSON")) {
-        if (*env)
-            bench_json = env;
-    }
-    if (bench_json.empty()) {
-        if (const char *env = std::getenv("AAWS_BENCH_RUNTIME_JSON")) {
-            if (*env) {
-                std::fprintf(stderr,
-                             "[micro_runtime] AAWS_BENCH_RUNTIME_JSON is "
-                             "deprecated; set AAWS_BENCH_JSON instead\n");
-                bench_json = env;
-            }
-        }
-    }
+    // (Mirrors exp::benchJsonEnv — this bench does not link the
+    // experiment library.)
+    if (const char *env = std::getenv("AAWS_BENCH_JSON"))
+        bench_json = env;
     // Peel off our flag before google-benchmark sees (and rejects) it.
     std::vector<char *> args;
     for (int i = 0; i < argc; ++i) {

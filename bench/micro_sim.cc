@@ -6,9 +6,8 @@
  *
  * Custom main: after the registered benchmarks run, a small engine
  * batch produces the BENCH_sim.json perf record (sims/sec, events/sec)
- * when `--bench-json=PATH` or AAWS_BENCH_JSON is set
- * (AAWS_BENCH_SIM_JSON is a deprecated alias), so CI can upload one
- * machine-readable artifact per run.
+ * when `--bench-json=PATH` or AAWS_BENCH_JSON is set, so CI can upload
+ * one machine-readable artifact per run.
  */
 
 #include <benchmark/benchmark.h>
@@ -109,7 +108,7 @@ BM_MachineRun(benchmark::State &state)
     const char *name = names[state.range(0)];
     Kernel kernel = makeKernel(name);
     MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
+        exp::configForSpec(kernel, {name, Variant::base_psm});
     uint64_t events = 0;
     for (auto _ : state) {
         SimResult result = Machine(config, kernel.dag).run();
@@ -147,17 +146,16 @@ emitBenchJson(const std::string &path)
     std::vector<exp::RunSpec> specs;
     for (const char *kernel : {"dict", "radix-1", "qsort-1"})
         for (Variant variant : allVariants())
-            specs.emplace_back(kernel, SystemShape::s4B4L, variant);
+            specs.emplace_back(kernel, variant);
     // Seed fan-out: same kernel/config under distinct seeds.
     for (uint64_t seed_offset = 1; seed_offset <= 4; ++seed_offset)
-        specs.emplace_back("dict", SystemShape::s4B4L, Variant::base_psm,
+        specs.emplace_back("dict", Variant::base_psm,
                            exp::kDefaultSeed + seed_offset);
     // One-knob sweeps: dict reads the mug knob mid-run; radix-1 never
     // mugs, so its four results are identical.
     for (const char *kernel : {"dict", "radix-1"})
         for (uint64_t cycles : {100ull, 400ull, 700ull, 1000ull}) {
-            exp::RunSpec spec(kernel, SystemShape::s4B4L,
-                              Variant::base_psm);
+            exp::RunSpec spec(kernel, Variant::base_psm);
             spec.overrides.mug_interrupt_cycles = cycles;
             specs.push_back(spec);
         }
@@ -180,7 +178,7 @@ int
 main(int argc, char **argv)
 {
     std::string bench_json;
-    if (const char *env = exp::benchJsonEnv("AAWS_BENCH_SIM_JSON"))
+    if (const char *env = exp::benchJsonEnv())
         bench_json = env;
     // Peel off our flag before google-benchmark sees (and rejects) it.
     std::vector<char *> args;

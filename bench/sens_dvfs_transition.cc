@@ -31,8 +31,7 @@ main(int argc, char **argv)
     std::vector<exp::RunSpec> specs;
     for (const auto &name : names) {
         for (double ns : steps) {
-            exp::RunSpec spec{name, SystemShape::s4B4L,
-                              Variant::base_psm};
+            exp::RunSpec spec{name, Variant::base_psm};
             spec.overrides.regulator_ns_per_step = ns;
             specs.push_back(std::move(spec));
         }

@@ -31,8 +31,7 @@ main(int argc, char **argv)
     std::vector<exp::RunSpec> specs;
     for (const auto &name : names) {
         for (uint64_t c : cycles) {
-            exp::RunSpec spec{name, SystemShape::s4B4L,
-                              Variant::base_psm};
+            exp::RunSpec spec{name, Variant::base_psm};
             spec.overrides.mug_interrupt_cycles = c;
             specs.push_back(std::move(spec));
         }

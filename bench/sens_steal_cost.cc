@@ -32,8 +32,7 @@ main(int argc, char **argv)
     std::vector<exp::RunSpec> specs;
     for (const auto &name : names) {
         for (uint64_t c : costs) {
-            exp::RunSpec spec{name, SystemShape::s4B4L,
-                              Variant::base_psm};
+            exp::RunSpec spec{name, Variant::base_psm};
             spec.overrides.steal_attempt_cycles = c;
             specs.push_back(std::move(spec));
         }

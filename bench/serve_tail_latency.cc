@@ -160,7 +160,9 @@ main(int argc, char **argv)
     // time: all variants then face the identical offered load, and
     // latency differences are pure runtime policy.
     double s_base = serve::meanServiceSeconds(serve::sampleServiceTable(
-        kernel, SystemShape::s4B4L, Variant::base, seed, 3));
+        exp::configForSpec(makeKernel(kernel, seed),
+                           {kernel, Variant::base, seed}),
+        kernel, seed, 3));
     AAWS_ASSERT(s_base > 0.0, "base service time must be positive");
     std::printf("=== Open-loop serving: tail latency vs utilization "
                 "(%s, 4B4L) ===\n", kernel.c_str());
@@ -173,7 +175,7 @@ main(int argc, char **argv)
     for (serve::ArrivalKind kind : kinds)
         for (int util : utils)
             for (Variant v : allVariants()) {
-                exp::RunSpec spec(kernel, SystemShape::s4B4L, v, seed);
+                exp::RunSpec spec(kernel, v, seed);
                 spec.serve = specFor(kind, util, requests, s_base);
                 specs.push_back(spec);
             }

@@ -17,7 +17,7 @@ main(int argc, char **argv)
 {
     exp::BenchCli cli;
     cli.parse(argc, argv);
-    MachineConfig c4 = MachineConfig::system4B4L();
+    MachineConfig c4;
     FirstOrderModel model(c4.table_params);
     const ModelParams &p = c4.table_params;
     cli.results.add("config", "v_nom", p.v_nom);
@@ -68,7 +68,7 @@ main(int argc, char **argv)
 
     std::printf("\n=== DVFS lookup table (4B4L, 25 entries; Section "
                 "III-A) ===\n");
-    DvfsLookupTable table(model, 4, 4);
+    DvfsLookupTable table(model, makeTopology(c4.topology, p));
     std::printf("%-14s", "bigA\\littleA");
     for (int la = 0; la <= 4; ++la)
         std::printf("        %d       ", la);
@@ -76,7 +76,7 @@ main(int argc, char **argv)
     for (int ba = 0; ba <= 4; ++ba) {
         std::printf("%-14d", ba);
         for (int la = 0; la <= 4; ++la) {
-            const DvfsTableEntry &e = table.at(ba, la);
+            const DvfsTableEntry &e = table.atCounts({ba, la});
             std::printf("  (%.2f, %.2f) ", e.vBig(), e.vLittle());
         }
         std::printf("\n");

@@ -28,8 +28,11 @@ main(int argc, char **argv)
 
     std::vector<exp::RunSpec> specs;
     for (const auto &name : names) {
-        specs.push_back({name, SystemShape::s1B7L, Variant::base});
-        specs.push_back({name, SystemShape::s4B4L, Variant::base});
+        for (const char *topology : {"1b7l", "4b4l"}) {
+            exp::RunSpec spec{name, Variant::base};
+            spec.overrides.topology = topology;
+            specs.push_back(std::move(spec));
+        }
     }
     std::vector<RunResult> results = exp::runBatch(specs, cli.engine);
 

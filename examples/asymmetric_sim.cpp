@@ -61,7 +61,7 @@ main()
                 "time(ms)", "speedup", "energy", "eff", "mugs",
                 "LPshare");
     for (Variant v : allVariants()) {
-        MachineConfig config = MachineConfig::system4B4L();
+        MachineConfig config;
         applyVariant(config, v);
         SimResult r = Machine(config, dag).run();
         if (v == Variant::base) {
@@ -80,7 +80,7 @@ main()
     }
 
     std::printf("\nfull AAWS (base+psm) activity profile:\n");
-    MachineConfig config = MachineConfig::system4B4L();
+    MachineConfig config;
     applyVariant(config, Variant::base_psm);
     config.collect_trace = true;
     SimResult r = Machine(config, dag).run();

@@ -67,8 +67,7 @@ runBackend(BackendKind kind, const DvfsLookupTable &table,
                 "steals", "mugTry", "mugs", "rounds", "rests",
                 "sprints", "checksum");
     for (Variant v : allVariants()) {
-        PacingGovernor governor(workers, n_big, policyConfigFor(v),
-                                table, mp);
+        PacingGovernor governor(policyConfigFor(v), table, mp);
         PoolOptions options;
         options.policy = policyConfigFor(v);
         options.n_big = n_big;
@@ -118,9 +117,11 @@ main(int argc, char **argv)
     }
 
     // The marginal-utility table the governor maps census cells
-    // through — the same table generation the simulator uses.
+    // through — the same table generation the simulator uses, over the
+    // pools' n_big split.
     ModelParams mp;
-    DvfsLookupTable table(FirstOrderModel(mp), kBig, kWorkers - kBig);
+    DvfsLookupTable table(FirstOrderModel(mp),
+                          CoreTopology::bigLittle(kBig, kWorkers - kBig, mp));
 
     std::printf("native pools: %d workers (%dB%dL)\n\n", kWorkers, kBig,
                 kWorkers - kBig);
@@ -132,9 +133,7 @@ main(int argc, char **argv)
     // Show one governor decision log in detail: what each worker would
     // be running at under full-AAWS with the whole machine busy.
     std::printf("base+psm boot decision (all workers active):\n");
-    PacingGovernor governor(kWorkers, kBig,
-                            policyConfigFor(Variant::base_psm), table,
-                            mp);
+    PacingGovernor governor(policyConfigFor(Variant::base_psm), table, mp);
     for (int w = 0; w < kWorkers; ++w) {
         GovernorDecision d = governor.decision(w);
         std::printf("  worker %d (%s): %.3f V\n", w,

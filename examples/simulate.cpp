@@ -1,20 +1,24 @@
 /**
  * @file
  * Command-line driver for the asymmetric-machine simulator: run any
- * kernel x system x variant and print a gem5-style stats report
+ * kernel x topology x variant and print a gem5-style stats report
  * (per-core activity/energy, region breakdown, scheduler counters),
  * optionally with the activity profile.
  *
- * Usage: simulate <kernel|list> [4B4L|1B7L] [variant] [--trace]
+ * Usage: simulate <kernel|list> [topology] [variant] [--trace]
  *        [--stats]
+ *   The topology is any preset name, case-insensitively (4B4L, 1b7l,
+ *   2b2m4l, 4b4l:pc, ...; default 4b4l).
  *   e.g. simulate radix-2 4B4L base+psm --trace --stats
  */
 
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "aaws/experiment.h"
+#include "exp/run_spec.h"
 #include "sim/stats_writer.h"
 
 using namespace aaws;
@@ -24,8 +28,8 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr,
-                     "usage: %s <kernel|list> [4B4L|1B7L] [variant] "
-                     "[--trace]\n", argv[0]);
+                     "usage: %s <kernel|list> [topology] [variant] "
+                     "[--trace] [--stats]\n", argv[0]);
         return 1;
     }
     if (std::strcmp(argv[1], "list") == 0) {
@@ -34,33 +38,35 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::string kernel_name = argv[1];
-    SystemShape shape = SystemShape::s4B4L;
-    Variant variant = Variant::base_psm;
-    bool trace = false;
+    exp::RunSpec spec{argv[1], Variant::base_psm};
     bool stats = false;
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "4B4L")
-            shape = SystemShape::s4B4L;
-        else if (arg == "1B7L")
-            shape = SystemShape::s1B7L;
-        else if (arg == "--trace")
-            trace = true;
+        std::string preset;
+        for (char c : arg)
+            preset += static_cast<char>(
+                std::tolower(static_cast<unsigned char>(c)));
+        CoreTopology parsed;
+        if (arg == "--trace")
+            spec.collect_trace = true;
         else if (arg == "--stats")
             stats = true;
+        else if (parseTopologyName(preset, ModelParams{}, parsed))
+            spec.overrides.topology = preset;
         else
-            variant = variantFromName(arg);
+            spec.variant = variantFromName(arg);
     }
 
-    Kernel kernel = makeKernel(kernel_name);
-    RunResult run = runKernel(kernel, shape, variant, trace);
-    const SimResult &r = run.sim;
+    Kernel kernel = makeKernel(spec.kernel, spec.seed);
+    MachineConfig config = exp::configForSpec(kernel, spec);
+    const SimResult r = exp::executeSpec(spec, kernel).sim;
+    const CoreTopology topology =
+        makeTopology(config.topology, config.app_params);
 
-    std::printf("kernel            %s (%s, %s)\n", kernel_name.c_str(),
+    std::printf("kernel            %s (%s, %s)\n", spec.kernel.c_str(),
                 kernel.stats.suite, kernel.stats.pm);
-    std::printf("system / variant  %s / %s\n", systemName(shape),
-                variantName(variant));
+    std::printf("system / variant  %s / %s\n", topology.name().c_str(),
+                variantName(spec.variant));
     std::printf("exec time         %.3f ms\n", r.exec_seconds * 1e3);
     std::printf("instructions      %.1f M\n", r.instructions / 1e6);
     std::printf("energy            %.4g (avg power %.4g)\n", r.energy,
@@ -84,23 +90,19 @@ main(int argc, char **argv)
     std::printf("\nper-core stats:\n");
     std::printf("  %-6s %-7s %10s %10s %10s\n", "core", "type",
                 "busy(ms)", "wait(ms)", "energy");
-    int n_big = shape == SystemShape::s4B4L ? 4 : 1;
     for (size_t c = 0; c < r.core_stats.size(); ++c) {
         const CoreStats &s = r.core_stats[c];
+        const int cluster = topology.clusterOf(static_cast<int>(c));
         std::printf("  %-6zu %-7s %10.3f %10.3f %10.4g\n", c,
-                    static_cast<int>(c) < n_big ? "big" : "little",
+                    clusterKindName(topology.cluster(cluster).kind),
                     s.busy_seconds * 1e3, s.waiting_seconds * 1e3,
                     s.energy);
     }
 
-    if (stats) {
-        std::printf("\n%s",
-                    formatStats(configFor(kernel, shape, variant),
-                                r)
-                        .c_str());
-    }
+    if (stats)
+        std::printf("\n%s", formatStats(config, r).c_str());
 
-    if (trace) {
+    if (spec.collect_trace) {
         std::printf("\nactivity profile:\n%s",
                     r.trace
                         .renderAscii(static_cast<int>(r.core_stats.size()),

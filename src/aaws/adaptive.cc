@@ -19,10 +19,9 @@ struct Eval
 };
 
 Eval
-evaluate(const Kernel &kernel, SystemShape shape, Variant variant,
+evaluate(const Kernel &kernel, MachineConfig config,
          const DvfsLookupTable &table)
 {
-    MachineConfig config = configFor(kernel, shape, variant);
     config.table_override = &table;
     SimResult result = Machine(config, kernel.dag).run();
     Eval eval;
@@ -33,45 +32,47 @@ evaluate(const Kernel &kernel, SystemShape shape, Variant variant,
     return eval;
 }
 
+bool
+sameVoltages(const DvfsTableEntry &a, const DvfsTableEntry &b)
+{
+    for (size_t k = 0; k < a.v.size(); ++k)
+        if (std::abs(a.v[k] - b.v[k]) >= 1e-9)
+            return false;
+    return true;
+}
+
 } // namespace
 
 AdaptiveReport
-adaptDvfsTable(const Kernel &kernel, SystemShape shape,
+adaptDvfsTable(const Kernel &kernel, const MachineConfig &config,
                const AdaptiveOptions &options)
 {
     AAWS_ASSERT(options.voltage_step > 0.0 && options.max_accepted >= 0,
                 "bad adaptive options");
-    MachineConfig base_config = configFor(kernel, shape, options.variant);
-    FirstOrderModel designer(base_config.table_params);
-    const double v_min = base_config.table_params.v_min;
-    const double v_max = base_config.table_params.v_max;
-    // The refinement walks (big-active, little-active) cells, so it is
-    // defined for two-cluster shapes only.
-    const CoreTopology topo = base_config.resolvedTopology();
-    AAWS_ASSERT(topo.numClusters() == 2,
-                "adaptive tuning requires a two-cluster topology");
-    int n_big = topo.cluster(0).count;
-    int n_little = topo.cluster(1).count;
+    FirstOrderModel designer(config.table_params);
+    const double v_min = config.table_params.v_min;
+    const double v_max = config.table_params.v_max;
 
     AdaptiveReport report{
-        DvfsLookupTable(designer, n_big, n_little), 0, 0, 0, 0, 0, 0, {}};
+        DvfsLookupTable(designer,
+                        makeTopology(config.topology, config.table_params)),
+        0, 0, 0, 0, 0, 0, {}};
+    const CoreTopology &topo = report.table.topology();
 
-    Eval best = evaluate(kernel, shape, options.variant, report.table);
+    Eval best = evaluate(kernel, config, report.table);
     report.static_seconds = best.seconds;
     report.static_edp = best.edp;
     report.static_power = best.power;
     double power_cap = best.power * options.power_slack;
 
+    std::vector<int> counts;
     while (static_cast<int>(report.accepted.size()) <
            options.max_accepted) {
         // Rank entries by observed occupancy time (the counters a real
-        // adaptive controller samples).
+        // adaptive controller samples).  Cell 0 is the all-idle census,
+        // whose voltages are unused.
         std::vector<std::pair<double, int>> ranked;
-        for (size_t i = 0; i < best.occupancy.size(); ++i) {
-            int ba = static_cast<int>(i) / (n_little + 1);
-            int la = static_cast<int>(i) % (n_little + 1);
-            if (ba == 0 && la == 0)
-                continue; // nothing active: voltages unused
+        for (size_t i = 1; i < best.occupancy.size(); ++i) {
             if (best.occupancy[i] > 1e-9)
                 ranked.push_back({best.occupancy[i],
                                   static_cast<int>(i)});
@@ -86,58 +87,37 @@ adaptDvfsTable(const Kernel &kernel, SystemShape shape,
         }
 
         bool improved = false;
-        for (const auto &[occ, idx] : ranked) {
+        for (const auto &[occ, cell] : ranked) {
             (void)occ;
-            int ba = idx / (n_little + 1);
-            int la = idx % (n_little + 1);
-            DvfsTableEntry current = report.table.at(ba, la);
-            // Four axis-aligned voltage perturbations; skip axes whose
-            // core type is inactive in this entry.
-            DvfsTableEntry trials[4] = {current, current, current,
-                                        current};
-            int n_trials = 0;
-            if (ba > 0) {
-                trials[n_trials] = current;
-                trials[n_trials].v[0] = std::clamp(
-                    current.v[0] + options.voltage_step, v_min, v_max);
-                n_trials++;
-                trials[n_trials] = current;
-                trials[n_trials].v[0] = std::clamp(
-                    current.v[0] - options.voltage_step, v_min, v_max);
-                n_trials++;
-            }
-            if (la > 0) {
-                trials[n_trials] = current;
-                trials[n_trials].v[1] = std::clamp(
-                    current.v[1] + options.voltage_step, v_min,
-                    v_max);
-                n_trials++;
-                trials[n_trials] = current;
-                trials[n_trials].v[1] = std::clamp(
-                    current.v[1] - options.voltage_step, v_min,
-                    v_max);
-                n_trials++;
-            }
-            for (int t = 0; t < n_trials; ++t) {
-                if (std::abs(trials[t].v[0] - current.v[0]) < 1e-9 &&
-                    std::abs(trials[t].v[1] - current.v[1]) <
-                        1e-9) {
-                    continue; // clamped to the same point
+            const DvfsTableEntry current = report.table.atIndex(cell);
+            // Two axis-aligned voltage perturbations per cluster; skip
+            // clusters with no active core in this entry.
+            topo.censusFromIndex(cell, counts);
+            std::vector<DvfsTableEntry> trials;
+            for (int k = 0; k < topo.numClusters(); ++k) {
+                if (counts[k] == 0)
+                    continue;
+                for (double step :
+                     {options.voltage_step, -options.voltage_step}) {
+                    trials.push_back(current);
+                    trials.back().v[k] =
+                        std::clamp(current.v[k] + step, v_min, v_max);
                 }
-                report.table.setEntry(ba, la, trials[t]);
-                Eval trial = evaluate(kernel, shape, options.variant,
-                                      report.table);
+            }
+            for (const DvfsTableEntry &entry : trials) {
+                if (sameVoltages(entry, current))
+                    continue; // clamped to the same point
+                report.table.setEntryAt(cell, entry);
+                Eval trial = evaluate(kernel, config, report.table);
                 bool better = trial.edp < best.edp * 0.999 &&
                               trial.power <= power_cap;
                 if (better) {
                     best = trial;
-                    report.accepted.push_back({ba, la, trials[t].v[0],
-                                               trials[t].v[1],
-                                               trial.edp});
+                    report.accepted.push_back({cell, entry.v, trial.edp});
                     improved = true;
                     break; // greedy: re-rank with fresh counters
                 }
-                report.table.setEntry(ba, la, current); // revert
+                report.table.setEntryAt(cell, current); // revert
             }
             if (improved)
                 break;

@@ -35,17 +35,15 @@ struct AdaptiveOptions
     double power_slack = 1.02;
     /** Entries examined per pass, most-occupied first. */
     int entries_per_pass = 6;
-    /** Runtime variant the table is tuned for. */
-    Variant variant = Variant::base_psm;
 };
 
 /** One accepted table refinement. */
 struct AdaptiveStep
 {
-    int n_big_active = 0;
-    int n_little_active = 0;
-    double v_big = 0.0;
-    double v_little = 0.0;
+    /** Census cell (CoreTopology::censusIndex) that was rewritten. */
+    int cell = 0;
+    /** Its new per-cluster voltages, fastest cluster first. */
+    std::vector<double> v;
     /** Energy-delay product after accepting this step. */
     double edp = 0.0;
 };
@@ -68,13 +66,15 @@ struct AdaptiveReport
 };
 
 /**
- * Tune the DVFS lookup table for one kernel on one system.
+ * Tune the DVFS lookup table for one kernel on the machine and runtime
+ * variant `config` describes (its `table_override` is ignored).
  *
  * Deterministic: equal inputs give equal reports.  The returned table
  * always satisfies v in [v_min, v_max] and the report's tuned EDP is
  * never worse than the static EDP.
  */
-AdaptiveReport adaptDvfsTable(const Kernel &kernel, SystemShape shape,
+AdaptiveReport adaptDvfsTable(const Kernel &kernel,
+                              const MachineConfig &config,
                               const AdaptiveOptions &options = {});
 
 } // namespace aaws

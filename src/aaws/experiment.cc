@@ -4,19 +4,10 @@
 
 namespace aaws {
 
-const char *
-systemName(SystemShape shape)
-{
-    return shape == SystemShape::s4B4L ? "4B4L" : "1B7L";
-}
-
 MachineConfig
-configFor(const Kernel &kernel, SystemShape shape, Variant variant,
-          bool collect_trace)
+configFor(const Kernel &kernel, Variant variant, bool collect_trace)
 {
-    MachineConfig config = shape == SystemShape::s4B4L
-                               ? MachineConfig::system4B4L()
-                               : MachineConfig::system1B7L();
+    MachineConfig config;
     // Per-application core behaviour (Table III columns).
     config.app_params.alpha = kernel.stats.alpha;
     config.app_params.beta = kernel.stats.beta;
@@ -27,28 +18,6 @@ configFor(const Kernel &kernel, SystemShape shape, Variant variant,
     applyVariant(config, variant);
     config.collect_trace = collect_trace;
     return config;
-}
-
-RunResult
-runKernel(const Kernel &kernel, SystemShape shape, Variant variant,
-          bool collect_trace)
-{
-    RunResult result;
-    result.kernel = kernel.stats.name;
-    result.system = shape;
-    result.variant = variant;
-    MachineConfig config = configFor(kernel, shape, variant, collect_trace);
-    Machine machine(config, kernel.dag);
-    result.sim = machine.run();
-    return result;
-}
-
-RunResult
-runKernel(const std::string &kernel, SystemShape shape, Variant variant,
-          bool collect_trace, uint64_t seed)
-{
-    return runKernel(makeKernel(kernel, seed), shape, variant,
-                     collect_trace);
 }
 
 namespace {

@@ -1,7 +1,9 @@
 /**
  * @file
- * Experiment driver: runs (kernel x system x variant) simulations and
- * computes the normalized metrics the paper's figures report.
+ * Experiment helpers: the per-kernel machine config and the normalized
+ * metrics the paper's figures report.  Simulations run through the
+ * experiment engine (exp/run_spec.h), whose specs name the machine by a
+ * topology preset.
  */
 
 #ifndef AAWS_AAWS_EXPERIMENT_H
@@ -16,17 +18,10 @@
 
 namespace aaws {
 
-/** Which machine shape an experiment targets. */
-enum class SystemShape { s4B4L, s1B7L };
-
-/** Display name ("4B4L" / "1B7L"). */
-const char *systemName(SystemShape shape);
-
-/** One (kernel, system, variant) measurement. */
+/** One (kernel, variant) measurement on the spec's machine. */
 struct RunResult
 {
     std::string kernel;
-    SystemShape system = SystemShape::s4B4L;
     Variant variant = Variant::base;
     SimResult sim;
 
@@ -41,21 +36,13 @@ struct RunResult
 };
 
 /**
- * Build the machine config for a kernel: per-application alpha / beta /
- * little-core IPC from Table III drive core performance and energy; the
- * DVFS lookup table always uses the designer's system-wide estimates.
+ * Build the machine config for a kernel on the default machine
+ * (MachineConfig::topology): per-application alpha / beta / little-core
+ * IPC from Table III drive core performance and energy; the DVFS lookup
+ * table always uses the designer's system-wide estimates.
  */
-MachineConfig configFor(const Kernel &kernel, SystemShape shape,
-                        Variant variant, bool collect_trace = false);
-
-/** Run one kernel under one variant on one system. */
-RunResult runKernel(const Kernel &kernel, SystemShape shape,
-                    Variant variant, bool collect_trace = false);
-
-/** Convenience: instantiate the kernel by name and run it. */
-RunResult runKernel(const std::string &kernel, SystemShape shape,
-                    Variant variant, bool collect_trace = false,
-                    uint64_t seed = 0xA57'5EEDull);
+MachineConfig configFor(const Kernel &kernel, Variant variant,
+                        bool collect_trace = false);
 
 /**
  * Simulate the optimized *serial* version on a single core of the given

@@ -1,7 +1,5 @@
 #include "aaws/governor.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace aaws {
@@ -22,21 +20,6 @@ PacingGovernor::PacingGovernor(const sched::PolicyConfig &policy,
                 "governor needs at least one worker");
     std::lock_guard<std::mutex> lock(mutex_);
     redecide();
-}
-
-PacingGovernor::PacingGovernor(int workers, int n_big,
-                               const sched::PolicyConfig &policy,
-                               const DvfsLookupTable &table,
-                               const ModelParams &mp,
-                               SchedulerHooks *next)
-    : PacingGovernor(policy, table, mp, next)
-{
-    n_big = std::clamp(n_big, 0, workers);
-    AAWS_ASSERT(table_.nBig() == n_big &&
-                    table_.nLittle() == workers - n_big,
-                "lookup table (%dB%dL) does not match pool (%dB%dL)",
-                table_.nBig(), table_.nLittle(), n_big,
-                workers - n_big);
 }
 
 void

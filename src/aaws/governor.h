@@ -7,7 +7,7 @@
  * the native pool has no regulators to drive, but the *decision* path
  * can run unchanged in software: this governor listens to the pool's
  * activity hooks (the hint-instruction analogs), maintains the
- * big/little activity census, and on every census change maps the
+ * per-cluster activity census, and on every census change maps the
  * shared `sched::RestPolicy` intents through the marginal-utility
  * lookup table to a target voltage per worker — logging what a V/f
  * actuator would have been told.  The log is the native counterpart of
@@ -45,8 +45,8 @@ struct GovernorDecision
  * Hook-driven census + lookup-table V/f decisions for a native pool.
  *
  * The worker-cluster assignment comes from the lookup table's
- * CoreTopology, matching `runtime::PoolOptions`; the legacy
- * constructor's n_big prefix split is the two-cluster special case.
+ * CoreTopology, which must match the pool's (for a `PoolOptions::n_big`
+ * pool, CoreTopology::bigLittle(n_big, workers - n_big, mp)).
  * Thread-safe; decisions are serialized by an internal mutex (census
  * changes are rare next to steals).
  */
@@ -63,15 +63,6 @@ class PacingGovernor : public SchedulerHooks
      *             is forwarded after the governor's own bookkeeping.
      */
     PacingGovernor(const sched::PolicyConfig &policy,
-                   const DvfsLookupTable &table, const ModelParams &mp,
-                   SchedulerHooks *next = nullptr);
-
-    /**
-     * Legacy two-cluster form: workers 0..n_big-1 are big.  The table
-     * must be sized (n_big, workers - n_big).
-     */
-    PacingGovernor(int workers, int n_big,
-                   const sched::PolicyConfig &policy,
                    const DvfsLookupTable &table, const ModelParams &mp,
                    SchedulerHooks *next = nullptr);
 
@@ -92,7 +83,7 @@ class PacingGovernor : public SchedulerHooks
     /** Census-changing transitions that triggered a re-decision. */
     uint64_t decisionRounds() const;
 
-    /** Workers currently counted active (big + little). */
+    /** Workers currently counted active (all clusters). */
     int activeWorkers() const;
 
     /** Total rest (v_min) intents issued across all rounds. */

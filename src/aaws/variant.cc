@@ -65,7 +65,7 @@ applyVariant(MachineConfig &config, Variant v)
     config.policy.work_pacing = sp.work_pacing;
     config.policy.work_sprinting = sp.work_sprinting;
     config.work_mugging = sp.work_mugging;
-    // sp.victim is deliberately not copied: config.random_victim is an
+    // sp.victim is deliberately not copied: config.victim is an
     // ablation knob orthogonal to the variant (see MachineConfig).
 }
 

@@ -35,16 +35,8 @@ ChannelPool::ChannelPool(int threads, const PoolOptions &options,
       steal_kind_(steal)
 {
     AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    if (options.topology.empty()) {
-        int n_big = std::clamp(options.n_big, 0, threads);
-        topo_ = CoreTopology::bigLittle(n_big, threads - n_big,
-                                        ModelParams{});
-    } else {
-        topo_ = options.topology;
-        AAWS_ASSERT(topo_.numCores() == threads,
-                    "pool topology has %d cores for %d workers",
-                    topo_.numCores(), threads);
-    }
+    const int n_big = std::clamp(options.n_big, 0, threads);
+    topo_ = CoreTopology::bigLittle(n_big, threads - n_big, ModelParams{});
     workers_.reserve(threads);
     victims_.reserve(threads);
     for (int i = 0; i < threads; ++i) {

@@ -248,7 +248,7 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
     /** One stateful selector per worker (pick() is single-threaded). */
     std::vector<std::unique_ptr<sched::VictimSelector>> victims_;
     StealKind steal_kind_ = StealKind::adaptive;
-    /** Worker-cluster assignment (options.topology or the n_big split). */
+    /** Worker-cluster assignment (the n_big split). */
     CoreTopology topo_;
     /**
      * Hint-bit census per cluster (the biasing gate's input).  Array,

@@ -20,8 +20,8 @@
  * cluster's voltage.  Clusters with a shared rail
  * (DvfsDomain::per_cluster) are then collapsed to the maximum of their
  * cores' individual targets — a shared rail cannot rest one core while
- * sprinting its neighbor.  The paper's per-core-rail machine never hits
- * that pass, so the legacy path is untouched.
+ * sprinting its neighbor.  The paper's per-core-rail machines never hit
+ * that pass.
  *
  * Timing (transition latency, decision locking) is handled by the
  * simulator; this class is a pure activity -> voltages function.  The

@@ -4,15 +4,6 @@
 
 namespace aaws {
 
-DvfsLookupTable::DvfsLookupTable(const FirstOrderModel &model, int n_big,
-                                 int n_little)
-    : topology_(CoreTopology::bigLittle(n_big, n_little, model.params()))
-{
-    AAWS_ASSERT(n_big >= 0 && n_little >= 0 && n_big + n_little > 0,
-                "bad machine shape %dB%dL", n_big, n_little);
-    generate(model);
-}
-
 DvfsLookupTable::DvfsLookupTable(const FirstOrderModel &model,
                                  const CoreTopology &topology)
     : topology_(topology)
@@ -25,10 +16,8 @@ DvfsLookupTable::DvfsLookupTable(const FirstOrderModel &model,
 void
 DvfsLookupTable::generate(const FirstOrderModel &model)
 {
-    if (topology_.isLegacyBigLittle(model.params())) {
-        // The original two-type path, kept verbatim: big/little tables
-        // must stay bit-identical to the pre-topology code.
-        generateLegacyBigLittle(model);
+    if (topology_.isBigLittle(model.params())) {
+        generateBigLittle(model);
         return;
     }
     ClusterOptimizer opt(model, topology_);
@@ -62,7 +51,7 @@ DvfsLookupTable::generate(const FirstOrderModel &model)
 }
 
 void
-DvfsLookupTable::generateLegacyBigLittle(const FirstOrderModel &model)
+DvfsLookupTable::generateBigLittle(const FirstOrderModel &model)
 {
     const int n_big = topology_.cluster(0).count;
     const int n_little = topology_.cluster(1).count;
@@ -92,37 +81,6 @@ DvfsLookupTable::generateLegacyBigLittle(const FirstOrderModel &model)
     }
 }
 
-int
-DvfsLookupTable::nBig() const
-{
-    AAWS_ASSERT(topology_.numClusters() == 2,
-                "nBig() on a %d-cluster table", topology_.numClusters());
-    return topology_.cluster(0).count;
-}
-
-int
-DvfsLookupTable::nLittle() const
-{
-    AAWS_ASSERT(topology_.numClusters() == 2,
-                "nLittle() on a %d-cluster table",
-                topology_.numClusters());
-    return topology_.cluster(1).count;
-}
-
-void
-DvfsLookupTable::setEntry(int n_big_active, int n_little_active,
-                          const DvfsTableEntry &entry)
-{
-    AAWS_ASSERT(topology_.numClusters() == 2,
-                "setEntry(ba, la) on a %d-cluster table",
-                topology_.numClusters());
-    AAWS_ASSERT(n_big_active >= 0 && n_big_active <= nBig() &&
-                n_little_active >= 0 && n_little_active <= nLittle(),
-                "activity (%d,%d) outside %dB%dL table", n_big_active,
-                n_little_active, nBig(), nLittle());
-    setEntryAt(n_big_active * (nLittle() + 1) + n_little_active, entry);
-}
-
 void
 DvfsLookupTable::setEntryAt(int index, const DvfsTableEntry &entry)
 {
@@ -133,20 +91,6 @@ DvfsLookupTable::setEntryAt(int index, const DvfsTableEntry &entry)
                 "entry arity %zu does not match %d clusters",
                 entry.v.size(), topology_.numClusters());
     entries_[index] = entry;
-}
-
-const DvfsTableEntry &
-DvfsLookupTable::at(int n_big_active, int n_little_active) const
-{
-    AAWS_ASSERT(topology_.numClusters() == 2,
-                "at(ba, la) on a %d-cluster table",
-                topology_.numClusters());
-    AAWS_ASSERT(n_big_active >= 0 && n_big_active <= nBig() &&
-                n_little_active >= 0 && n_little_active <= nLittle(),
-                "activity (%d,%d) outside %dB%dL table", n_big_active,
-                n_little_active, nBig(), nLittle());
-    return entries_[n_big_active * (topology_.cluster(1).count + 1) +
-                    n_little_active];
 }
 
 const DvfsTableEntry &

@@ -8,16 +8,15 @@
  * pair and the table has 25 entries; an N-cluster topology gets one
  * cell per census tuple, prod_k (count_k + 1) in total, indexed by the
  * topology's mixed-radix censusIndex() (fastest cluster most
- * significant, which for two clusters is exactly the historical
- * `ba * (n_little + 1) + la` layout).
+ * significant).
  *
  * Entries are generated offline from a marginal-utility optimizer
  * using a single system-wide parameter estimate; waiting cores rest at
  * v_min and the power target is the all-nominal system power (Eq. 6).
- * Legacy big/little topologies route through the original two-type
- * MarginalUtilityOptimizer so their tables are bit-identical to the
- * pre-topology code; everything else uses the N-cluster
- * equi-marginal solver (model/cluster_opt.h).  Table generation is
+ * The paper's big/little topologies (CoreTopology::isBigLittle) use the
+ * two-type MarginalUtilityOptimizer, the paper's Fig. 3/5 method;
+ * everything else uses the N-cluster equi-marginal solver
+ * (model/cluster_opt.h).  Table generation is
  * DVFS-domain-agnostic: a per_cluster shared rail constrains how the
  * controller *applies* voltages (dvfs/controller.h), not which
  * operating points the designer tabulates.
@@ -62,13 +61,6 @@ class DvfsLookupTable
 {
   public:
     /**
-     * Legacy shape: generate the (N_B + 1) x (N_L + 1) big/little
-     * table.  Equivalent to the topology constructor with
-     * CoreTopology::bigLittle(n_big, n_little, model.params()).
-     */
-    DvfsLookupTable(const FirstOrderModel &model, int n_big, int n_little);
-
-    /**
      * Generate the table for an arbitrary topology with the
      * marginal-utility optimizer.
      *
@@ -79,9 +71,6 @@ class DvfsLookupTable
      */
     DvfsLookupTable(const FirstOrderModel &model,
                     const CoreTopology &topology);
-
-    /** Entry for a two-cluster (big-active, little-active) census. */
-    const DvfsTableEntry &at(int n_big_active, int n_little_active) const;
 
     /** Entry for a census tuple (one active count per cluster). */
     const DvfsTableEntry &atCounts(const std::vector<int> &counts) const;
@@ -98,27 +87,19 @@ class DvfsLookupTable
 
     int numClusters() const { return topology_.numClusters(); }
 
-    /** Two-cluster shape accessors (big/little call sites). */
-    int nBig() const;
-    int nLittle() const;
-
     /** Number of entries (prod (count_k + 1); 25 for 4B4L). */
     int size() const { return static_cast<int>(entries_.size()); }
 
     /**
-     * Overwrite one two-cluster entry (adaptive controllers refine the
-     * table from observed performance/energy counters; Section III-A
-     * future work).
+     * Overwrite one entry by census index (adaptive controllers refine
+     * the table from observed performance/energy counters; Section
+     * III-A future work).
      */
-    void setEntry(int n_big_active, int n_little_active,
-                  const DvfsTableEntry &entry);
-
-    /** Overwrite one entry by census index. */
     void setEntryAt(int index, const DvfsTableEntry &entry);
 
   private:
     void generate(const FirstOrderModel &model);
-    void generateLegacyBigLittle(const FirstOrderModel &model);
+    void generateBigLittle(const FirstOrderModel &model);
 
     CoreTopology topology_;
     std::vector<DvfsTableEntry> entries_;

@@ -63,8 +63,7 @@ ResultCache::lookup(const RunSpec &spec, RunResult &out) const
     RunResult parsed;
     if (!result || !runResultFromJson(*result, parsed))
         return false;
-    if (parsed.kernel != spec.kernel || parsed.system != spec.system ||
-        parsed.variant != spec.variant)
+    if (parsed.kernel != spec.kernel || parsed.variant != spec.variant)
         return false;
     out = std::move(parsed);
     return true;

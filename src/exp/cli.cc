@@ -62,21 +62,10 @@ progBasename(const char *prog)
 } // namespace
 
 const char *
-benchJsonEnv(const char *deprecated_alias)
+benchJsonEnv()
 {
-    if (const char *env = std::getenv("AAWS_BENCH_JSON"))
-        if (*env)
-            return env;
-    if (deprecated_alias) {
-        if (const char *env = std::getenv(deprecated_alias)) {
-            if (*env) {
-                warn("%s is deprecated; set AAWS_BENCH_JSON instead",
-                     deprecated_alias);
-                return env;
-            }
-        }
-    }
-    return nullptr;
+    const char *env = std::getenv("AAWS_BENCH_JSON");
+    return env && *env ? env : nullptr;
 }
 
 bool
@@ -175,7 +164,7 @@ BenchCli::parse(int argc, char **argv)
         if (const char *env = std::getenv("AAWS_KERNEL_FILTER"))
             filter = env;
     if (!bench_json_given)
-        if (const char *env = benchJsonEnv("AAWS_BENCH_SIM_JSON"))
+        if (const char *env = benchJsonEnv())
             engine.bench_json = env;
     if (!results_json_given)
         if (const char *env = std::getenv("AAWS_RESULTS_JSON"))

@@ -16,8 +16,7 @@
  *   --no-progress   suppress the engine's stderr progress lines
  *   --time          print a sims/sec + events/sec self-report line
  *   --bench-json=F  write a machine-readable perf record to F
- *                   (env AAWS_BENCH_JSON; the schema-specific
- *                   AAWS_BENCH_SIM_JSON is a deprecated alias)
+ *                   (env AAWS_BENCH_JSON)
  *   --results-json=F  write the aaws-results/v1 datapoint artifact to F
  *                   (env AAWS_RESULTS_JSON; see exp/results.h)
  *   --help          print usage and exit
@@ -69,14 +68,11 @@ enum class BackendSelection
 bool parseBackendSelection(const char *text, BackendSelection &out);
 
 /**
- * Resolve the bench-JSON output path from the environment: the
- * schema-neutral AAWS_BENCH_JSON wins; otherwise `deprecated_alias`
- * (e.g. the historical AAWS_BENCH_SIM_JSON / AAWS_BENCH_RUNTIME_JSON
- * names) is honored with a deprecation warning.  Returns nullptr when
- * neither is set to a non-empty value.  Callers apply this only when no
- * --bench-json flag was given (flag-beats-env).
+ * Resolve the bench-JSON output path from AAWS_BENCH_JSON; nullptr when
+ * it is unset or empty.  Callers apply this only when no --bench-json
+ * flag was given (flag-beats-env).
  */
-const char *benchJsonEnv(const char *deprecated_alias);
+const char *benchJsonEnv();
 
 /** Parsed common bench options. */
 struct BenchCli

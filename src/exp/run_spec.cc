@@ -12,22 +12,18 @@ namespace exp {
 std::string
 canonicalSpec(const RunSpec &spec)
 {
+    const SpecOverrides &o = spec.overrides;
     std::string out = strfmt(
-        "aaws-exp/v%u;kernel=%s;system=%s;variant=%s;seed=0x%llx;trace=%d",
-        kCacheSchemaVersion, spec.kernel.c_str(), systemName(spec.system),
+        "aaws-exp/v%u;kernel=%s;topology=%s;variant=%s;seed=0x%llx;"
+        "trace=%d",
+        kCacheSchemaVersion, spec.kernel.c_str(),
+        o.topology.value_or(MachineConfig().topology).c_str(),
         variantName(spec.variant),
         static_cast<unsigned long long>(spec.seed),
         spec.collect_trace ? 1 : 0);
-    // Overrides append in a fixed order, and only when set, so a spec
-    // without overrides hashes identically across engine versions that
-    // add new override knobs.
-    const SpecOverrides &o = spec.overrides;
-    if (o.n_big)
-        out += strfmt(";n_big=%d", *o.n_big);
-    if (o.n_little)
-        out += strfmt(";n_little=%d", *o.n_little);
-    if (o.topology)
-        out += ";topology=" + *o.topology;
+    // The remaining overrides append in a fixed order, and only when
+    // set, so a spec without them hashes identically across engine
+    // versions that add new override knobs.
     if (o.steal_attempt_cycles)
         out += strfmt(";steal_attempt_cycles=%llu",
                       static_cast<unsigned long long>(
@@ -59,13 +55,8 @@ specHash(const RunSpec &spec)
 void
 applyOverrides(MachineConfig &config, const SpecOverrides &overrides)
 {
-    if (overrides.n_big)
-        config.n_big = *overrides.n_big;
-    if (overrides.n_little)
-        config.n_little = *overrides.n_little;
     if (overrides.topology)
-        config.topology = makeTopology(*overrides.topology,
-                                       config.app_params);
+        config.topology = *overrides.topology;
     if (overrides.steal_attempt_cycles)
         config.costs.steal_attempt_cycles = *overrides.steal_attempt_cycles;
     if (overrides.mug_interrupt_cycles)
@@ -78,7 +69,7 @@ MachineConfig
 configForSpec(const Kernel &kernel, const RunSpec &spec)
 {
     MachineConfig config =
-        configFor(kernel, spec.system, spec.variant, spec.collect_trace);
+        configFor(kernel, spec.variant, spec.collect_trace);
     applyOverrides(config, spec.overrides);
     return config;
 }
@@ -95,18 +86,18 @@ executeSpec(const RunSpec &spec, const Kernel &kernel)
 {
     RunResult result;
     result.kernel = spec.kernel;
-    result.system = spec.system;
     result.variant = spec.variant;
+    MachineConfig config = configForSpec(kernel, spec);
     if (spec.serve) {
-        // Serving runs re-derive their own kernel instances (one per
-        // service-table sample, each under a derived seed), so the
-        // batch-memoized kernel is not used here.
-        result.sim = serve::simulateService(spec.kernel, spec.system,
-                                            spec.variant, spec.seed,
-                                            *spec.serve);
+        // Serving runs simulate their own kernel instances (one per
+        // service-table sample, each under a derived seed) on the
+        // spec's machine; the batch-memoized DAG is not used here.
+        result.sim = serve::simulateService(
+            serve::sampleServiceTable(config, spec.kernel, spec.seed,
+                                      spec.serve->service_samples),
+            spec.seed, *spec.serve);
         return result;
     }
-    MachineConfig config = configForSpec(kernel, spec);
     result.sim = Machine(config, kernel.dag).run();
     return result;
 }
@@ -116,8 +107,6 @@ runResultToJson(const RunResult &result)
 {
     std::string out = "{\"kernel\":";
     out += json::encodeString(result.kernel);
-    out += ",\"system\":";
-    out += json::encodeString(systemName(result.system));
     out += ",\"variant\":";
     out += json::encodeString(variantName(result.variant));
     out += ",\"sim\":";
@@ -127,18 +116,6 @@ runResultToJson(const RunResult &result)
 }
 
 namespace {
-
-bool
-systemFromNameLenient(const std::string &name, SystemShape &out)
-{
-    for (SystemShape shape : {SystemShape::s4B4L, SystemShape::s1B7L}) {
-        if (name == systemName(shape)) {
-            out = shape;
-            return true;
-        }
-    }
-    return false;
-}
 
 bool
 variantFromNameLenient(const std::string &name, Variant &out)
@@ -167,17 +144,13 @@ runResultFromJson(const json::Value &value, RunResult &out)
     if (value.kind != json::Value::Kind::object)
         return false;
     const json::Value *kernel = value.find("kernel");
-    const json::Value *system = value.find("system");
     const json::Value *variant = value.find("variant");
     const json::Value *sim = value.find("sim");
-    std::string system_name;
     std::string variant_name;
-    if (!kernel || !kernel->getString(out.kernel) || !system ||
-        !system->getString(system_name) || !variant ||
+    if (!kernel || !kernel->getString(out.kernel) || !variant ||
         !variant->getString(variant_name) || !sim)
         return false;
-    if (!systemFromNameLenient(system_name, out.system) ||
-        !variantFromNameLenient(variant_name, out.variant))
+    if (!variantFromNameLenient(variant_name, out.variant))
         return false;
     return simResultFromJson(*sim, out.sim);
 }

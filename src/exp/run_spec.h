@@ -3,11 +3,12 @@
  * Declarative simulation specs for the experiment engine.
  *
  * A RunSpec names everything that determines one simulation's result:
- * kernel, machine shape, runtime variant, workload seed, tracing, and
- * the handful of machine-config overrides the sensitivity/scaling
- * benches sweep.  Specs have a canonical string form; FNV-1a over that
- * string (salted with an engine schema version) is the content address
- * under which the result cache stores the run.
+ * kernel, runtime variant, workload seed, tracing, and the handful of
+ * machine-config overrides the sweeps use — the machine itself is the
+ * `overrides.topology` preset, "4b4l" when unset.  Specs have a
+ * canonical string form; FNV-1a over that string (salted with an engine
+ * schema version) is the content address under which the result cache
+ * stores the run.
  */
 
 #ifndef AAWS_EXP_RUN_SPEC_H
@@ -47,8 +48,13 @@ namespace exp {
  * (tests/test_topology.cc, the Table III golden), but the bump retires
  * pre-topology records so nothing produced by the old code can be
  * served to the new engine unchecked.
+ *
+ * v6: the topology preset became the only machine description.  The
+ * canonical form always names the topology (an unset one as "4b4l")
+ * and lost the `system=` field and the n_big/n_little overrides, and
+ * serialized RunResults lost their "system" member.
  */
-inline constexpr uint32_t kCacheSchemaVersion = 5;
+inline constexpr uint32_t kCacheSchemaVersion = 6;
 
 /** Default workload-synthesis seed (same as kernels/registry.h). */
 inline constexpr uint64_t kDefaultSeed = 0xA57'5EEDull;
@@ -61,14 +67,9 @@ inline constexpr uint64_t kDefaultSeed = 0xA57'5EEDull;
  */
 struct SpecOverrides
 {
-    /** Machine shape override (ext_scaling's nBmL sweep). */
-    std::optional<int> n_big;
-    std::optional<int> n_little;
     /**
-     * Topology preset name override (ext_asymmetry's cluster sweep,
-     * the --topology= CLI flag).  Parsed against the config's
-     * app_params by parseTopologyName; takes precedence over the
-     * legacy n_big/n_little pair when both are set.
+     * Topology preset name (parseTopologyName), e.g. "1b7l" or
+     * "2b2m4l"; unset means MachineConfig's default, "4b4l".
      */
     std::optional<std::string> topology;
     /** Steal-attempt cost in cycles (sens_steal_cost). */
@@ -77,36 +78,28 @@ struct SpecOverrides
     std::optional<uint64_t> mug_interrupt_cycles;
     /** Regulator transition latency in ns/step (sens_dvfs_transition). */
     std::optional<double> regulator_ns_per_step;
-
-    bool
-    any() const
-    {
-        return n_big || n_little || topology || steal_attempt_cycles ||
-               mug_interrupt_cycles || regulator_ns_per_step;
-    }
 };
 
 /** One simulation the engine should produce a RunResult for. */
 struct RunSpec
 {
     RunSpec() = default;
-    RunSpec(std::string kernel_name, SystemShape system_shape,
-            Variant run_variant, uint64_t workload_seed = kDefaultSeed,
-            bool trace = false)
-        : kernel(std::move(kernel_name)), system(system_shape),
-          variant(run_variant), seed(workload_seed), collect_trace(trace)
+    RunSpec(std::string kernel_name, Variant run_variant,
+            uint64_t workload_seed = kDefaultSeed, bool trace = false)
+        : kernel(std::move(kernel_name)), variant(run_variant),
+          seed(workload_seed), collect_trace(trace)
     {
     }
 
     std::string kernel;
-    SystemShape system = SystemShape::s4B4L;
     Variant variant = Variant::base;
     uint64_t seed = kDefaultSeed;
     bool collect_trace = false;
     SpecOverrides overrides;
     /**
      * Open-loop serving dimension: when set, executeSpec() runs the
-     * request-level serving simulation (serve/sim_server.h) instead of
+     * request-level serving simulation (serve/sim_server.h) over a
+     * service table sampled on configForSpec()'s machine, instead of
      * one closed-loop Machine::run(), and the result's `sim.serve`
      * block is filled.  Every field participates in the canonical form
      * — a serving sweep can never alias a closed-loop cache entry.
@@ -145,7 +138,7 @@ RunResult executeSpec(const RunSpec &spec, const Kernel &kernel);
 
 // --- RunResult JSON round-tripping --------------------------------------
 
-/** Serialize kernel/system/variant plus the full SimResult (one line). */
+/** Serialize kernel/variant plus the full SimResult (one line). */
 std::string runResultToJson(const RunResult &result);
 
 /**

@@ -17,11 +17,11 @@
  * inversion, total power is monotone in lambda, and one outer bisection
  * on lambda meets the budget.
  *
- * The two-cluster DVFS tables do NOT use this solver — lookup-table
- * generation routes legacy big/little topologies through the original
- * optimizer verbatim so those tables stay bit-identical (see
- * dvfs/lookup_table.cc).  Tests cross-validate the two solvers on
- * two-cluster inputs to a tight tolerance.
+ * The paper's big/little DVFS tables do NOT use this solver —
+ * lookup-table generation runs the two-type MarginalUtilityOptimizer on
+ * them (CoreTopology::isBigLittle, dvfs/lookup_table.cc).  Tests
+ * cross-validate the two solvers on two-cluster inputs to a tight
+ * tolerance.
  */
 
 #ifndef AAWS_MODEL_CLUSTER_OPT_H

@@ -76,8 +76,8 @@ class FirstOrderModel
     // The same model evaluated against one cluster's class parameters
     // (model/topology.h).  For the 'b' and 'l' preset parameters these
     // overloads compute the exact expressions of their CoreType
-    // counterparts — same operands, same operation order — so the legacy
-    // two-cluster path is bit-identical through them.
+    // counterparts — same operands, same operation order — so the
+    // paper's big/little presets match the two-class model bit for bit.
 
     /** Throughput of an active core of the cluster class (Eq. 2). */
     double ips(const ClusterParams &cp, double v) const;

@@ -16,9 +16,10 @@ dvfsDomainName(DvfsDomain domain)
 ClusterParams
 clusterParamsFor(char kind, const ModelParams &mp)
 {
-    // 'b' and 'l' must evaluate the exact expressions the two-class
-    // accessors use so the legacy path stays bit-identical; 'm' is the
-    // geometric mean of the two classes in every dimension.
+    // 'b' and 'l' evaluate the exact expressions the two-class
+    // accessors use, so the paper's machines match the two-class model
+    // bit for bit; 'm' is the geometric mean of the two classes in
+    // every dimension.
     ClusterParams params;
     switch (kind) {
     case 'b':
@@ -42,10 +43,8 @@ clusterParamsFor(char kind, const ModelParams &mp)
     return params;
 }
 
-namespace {
-
 const char *
-kindName(char kind)
+clusterKindName(char kind)
 {
     switch (kind) {
     case 'b':
@@ -59,8 +58,6 @@ kindName(char kind)
     }
 }
 
-} // namespace
-
 CoreTopology::CoreTopology(std::vector<CoreCluster> clusters)
     : clusters_(std::move(clusters))
 {
@@ -68,8 +65,6 @@ CoreTopology::CoreTopology(std::vector<CoreCluster> clusters)
         CoreCluster &cluster = clusters_[k];
         AAWS_ASSERT(cluster.count >= 0, "cluster %zu has negative count",
                     k);
-        if (cluster.name.empty())
-            cluster.name = kindName(cluster.kind);
         cluster_begin_.push_back(num_cores_);
         for (int i = 0; i < cluster.count; ++i)
             core_cluster_.push_back(static_cast<int>(k));
@@ -147,7 +142,7 @@ sameParams(const ClusterParams &a, const ClusterParams &b)
 } // namespace
 
 bool
-CoreTopology::isLegacyBigLittle(const ModelParams &mp) const
+CoreTopology::isBigLittle(const ModelParams &mp) const
 {
     if (clusters_.size() != 2 || clusters_[0].kind != 'b' ||
         clusters_[1].kind != 'l' ||

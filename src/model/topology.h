@@ -10,14 +10,15 @@
  * pools, and the experiment engine — can consume "which cluster is this
  * core in?" instead of branching on CoreType.
  *
- * Legacy compatibility is load-bearing: bigLittle(n_big, n_little, mp)
- * builds a two-cluster topology whose per-cluster parameters are
- * computed by the *same floating-point expressions* the two-class model
- * uses (ModelParams::ipc / energyCoeff, leakage ratios 1 and gamma), so
- * a 4b+4L machine simulated through the topology path is bit-identical
- * to the pre-topology code.  isLegacyBigLittle() detects exactly that
- * shape and routes DVFS-table generation through the original
- * two-type MarginalUtilityOptimizer (see dvfs/lookup_table.cc).
+ * The paper's two machines are the presets "4b4l" and "1b7l".  Their
+ * 'b' and 'l' clusters take their parameters from the *same
+ * floating-point expressions* the two-class model uses
+ * (ModelParams::ipc / energyCoeff, leakage ratios 1 and gamma), and
+ * isBigLittle() recognizes that shape so DVFS-table generation runs the
+ * paper's two-type MarginalUtilityOptimizer on it (see
+ * dvfs/lookup_table.cc).  A simulated machine is always named by a
+ * preset (MachineConfig::topology); bigLittle() is the native pools'
+ * `n_big` split, whose clusters may be empty.
  *
  * Presets are named by a "<count><kind>..." grammar — "4b4l", "1b7l",
  * "2b2m4l" — with kinds b (big), m (mid: geometric mean of big and
@@ -78,8 +79,6 @@ struct CoreCluster
 {
     /** Class letter: 'b', 'm', 'l', or 'c' for custom parameters. */
     char kind = 'l';
-    /** Display name ("big", "mid", "little", or caller-provided). */
-    std::string name = "little";
     /** Number of cores in the cluster (>= 1). */
     int count = 0;
     ClusterParams params;
@@ -89,11 +88,13 @@ struct CoreCluster
 /** Class parameters the preset kinds derive from the two-class model. */
 ClusterParams clusterParamsFor(char kind, const ModelParams &mp);
 
+/** Display name of a cluster kind ("big", "mid", "little", "custom"). */
+const char *clusterKindName(char kind);
+
 /**
  * An ordered list of core clusters, fastest first.  Cores are numbered
  * contiguously in cluster order: cluster 0 owns cores [0, count0),
- * cluster 1 the next count1 ids, and so on — the same layout the legacy
- * code used for bigs-then-littles.
+ * cluster 1 the next count1 ids, and so on.
  */
 class CoreTopology
 {
@@ -101,7 +102,7 @@ class CoreTopology
     CoreTopology() = default;
     explicit CoreTopology(std::vector<CoreCluster> clusters);
 
-    /** No clusters: the "use legacy n_big/n_little" sentinel. */
+    /** No clusters (a default-constructed topology). */
     bool empty() const { return clusters_.empty(); }
 
     int numClusters() const { return static_cast<int>(clusters_.size()); }
@@ -126,8 +127,7 @@ class CoreTopology
 
     /**
      * Mixed-radix index of a census tuple, fastest cluster most
-     * significant.  For two clusters this is exactly the legacy
-     * `ba * (n_little + 1) + la` layout.
+     * significant; for two clusters, `ba * (n_little + 1) + la`.
      */
     int censusIndex(const std::vector<int> &counts) const;
 
@@ -145,12 +145,12 @@ class CoreTopology
     std::string name() const;
 
     /**
-     * Is this exactly the two-cluster big/little shape whose parameters
-     * match what bigLittle() derives from `mp`?  When true, DVFS-table
-     * generation routes through the original two-type optimizer so the
-     * legacy path stays bit-identical.
+     * Is this the paper's two-cluster big/little shape (per-core rails,
+     * parameters exactly what bigLittle() derives from `mp`)?  When
+     * true, DVFS-table generation runs the two-type
+     * MarginalUtilityOptimizer, the paper's Fig. 3/5 method.
      */
-    bool isLegacyBigLittle(const ModelParams &mp) const;
+    bool isBigLittle(const ModelParams &mp) const;
 
     /**
      * Same shape, class parameters re-derived from `mp` for all preset
@@ -161,9 +161,9 @@ class CoreTopology
     CoreTopology retargeted(const ModelParams &mp) const;
 
     /**
-     * The canonical legacy adapter: bigs-then-littles, per-core rails,
-     * parameters computed by the identical expressions the two-class
-     * ModelParams accessors use.
+     * Bigs-then-littles with per-core rails and the two-class
+     * ModelParams parameters; either count may be zero (the native
+     * pools' `n_big` split).
      */
     static CoreTopology bigLittle(int n_big, int n_little,
                                   const ModelParams &mp);

@@ -15,7 +15,7 @@ thread_local int tls_worker = -1;
 } // namespace
 
 WorkerPool::WorkerPool(int threads, SchedulerHooks *hooks)
-    : WorkerPool(threads, PoolOptions{{}, 0, CoreTopology(), hooks})
+    : WorkerPool(threads, PoolOptions{{}, 0, hooks})
 {
 }
 
@@ -24,18 +24,10 @@ WorkerPool::WorkerPool(int threads, const PoolOptions &options)
       policy_(sched::makePolicyStack(options.policy))
 {
     AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    if (options.topology.empty()) {
-        // Legacy split: the first n_big workers form the fast cluster
-        // (parameters are irrelevant to a native pool).
-        int n_big = std::clamp(options.n_big, 0, threads);
-        topo_ = CoreTopology::bigLittle(n_big, threads - n_big,
-                                        ModelParams{});
-    } else {
-        topo_ = options.topology;
-        AAWS_ASSERT(topo_.numCores() == threads,
-                    "pool topology has %d cores for %d workers",
-                    topo_.numCores(), threads);
-    }
+    // The first n_big workers form the fast cluster (parameters are
+    // irrelevant to a native pool).
+    const int n_big = std::clamp(options.n_big, 0, threads);
+    topo_ = CoreTopology::bigLittle(n_big, threads - n_big, ModelParams{});
     workers_.reserve(threads);
     for (int i = 0; i < threads; ++i) {
         // Stateful selectors (random) must not be shared across

@@ -11,8 +11,8 @@
  *
  * Scheduling policy comes from the same `src/sched/` components the
  * simulator runs: `PoolOptions` carries a `sched::PolicyConfig` plus a
- * worker-cluster split (a CoreTopology, or the legacy `n_big` prefix
- * count), and the pool assembles victim selection, the work-biasing
+ * worker-cluster split (the `n_big` prefix count), and the pool
+ * assembles victim selection, the work-biasing
  * steal gate, and the mug trigger from it.  Without hardware
  * preemption, a native "mug" is the policy-directed migration of
  * *queued* work: a starved fast-cluster worker targets the most loaded
@@ -59,17 +59,8 @@ struct PoolOptions
      * Workers 0..n_big-1 are treated as big cores by the biasing and
      * mugging policies (clamped to the worker count).  Zero disables
      * the asymmetry-aware policies without touching their switches.
-     * Ignored when `topology` is set.
      */
     int n_big = 0;
-    /**
-     * Full worker-cluster assignment: worker w belongs to
-     * topology.clusterOf(w).  Must cover exactly the pool's worker
-     * count when non-empty; empty falls back to the two-cluster
-     * `n_big` split.  Only the cluster structure matters to a native
-     * pool — the model parameters inside are never read.
-     */
-    CoreTopology topology;
     /** Optional activity observer (borrowed; must outlive the pool). */
     SchedulerHooks *hooks = nullptr;
 };
@@ -228,7 +219,7 @@ class WorkerPool : public RuntimeBackend, private sched::SchedView
     sched::PolicyStack policy_;
     /** Stateless fallback for foreign threads (no own deque). */
     sched::OccupancyVictimSelector foreign_victim_;
-    /** Worker-cluster assignment (options.topology or the n_big split). */
+    /** Worker-cluster assignment (the n_big split). */
     CoreTopology topo_;
     /**
      * Hint-bit census per cluster (the biasing gate's input).  Array,

@@ -12,10 +12,6 @@
  * deliberately plain incremental counters so engines can maintain them
  * in O(1) on each transition; `recount()` recomputes from a bit vector
  * for callers that only have the raw bits.
- *
- * The two-cluster special case keeps its historical accessors
- * (bigActive/littleActive/...) so the big/little machine reads exactly
- * as before; they assert the census really has two clusters.
  */
 
 #ifndef AAWS_SCHED_CENSUS_H
@@ -24,7 +20,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/logging.h"
 #include "model/topology.h"
 
 namespace aaws {
@@ -53,14 +48,6 @@ class ActivityCensus
             counts_ = sizes_;
             active_ = topology.numCores();
         }
-    }
-
-    /** Legacy two-cluster census: cluster 0 = big, cluster 1 = little. */
-    ActivityCensus(int n_big, int n_little, bool all_active = false)
-        : sizes_{n_big, n_little},
-          counts_{all_active ? n_big : 0, all_active ? n_little : 0},
-          active_(all_active ? n_big + n_little : 0)
-    {
     }
 
     /** Record one core's activity transition. */
@@ -111,43 +98,6 @@ class ActivityCensus
                 return false;
         return true;
     }
-
-    // --- Legacy two-cluster accessors --------------------------------
-
-    int
-    bigActive() const
-    {
-        AAWS_ASSERT(sizes_.size() == 2, "census has %zu clusters",
-                    sizes_.size());
-        return counts_[0];
-    }
-
-    int
-    littleActive() const
-    {
-        AAWS_ASSERT(sizes_.size() == 2, "census has %zu clusters",
-                    sizes_.size());
-        return counts_[1];
-    }
-
-    int
-    nBig() const
-    {
-        AAWS_ASSERT(sizes_.size() == 2, "census has %zu clusters",
-                    sizes_.size());
-        return sizes_[0];
-    }
-
-    int
-    nLittle() const
-    {
-        AAWS_ASSERT(sizes_.size() == 2, "census has %zu clusters",
-                    sizes_.size());
-        return sizes_[1];
-    }
-
-    /** Work-biasing predicate: may little cores steal? */
-    bool allBigActive() const { return allFasterActive(numClusters() - 1); }
 
   private:
     std::vector<int> sizes_;

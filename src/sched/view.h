@@ -13,7 +13,7 @@
  *
  * Core classes are *cluster indices* into the engine's CoreTopology
  * (model/topology.h), ordered fastest to slowest: cluster 0 is the
- * fastest ("big") class, numClusters()-1 the slowest.  The legacy
+ * fastest ("big") class, numClusters()-1 the slowest.  The paper's
  * big/little machine is simply the two-cluster special case; policies
  * ask "is there a faster cluster with slack?" instead of branching on
  * CoreType.

@@ -4,25 +4,27 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "kernels/registry.h"
 #include "serve/arrival.h"
+#include "sim/machine.h"
 
 namespace aaws {
 namespace serve {
 
 std::vector<ServiceSample>
-sampleServiceTable(const std::string &kernel, SystemShape shape,
-                   Variant variant, uint64_t seed, uint32_t samples)
+sampleServiceTable(const MachineConfig &config, const std::string &kernel,
+                   uint64_t seed, uint32_t samples)
 {
     AAWS_ASSERT(samples >= 1, "service table needs at least one sample");
     std::vector<ServiceSample> table;
     table.reserve(samples);
     for (uint32_t k = 0; k < samples; ++k) {
         Kernel instance = makeKernel(kernel, deriveSeed(seed, k));
-        RunResult run = runKernel(instance, shape, variant);
+        SimResult run = Machine(config, instance.dag).run();
         ServiceSample sample;
-        sample.seconds = run.sim.exec_seconds;
-        sample.energy = run.sim.energy;
-        sample.instructions = run.sim.instructions;
+        sample.seconds = run.exec_seconds;
+        sample.energy = run.energy;
+        sample.instructions = run.instructions;
         table.push_back(sample);
     }
     return table;
@@ -37,16 +39,6 @@ meanServiceSeconds(const std::vector<ServiceSample> &table)
     for (const ServiceSample &sample : table)
         sum += sample.seconds;
     return sum / static_cast<double>(table.size());
-}
-
-SimResult
-simulateService(const std::string &kernel, SystemShape shape,
-                Variant variant, uint64_t seed, const ServeSpec &spec)
-{
-    return simulateService(
-        sampleServiceTable(kernel, shape, variant, seed,
-                           spec.service_samples),
-        seed, spec);
 }
 
 SimResult

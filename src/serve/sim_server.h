@@ -9,8 +9,9 @@
  * exact layers (DESIGN.md §8):
  *
  *  1. Service table: `service_samples` complete Machine simulations of
- *     the kernel under the requested shape/variant, each from an
- *     independently derived workload seed.  Every sample carries the
+ *     the kernel on the requested machine config (topology, variant,
+ *     cost overrides), each from an independently derived workload
+ *     seed.  Every sample carries the
  *     simulated execution time, energy, and instruction count of one
  *     whole kernel-DAG request — all of the AAWS machinery (pacing,
  *     sprinting, mugging, DVFS) is priced into these numbers by the
@@ -23,9 +24,9 @@
  *     time from the table.  This layer is O(1) per request, so
  *     millions of simulated requests cost milliseconds.
  *
- * Everything is seeded and sequential: equal (kernel, shape, variant,
- * seed, spec) produce bit-identical ServeStats, independent of engine
- * thread count.
+ * Everything is seeded and sequential: equal (kernel, config, seed,
+ * spec) produce bit-identical ServeStats, independent of engine thread
+ * count.
  */
 
 #ifndef AAWS_SERVE_SIM_SERVER_H
@@ -35,8 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "aaws/experiment.h"
 #include "serve/spec.h"
+#include "sim/config.h"
 #include "sim/result.h"
 
 namespace aaws {
@@ -51,30 +52,26 @@ struct ServiceSample
 };
 
 /**
- * Run `samples` seeded Machine simulations of (kernel, shape, variant)
- * and return their service observations.  Sample k's workload seed is
- * deriveSeed(seed, k), so tables for different base seeds are
- * independent while equal seeds reproduce bit-identically.
+ * Run `samples` seeded Machine simulations of `kernel` on `config` (as
+ * exp::configForSpec builds it for the kernel) and return their service
+ * observations.  Sample k's workload seed is deriveSeed(seed, k), so
+ * tables for different base seeds are independent while equal seeds
+ * reproduce bit-identically.
  */
 std::vector<ServiceSample>
-sampleServiceTable(const std::string &kernel, SystemShape shape,
-                   Variant variant, uint64_t seed, uint32_t samples);
+sampleServiceTable(const MachineConfig &config, const std::string &kernel,
+                   uint64_t seed, uint32_t samples);
 
 /** Mean of the table's service times (the utilization anchor). */
 double meanServiceSeconds(const std::vector<ServiceSample> &table);
 
 /**
- * Full sim-side serving run: sample the service table, then push the
- * spec's arrival streams through the bounded FCFS queue.  Returns a
+ * Sim-side serving run: push the spec's arrival streams through the
+ * bounded FCFS queue, drawing service times from `table`.  Returns a
  * SimResult whose `serve` member is enabled and filled; the top-level
  * fields summarize the serving window (exec_seconds = makespan,
  * energy/instructions/tasks_executed = completed-request totals).
  */
-SimResult simulateService(const std::string &kernel, SystemShape shape,
-                          Variant variant, uint64_t seed,
-                          const ServeSpec &spec);
-
-/** Same, over an already-sampled table (the sweep's fast path). */
 SimResult simulateService(const std::vector<ServiceSample> &table,
                           uint64_t seed, const ServeSpec &spec);
 

@@ -2,35 +2,27 @@
  * @file
  * Machine configuration for the cycle-approximate multicore simulator.
  *
- * The machine shape is a `CoreTopology` (model/topology.h): an ordered
- * list of core clusters, fastest first, each with its own class
- * parameters and DVFS-rail domain.  The paper's Table I machines are
- * the two-cluster presets — 4B4L and 1B7L at a 333 MHz nominal
+ * The machine shape is named by a topology preset (model/topology.h),
+ * which describes an ordered list of core clusters, fastest first, each
+ * with its own class parameters and DVFS-rail domain.  The paper's Table I machines are
+ * the presets "4b4l" (the default) and "1b7l" at a 333 MHz nominal
  * frequency with per-core integrated voltage regulators (40 ns /
- * 0.15 V transition model) — but any `topologyFor`-style preset
- * ("2b2m4l", ":pc" shared rails, ...) drops in through the `topology`
- * field.  Core performance and energy are parameterized per
- * application through `app_params` (alpha, beta, and little-core IPC
- * from Table III), while the DVFS lookup table is always generated
- * from the designer's system-wide estimates in `table_params`
- * (alpha = 3, beta = 2), exactly as Section III-A prescribes; an
- * N-cluster topology derives its per-cluster table parameters from the
- * same estimates (CoreTopology::retargeted).
- *
- * Legacy shape fields: `n_big`/`n_little` describe the historical
- * big/little machine and are honored only while `topology` is empty
- * (resolvedTopology() then maps them onto the canonical two-cluster
- * topology, bit-identically to the pre-topology simulator).  Prefer
- * setting `topology`, or use the setShape() adapter instead of writing
- * the deprecated fields directly — setShape() also clears a stale
- * `topology` so the two representations cannot disagree.
+ * 0.15 V transition model); any other preset ("2b2m4l", ":pc" shared
+ * rails, ...) is named the same way.  The Machine parses the name
+ * against `app_params` when it is built, so cluster parameters always
+ * follow the final per-application model (alpha, beta, and little-core
+ * IPC from Table III), whatever order the fields were set in.  The DVFS
+ * lookup table is always generated from the designer's system-wide
+ * estimates in `table_params` (alpha = 3, beta = 2), exactly as
+ * Section III-A prescribes (CoreTopology::retargeted).
  */
 
 #ifndef AAWS_SIM_CONFIG_H
 #define AAWS_SIM_CONFIG_H
 
+#include <string>
+
 #include "dvfs/controller.h"
-#include "model/topology.h"
 #include "sched/policy_stack.h"
 #include "sim/cost_model.h"
 
@@ -39,21 +31,8 @@ namespace aaws {
 /** Full configuration of one simulated machine + runtime variant. */
 struct MachineConfig
 {
-    /**
-     * Machine shape.  Empty (the default) means "legacy big/little":
-     * the machine derives the canonical two-cluster topology from
-     * `n_big`/`n_little` and `app_params`.  Non-empty topologies own
-     * the shape outright and the legacy fields are ignored.
-     */
-    CoreTopology topology;
-    /**
-     * Deprecated legacy shape: number of big (out-of-order-class)
-     * cores, ids 0..n-1.  Read only when `topology` is empty; write
-     * through setShape() rather than directly.
-     */
-    int n_big = 4;
-    /** Deprecated legacy shape: number of little (in-order-class) cores. */
-    int n_little = 4;
+    /** Machine shape: a topology preset name (parseTopologyName). */
+    std::string topology = "4b4l";
     /** Per-application model (alpha, beta, ipc_little from Table III). */
     ModelParams app_params;
     /** Designer's system-wide model used to build the DVFS table. */
@@ -65,16 +44,10 @@ struct MachineConfig
     /** Enable work-biasing (Section III-C; part of the baseline). */
     bool work_biasing = true;
     /**
-     * Use random victim selection instead of occupancy-based (the
-     * baseline follows [Contreras & Martonosi]; random is the classic
-     * Cilk policy, kept for the ablation bench).  Takes precedence
-     * over `victim` for backward compatibility.
-     */
-    bool random_victim = false;
-    /**
-     * Victim-selection policy when `random_victim` is false:
-     * occupancy (the baseline) or criticality (prefer victims hosted
-     * on faster clusters, Costero-style; see sched/victim.h).
+     * Victim-selection policy: occupancy (the baseline, following
+     * [Contreras & Martonosi]), random (the classic Cilk policy, kept
+     * for the ablation bench), or criticality (prefer victims hosted on
+     * faster clusters, Costero-style; see sched/victim.h).
      */
     sched::VictimPolicy victim = sched::VictimPolicy::occupancy;
     /** Runtime and mug cost constants. */
@@ -104,39 +77,6 @@ struct MachineConfig
     const DvfsLookupTable *table_override = nullptr;
 
     /**
-     * Legacy-shape adapter: set a big/little machine.  Clears any
-     * `topology` so the deprecated fields are authoritative again —
-     * the one sanctioned way to write them.
-     */
-    void
-    setShape(int big, int little)
-    {
-        topology = CoreTopology();
-        n_big = big;
-        n_little = little;
-    }
-
-    /**
-     * The topology the machine will actually simulate: `topology`
-     * verbatim when set, otherwise the canonical two-cluster mapping
-     * of the legacy fields (bit-identical to the pre-topology
-     * simulator).
-     */
-    CoreTopology
-    resolvedTopology() const
-    {
-        return topology.empty()
-                   ? CoreTopology::bigLittle(n_big, n_little, app_params)
-                   : topology;
-    }
-
-    int
-    numCores() const
-    {
-        return topology.empty() ? n_big + n_little : topology.numCores();
-    }
-
-    /**
      * The flat sched::PolicyConfig this configuration describes — the
      * single source the Machine assembles its policy stack from (and
      * the same shape runtime::PoolOptions consumes natively).
@@ -145,7 +85,7 @@ struct MachineConfig
     schedPolicy() const
     {
         sched::PolicyConfig sp;
-        sp.victim = random_victim ? sched::VictimPolicy::random : victim;
+        sp.victim = victim;
         sp.work_biasing = work_biasing;
         sp.work_mugging = work_mugging;
         sp.serial_sprinting = policy.serial_sprinting;
@@ -153,11 +93,6 @@ struct MachineConfig
         sp.work_sprinting = policy.work_sprinting;
         return sp;
     }
-
-    /** 4 big + 4 little commercial-style configuration. */
-    static MachineConfig system4B4L();
-    /** 1 big + 7 little configuration. */
-    static MachineConfig system1B7L();
 };
 
 } // namespace aaws

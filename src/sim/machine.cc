@@ -47,27 +47,9 @@ sharedDvfsTable(const ModelParams &mp, const CoreTopology &table_topo)
 
 } // namespace
 
-MachineConfig
-MachineConfig::system4B4L()
-{
-    MachineConfig config;
-    config.n_big = 4;
-    config.n_little = 4;
-    return config;
-}
-
-MachineConfig
-MachineConfig::system1B7L()
-{
-    MachineConfig config;
-    config.n_big = 1;
-    config.n_little = 7;
-    return config;
-}
-
 Machine::Machine(const MachineConfig &config, const TaskDag &dag)
     : config_(config), dag_(dag), app_model_(config.app_params),
-      topo_(config.resolvedTopology()),
+      topo_(makeTopology(config.topology, config.app_params)),
       table_shared_(config.table_override
                         ? nullptr
                         : sharedDvfsTable(
@@ -912,7 +894,7 @@ Machine::dumpStateAndPanic()
                      "  core%zu %s worker=%d state=%d pending=%d "
                      "rem=%.0f v=%.2f stack=%zu dq=%zu resume=%.0f "
                      "peer=%d targeted=%d fails=%d\n",
-                     c, topo_.cluster(core.cluster).name.c_str(),
+                     c, clusterKindName(topo_.cluster(core.cluster).kind),
                      core.worker,
                      static_cast<int>(core.state),
                      static_cast<int>(core.pending), core.remaining,

@@ -12,10 +12,10 @@
  * steal attempt, per Section III-A) and may not issue a new decision
  * while a transition is in flight.
  *
- * The machine shape is a CoreTopology (model/topology.h): N clusters of
- * cores, fastest first, each with its own class parameters and voltage
- * rail domain; the legacy big/little machine is the two-cluster special
- * case and simulates bit-identically to the pre-topology code.
+ * The machine shape is the CoreTopology (model/topology.h) that
+ * MachineConfig::topology names: N clusters of cores, fastest first,
+ * each with its own class parameters and voltage rail domain; the
+ * paper's big/little machines are the two-cluster presets.
  *
  * The scheduler is the paper's baseline runtime: per-worker Chase-Lev
  * deques (owner pushes/pops the tail, thieves steal the head),
@@ -313,7 +313,7 @@ class Machine final
     const MachineConfig config_;
     const TaskDag &dag_;
     FirstOrderModel app_model_;
-    /** Resolved machine shape (config.topology or the legacy mapping). */
+    /** Machine shape: config.topology parsed against app_params. */
     const CoreTopology topo_;
     /** Process-wide shared DVFS table (null when config overrides it). */
     std::shared_ptr<const DvfsLookupTable> table_shared_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Results of one simulation: execution time, energy, region breakdown
- * (the Figure 8 categories), and scheduler event counts.
+ * (the Figure 8 categories), per-census occupancy, and scheduler event
+ * counts.
  */
 
 #ifndef AAWS_SIM_RESULT_H
@@ -88,8 +89,9 @@ struct SimResult
     /** Per-core activity and energy statistics. */
     std::vector<CoreStats> core_stats;
     /**
-     * Seconds spent at each (big-active, little-active) occupancy,
-     * indexed ba * (n_little + 1) + la; feeds the adaptive controller.
+     * Seconds spent at each activity census (active cores per cluster),
+     * indexed by CoreTopology::censusIndex; feeds the adaptive
+     * controller.
      */
     std::vector<double> occupancy_seconds;
     /** Activity trace (only populated when collect_trace is set). */

@@ -1,6 +1,7 @@
 #include "sim/stats_writer.h"
 
 #include "common/logging.h"
+#include "model/topology.h"
 
 namespace aaws {
 
@@ -67,10 +68,12 @@ formatStats(const MachineConfig &config, const SimResult &result)
     line(out, "regions.lp_other_seconds", g.lp_other,
          "LP time where mugging is impossible (oLP)");
 
+    const CoreTopology topo =
+        makeTopology(config.topology, config.app_params);
     for (size_t c = 0; c < result.core_stats.size(); ++c) {
         const CoreStats &stats = result.core_stats[c];
-        const char *type =
-            static_cast<int>(c) < config.n_big ? "big" : "little";
+        const char *type = clusterKindName(
+            topo.cluster(topo.clusterOf(static_cast<int>(c))).kind);
         std::string prefix = strfmt("system.core%zu", c);
         line(out, prefix + ".busy_seconds", stats.busy_seconds,
              strfmt("Core %zu (%s) time executing", c, type).c_str());

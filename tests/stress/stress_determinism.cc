@@ -3,7 +3,7 @@
  * Simulator-determinism fuzzing: every registered kernel is generated
  * and simulated twice per seed across many seeds (default 50, knob
  * AAWS_DETERMINISM_SEEDS), rotating through all runtime variants and
- * both machine shapes, and the two runs must produce bit-identical
+ * every topology preset, and the two runs must produce bit-identical
  * SimResult statistics.  Any divergence is hidden nondeterminism --
  * iteration-order dependence, uninitialized state, or real-time leakage
  * into the simulation -- and reproduces from the kernel name + seed
@@ -14,8 +14,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "aaws/experiment.h"
+#include "exp/run_spec.h"
+#include "model/topology.h"
 #include "sim_compare.h"
 #include "stress_util.h"
 
@@ -33,14 +35,13 @@ TEST_P(KernelDeterminism, BitIdenticalAcrossSeeds)
     const std::string &name = GetParam();
     const int64_t seeds = envKnob("AAWS_DETERMINISM_SEEDS", 50, 50);
     const auto variants = allVariants();
-    const SystemShape shapes[] = {SystemShape::s4B4L,
-                                  SystemShape::s1B7L};
+    const std::vector<std::string> &topologies = topologyPresets();
     const uint64_t base = stress::baseSeed();
 
     for (int64_t i = 0; i < seeds; ++i) {
         uint64_t seed = stress::nthSeed(base, static_cast<uint64_t>(i));
         Variant variant = variants[i % variants.size()];
-        SystemShape shape = shapes[i % 2];
+        const std::string &topology = topologies[i % topologies.size()];
         // Collect the activity trace on a slice of the seeds so the
         // record-for-record replay check sees real traffic without
         // inflating every run.
@@ -48,7 +49,7 @@ TEST_P(KernelDeterminism, BitIdenticalAcrossSeeds)
         SCOPED_TRACE(testing::Message()
                      << name << " seed 0x" << std::hex << seed
                      << std::dec << " variant " << variantName(variant)
-                     << " shape " << systemName(shape));
+                     << " topology " << topology);
 
         // Generate the kernel twice from the same seed: workload
         // synthesis itself must be deterministic...
@@ -60,8 +61,10 @@ TEST_P(KernelDeterminism, BitIdenticalAcrossSeeds)
                   second.dag.criticalPathWork());
 
         // ...and so must the simulation of it.
-        SimResult a = runKernel(first, shape, variant, trace).sim;
-        SimResult b = runKernel(second, shape, variant, trace).sim;
+        exp::RunSpec spec{name, variant, seed, trace};
+        spec.overrides.topology = topology;
+        SimResult a = exp::executeSpec(spec, first).sim;
+        SimResult b = exp::executeSpec(spec, second).sim;
         stress::expectIdenticalResults(a, b);
         if (HasFatalFailure() || HasNonfatalFailure())
             return; // one seed's dump is enough
@@ -73,12 +76,10 @@ class TopologyDeterminism : public ::testing::TestWithParam<std::string>
 };
 
 /**
- * The topology path must not merely be internally deterministic: a
- * "1b7l" preset run has to replay bit-identically, and — because the
- * preset derives its cluster parameters by the same expressions the
- * legacy accessors use — match the legacy 1B7L simulation bit for bit.
- * Seeds rotate through every variant, so the whole policy stack crosses
- * the topology-indexed census/DVFS plumbing.
+ * A spec that names no topology runs the default machine, the paper's
+ * 4B4L: it must simulate bit for bit like a spec naming the "4b4l"
+ * preset.  Seeds rotate through every variant, so the whole policy
+ * stack crosses the census/DVFS plumbing.
  */
 TEST_P(TopologyDeterminism, PresetRunsMatchLegacyBitIdentically)
 {
@@ -93,20 +94,15 @@ TEST_P(TopologyDeterminism, PresetRunsMatchLegacyBitIdentically)
         bool trace = i % 10 == 0;
         SCOPED_TRACE(testing::Message()
                      << name << " seed 0x" << std::hex << seed
-                     << std::dec << " variant " << variantName(variant)
-                     << " topology 1b7l");
+                     << std::dec << " variant " << variantName(variant));
 
         Kernel kernel = makeKernel(name, seed);
-        MachineConfig config =
-            configFor(kernel, SystemShape::s1B7L, variant, trace);
-        config.topology = makeTopology("1b7l", config.app_params);
-        SimResult first = Machine(config, kernel.dag).run();
-        SimResult second = Machine(config, kernel.dag).run();
-        stress::expectIdenticalResults(first, second);
-
-        SimResult legacy =
-            runKernel(kernel, SystemShape::s1B7L, variant, trace).sim;
-        stress::expectIdenticalResults(first, legacy);
+        exp::RunSpec unnamed{name, variant, seed, trace};
+        exp::RunSpec named = unnamed;
+        named.overrides.topology = "4b4l";
+        stress::expectIdenticalResults(
+            exp::executeSpec(named, kernel).sim,
+            exp::executeSpec(unnamed, kernel).sim);
         if (HasFatalFailure() || HasNonfatalFailure())
             return; // one seed's dump is enough
     }

@@ -55,25 +55,24 @@ sampleBatch()
 {
     std::vector<exp::RunSpec> specs;
     for (const char *name : {"dict", "qsort-1"}) {
-        for (SystemShape shape :
-             {SystemShape::s4B4L, SystemShape::s1B7L}) {
-            specs.emplace_back(name, shape, Variant::base);
-            specs.emplace_back(name, shape, Variant::base_psm);
+        for (const char *topology : {"4b4l", "1b7l"}) {
+            for (Variant v : {Variant::base, Variant::base_psm}) {
+                specs.emplace_back(name, v);
+                specs.back().overrides.topology = topology;
+            }
         }
     }
     // One traced spec and one override spec so every cache field sees
     // traffic.
-    exp::RunSpec traced("dict", SystemShape::s4B4L, Variant::base_m,
-                        exp::kDefaultSeed, /*trace=*/true);
+    exp::RunSpec traced("dict", Variant::base_m, exp::kDefaultSeed,
+                        /*trace=*/true);
     specs.push_back(std::move(traced));
-    exp::RunSpec scaled("qsort-1", SystemShape::s4B4L,
-                        Variant::base_psm);
-    scaled.overrides.n_big = 2;
-    scaled.overrides.n_little = 6;
+    exp::RunSpec scaled("qsort-1", Variant::base_psm);
+    scaled.overrides.topology = "2b6l";
     specs.push_back(std::move(scaled));
 
     auto sens = [&]() -> exp::SpecOverrides & {
-        specs.emplace_back("dict", SystemShape::s4B4L, Variant::base_psm);
+        specs.emplace_back("dict", Variant::base_psm);
         return specs.back().overrides;
     };
     for (uint64_t cycles : {20, 100, 400, 1000})
@@ -83,8 +82,7 @@ sampleBatch()
     for (double ns : {40.0, 100.0, 175.0, 250.0})
         sens().regulator_ns_per_step = ns;
 
-    exp::RunSpec three_cluster("qsort-1", SystemShape::s4B4L,
-                               Variant::base_psm);
+    exp::RunSpec three_cluster("qsort-1", Variant::base_psm);
     three_cluster.overrides.topology = "2b2m4l";
     specs.push_back(three_cluster);
     specs.push_back(std::move(three_cluster));
@@ -99,7 +97,6 @@ expectBatchesIdentical(const std::vector<RunResult> &a,
     for (size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE(testing::Message() << "spec slot " << i);
         EXPECT_EQ(a[i].kernel, b[i].kernel);
-        EXPECT_EQ(a[i].system, b[i].system);
         EXPECT_EQ(a[i].variant, b[i].variant);
         stress::expectIdenticalResults(a[i].sim, b[i].sim);
     }
@@ -216,7 +213,7 @@ TEST(ExpEngineGolden, EngineBatchReproducesTable3GoldenFile)
 
     std::vector<exp::RunSpec> specs;
     for (const auto &name : kernelNames())
-        specs.emplace_back(name, SystemShape::s4B4L, Variant::base_psm);
+        specs.emplace_back(name, Variant::base_psm);
 
     fs::path cache_dir = scratchDir("golden");
     auto render = [&](const std::vector<RunResult> &results) {

@@ -36,8 +36,7 @@ renderAllKernels()
     std::string out;
     for (const auto &name : kernelNames()) {
         Kernel kernel = makeKernel(name);
-        MachineConfig config =
-            configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
+        MachineConfig config = configFor(kernel, Variant::base_psm);
         SimResult result = Machine(config, kernel.dag).run();
         out += "==== kernel " + name + " ====\n";
         out += formatStats(config, result);

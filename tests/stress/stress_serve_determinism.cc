@@ -34,10 +34,10 @@ exp::RunSpec
 fuzzedServeSpec(uint64_t seed)
 {
     Rng knobs(seed);
-    SystemShape shape =
-        knobs.below(2) ? SystemShape::s1B7L : SystemShape::s4B4L;
+    const char *topology = knobs.below(2) ? "1b7l" : "4b4l";
     Variant variant = allVariants()[knobs.below(allVariants().size())];
-    exp::RunSpec spec("dict", shape, variant, seed);
+    exp::RunSpec spec("dict", variant, seed);
+    spec.overrides.topology = topology;
 
     serve::ServeSpec serve;
     serve.arrival.kind = knobs.below(2) ? serve::ArrivalKind::mmpp
@@ -55,12 +55,11 @@ fuzzedServeSpec(uint64_t seed)
     serve.deadline_s = knobs.below(2) ? 0.0 : 0.05 * knobs.uniform();
     serve.service_samples = 1 + static_cast<uint32_t>(knobs.below(3));
     spec.serve = serve;
-    // A third of the points route the machine shape through the
-    // CoreTopology path (the "1b7l" preset) instead of the legacy
-    // shape fields, so the serving engine's determinism contract
-    // covers the topology plumbing too.
+    // A third of the points run the three-cluster preset, so the
+    // serving engine's determinism contract covers more than the
+    // paper's two machines.
     if (knobs.below(3) == 0)
-        spec.overrides.topology = "1b7l";
+        spec.overrides.topology = "2b2m4l";
     return spec;
 }
 

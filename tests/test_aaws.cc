@@ -8,9 +8,28 @@
 
 #include "aaws/adaptive.h"
 #include "aaws/experiment.h"
+#include "exp/run_spec.h"
 
 namespace aaws {
 namespace {
+
+/** Simulate `kernel` under `variant` on a topology preset. */
+SimResult
+simulate(const Kernel &kernel, Variant variant,
+         const std::string &topology = "4b4l")
+{
+    exp::RunSpec spec{kernel.stats.name, variant};
+    spec.overrides.topology = topology;
+    return exp::executeSpec(spec, kernel).sim;
+}
+
+/** Tune `kernel`'s base+psm table on the default machine. */
+AdaptiveReport
+adapt(const Kernel &kernel, const AdaptiveOptions &options)
+{
+    return adaptDvfsTable(kernel, configFor(kernel, Variant::base_psm),
+                          options);
+}
 
 TEST(Variant, NamesRoundTrip)
 {
@@ -55,7 +74,7 @@ TEST(Variant, ApplyVariantMatchesPolicyConfigFor)
     // applyVariant and policyConfigFor must stay two views of the same
     // switch table.
     for (Variant v : allVariants()) {
-        MachineConfig config = MachineConfig::system4B4L();
+        MachineConfig config;
         applyVariant(config, v);
         sched::PolicyConfig sp = policyConfigFor(v);
         EXPECT_EQ(config.work_biasing, sp.work_biasing) << variantName(v);
@@ -67,7 +86,8 @@ TEST(Variant, ApplyVariantMatchesPolicyConfigFor)
         EXPECT_EQ(config.policy.work_sprinting, sp.work_sprinting)
             << variantName(v);
         // The ablation victim knob is not a variant concern.
-        EXPECT_FALSE(config.random_victim) << variantName(v);
+        EXPECT_EQ(config.victim, sched::VictimPolicy::occupancy)
+            << variantName(v);
     }
 }
 
@@ -135,8 +155,7 @@ TEST(Variant, TechniqueMatrix)
 TEST(Experiment, ConfigUsesPerKernelModelButDesignerTable)
 {
     Kernel kernel = makeKernel("cilksort"); // alpha 3.7, beta 1.3
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
+    MachineConfig config = configFor(kernel, Variant::base_psm);
     EXPECT_NEAR(config.app_params.alpha, 3.7, 1e-9);
     EXPECT_NEAR(config.app_params.beta, 1.3, 1e-9);
     // Designer's table estimates stay at the defaults.
@@ -144,17 +163,23 @@ TEST(Experiment, ConfigUsesPerKernelModelButDesignerTable)
     EXPECT_NEAR(config.table_params.beta, 2.0, 1e-9);
 }
 
-TEST(Experiment, SystemShapes)
+TEST(Experiment, PresetsNameThePaperMachines)
 {
+    // The paper's two machines are topology presets; a spec that names
+    // none runs 4B4L.
     Kernel kernel = makeKernel("mis");
-    MachineConfig c4 = configFor(kernel, SystemShape::s4B4L, Variant::base);
-    EXPECT_EQ(c4.n_big, 4);
-    EXPECT_EQ(c4.n_little, 4);
-    MachineConfig c1 = configFor(kernel, SystemShape::s1B7L, Variant::base);
-    EXPECT_EQ(c1.n_big, 1);
-    EXPECT_EQ(c1.n_little, 7);
-    EXPECT_STREQ(systemName(SystemShape::s4B4L), "4B4L");
-    EXPECT_STREQ(systemName(SystemShape::s1B7L), "1B7L");
+    exp::RunSpec spec{"mis", Variant::base};
+    MachineConfig c4 = exp::configForSpec(kernel, spec);
+    EXPECT_EQ(c4.topology, "4b4l");
+    spec.overrides.topology = "1b7l";
+    MachineConfig c1 = exp::configForSpec(kernel, spec);
+    EXPECT_EQ(c1.topology, "1b7l");
+    Machine m4(c4, kernel.dag);
+    Machine m1(c1, kernel.dag);
+    EXPECT_EQ(m4.clusterSize(0), 4);
+    EXPECT_EQ(m4.clusterSize(1), 4);
+    EXPECT_EQ(m1.clusterSize(0), 1);
+    EXPECT_EQ(m1.clusterSize(1), 7);
 }
 
 TEST(Experiment, SerialBaselinesFollowBeta)
@@ -177,8 +202,7 @@ TEST(Experiment, SerialEnergyRatioApproximatesAlpha)
 
 TEST(Experiment, RunKernelProducesPositiveMetrics)
 {
-    RunResult result =
-        runKernel("mis", SystemShape::s4B4L, Variant::base);
+    RunResult result = exp::executeSpec({"mis", Variant::base});
     EXPECT_GT(result.sim.exec_seconds, 0.0);
     EXPECT_GT(result.sim.energy, 0.0);
     EXPECT_GT(result.efficiency(), 0.0);
@@ -189,10 +213,9 @@ TEST(Experiment, ParallelBeatsSerialOnBothSystems)
 {
     Kernel kernel = makeKernel("mis");
     double serial_io = serialSeconds(kernel, CoreType::little);
-    for (SystemShape shape : {SystemShape::s4B4L, SystemShape::s1B7L}) {
-        RunResult result = runKernel(kernel, shape, Variant::base);
-        EXPECT_GT(serial_io / result.sim.exec_seconds, 2.0)
-            << systemName(shape);
+    for (const char *topology : {"4b4l", "1b7l"}) {
+        SimResult result = simulate(kernel, Variant::base, topology);
+        EXPECT_GT(serial_io / result.exec_seconds, 2.0) << topology;
     }
 }
 
@@ -201,8 +224,7 @@ TEST(Adaptive, ImprovesEdpWithinPowerCap)
     Kernel kernel = makeKernel("qsort-1");
     AdaptiveOptions options;
     options.max_accepted = 4;
-    AdaptiveReport report =
-        adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+    AdaptiveReport report = adapt(kernel, options);
     EXPECT_LE(report.tuned_edp, report.static_edp);
     EXPECT_LE(report.tuned_power,
               report.static_power * options.power_slack + 1e-9);
@@ -213,16 +235,13 @@ TEST(Adaptive, TunedVoltagesStayFeasible)
     Kernel kernel = makeKernel("mis");
     AdaptiveOptions options;
     options.max_accepted = 3;
-    AdaptiveReport report =
-        adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+    AdaptiveReport report = adapt(kernel, options);
     ModelParams params;
-    for (int ba = 0; ba <= 4; ++ba) {
-        for (int la = 0; la <= 4; ++la) {
-            const DvfsTableEntry &e = report.table.at(ba, la);
-            EXPECT_GE(e.vBig(), params.v_min - 1e-9);
-            EXPECT_LE(e.vBig(), params.v_max + 1e-9);
-            EXPECT_GE(e.vLittle(), params.v_min - 1e-9);
-            EXPECT_LE(e.vLittle(), params.v_max + 1e-9);
+    ASSERT_EQ(report.table.size(), 25);
+    for (int cell = 0; cell < report.table.size(); ++cell) {
+        for (double v : report.table.atIndex(cell).v) {
+            EXPECT_GE(v, params.v_min - 1e-9) << "cell " << cell;
+            EXPECT_LE(v, params.v_max + 1e-9) << "cell " << cell;
         }
     }
 }
@@ -232,8 +251,8 @@ TEST(Adaptive, Deterministic)
     Kernel kernel = makeKernel("mis");
     AdaptiveOptions options;
     options.max_accepted = 2;
-    AdaptiveReport a = adaptDvfsTable(kernel, SystemShape::s4B4L, options);
-    AdaptiveReport b = adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+    AdaptiveReport a = adapt(kernel, options);
+    AdaptiveReport b = adapt(kernel, options);
     EXPECT_EQ(a.tuned_edp, b.tuned_edp);
     EXPECT_EQ(a.accepted.size(), b.accepted.size());
 }
@@ -243,8 +262,7 @@ TEST(Adaptive, ZeroBudgetKeepsStaticTable)
     Kernel kernel = makeKernel("mis");
     AdaptiveOptions options;
     options.max_accepted = 0;
-    AdaptiveReport report =
-        adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+    AdaptiveReport report = adapt(kernel, options);
     EXPECT_TRUE(report.accepted.empty());
     EXPECT_EQ(report.tuned_edp, report.static_edp);
 }
@@ -254,8 +272,7 @@ TEST(Adaptive, AcceptedStepsRecordMonotoneEdp)
     Kernel kernel = makeKernel("qsort-1");
     AdaptiveOptions options;
     options.max_accepted = 5;
-    AdaptiveReport report =
-        adaptDvfsTable(kernel, SystemShape::s4B4L, options);
+    AdaptiveReport report = adapt(kernel, options);
     double prev = report.static_edp;
     for (const auto &step : report.accepted) {
         EXPECT_LT(step.edp, prev);
@@ -268,19 +285,17 @@ TEST(MachineConfig, TableOverrideIsUsed)
     // An override table with all-nominal voltages must behave like the
     // asymmetry-oblivious baseline even under base+psm's pacing policy.
     Kernel kernel = makeKernel("radix-2");
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_ps);
+    MachineConfig config = configFor(kernel, Variant::base_ps);
     FirstOrderModel designer(config.table_params);
-    DvfsLookupTable flat(designer, 4, 4);
-    for (int ba = 0; ba <= 4; ++ba)
-        for (int la = 0; la <= 4; ++la)
-            flat.setEntry(ba, la, DvfsTableEntry::bigLittle(1.0, 1.0, 1.0));
+    DvfsLookupTable flat(designer,
+                         makeTopology(config.topology, config.table_params));
+    for (int cell = 0; cell < flat.size(); ++cell)
+        flat.setEntryAt(cell, DvfsTableEntry::bigLittle(1.0, 1.0, 1.0));
     config.table_override = &flat;
     // Sprinting still rests waiters at v_min, but active cores stay
     // nominal: the run must be slower than with the real table.
     SimResult flat_run = Machine(config, kernel.dag).run();
-    SimResult tuned_run =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_ps).sim;
+    SimResult tuned_run = simulate(kernel, Variant::base_ps);
     EXPECT_GT(flat_run.exec_seconds, tuned_run.exec_seconds);
 }
 
@@ -350,7 +365,7 @@ TEST(WorkMugging, MugRacingTaskCompletionIsAborted)
 
 TEST(WorkMugging, EmptyLittleCoreIsNeverMugged)
 {
-    // Exactly n_big long tasks: the big cores absorb all of them and the
+    // Exactly one long task per big core: the big cores absorb them and the
     // littles never hold work.  pickMuggee only considers *running*
     // little cores, so no mug may ever be issued (and certainly none
     // aborted) against the idle littles.
@@ -387,8 +402,7 @@ TEST(WorkMugging, RepeatedMugCyclesAcrossPhases)
 TEST(CoreStatsCheck, BusyPlusWaitingCoversRun)
 {
     Kernel kernel = makeKernel("mis");
-    SimResult result =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base).sim;
+    SimResult result = simulate(kernel, Variant::base);
     ASSERT_EQ(result.core_stats.size(), 8u);
     for (const auto &stats : result.core_stats) {
         EXPECT_NEAR(stats.busy_seconds + stats.waiting_seconds,
@@ -405,8 +419,7 @@ TEST(CoreStatsCheck, BusyPlusWaitingCoversRun)
 TEST(CoreStatsCheck, OccupancySecondsCoverRun)
 {
     Kernel kernel = makeKernel("radix-2");
-    SimResult result =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_psm).sim;
+    SimResult result = simulate(kernel, Variant::base_psm);
     ASSERT_EQ(result.occupancy_seconds.size(), 25u);
     double total = 0.0;
     for (double s : result.occupancy_seconds)

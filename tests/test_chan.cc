@@ -245,9 +245,10 @@ TEST(ChannelPool, AllFiveVariantsRunUnchanged)
 TEST(ChannelPool, PacingGovernorAttachesLikeAnyHooks)
 {
     ModelParams params;
-    DvfsLookupTable table(FirstOrderModel(params), 2, 2);
+    DvfsLookupTable table(FirstOrderModel(params),
+                          makeTopology("2b2l", params));
     sched::PolicyConfig policy = policyConfigFor(Variant::base_ps);
-    PacingGovernor governor(4, 2, policy, table, params);
+    PacingGovernor governor(policy, table, params);
     PoolOptions options;
     options.policy = policy;
     options.n_big = 2;

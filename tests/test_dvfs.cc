@@ -48,7 +48,7 @@ class TableFixture : public ::testing::Test
 {
   protected:
     FirstOrderModel model_;
-    DvfsLookupTable table_{model_, 4, 4};
+    DvfsLookupTable table_{model_, makeTopology("4b4l", model_.params())};
 };
 
 TEST_F(TableFixture, TwentyFiveEntriesFor4B4L)
@@ -58,7 +58,7 @@ TEST_F(TableFixture, TwentyFiveEntriesFor4B4L)
 
 TEST_F(TableFixture, AllActiveEntryMatchesHpFeasiblePoint)
 {
-    const DvfsTableEntry &entry = table_.at(4, 4);
+    const DvfsTableEntry &entry = table_.atCounts({4, 4});
     EXPECT_NEAR(entry.vBig(), 0.93, 0.03);
     EXPECT_NEAR(entry.vLittle(), 1.30, 1e-6);
     EXPECT_NEAR(entry.speedup, 1.10, 0.02);
@@ -66,7 +66,7 @@ TEST_F(TableFixture, AllActiveEntryMatchesHpFeasiblePoint)
 
 TEST_F(TableFixture, HalfActiveEntryMatchesLpFeasiblePoint)
 {
-    const DvfsTableEntry &entry = table_.at(2, 2);
+    const DvfsTableEntry &entry = table_.atCounts({2, 2});
     EXPECT_NEAR(entry.vBig(), 1.16, 0.03);
     EXPECT_NEAR(entry.vLittle(), 1.30, 1e-6);
 }
@@ -76,7 +76,7 @@ TEST_F(TableFixture, VoltagesStayWithinFeasibleRange)
     const ModelParams &p = model_.params();
     for (int ba = 0; ba <= 4; ++ba) {
         for (int la = 0; la <= 4; ++la) {
-            const DvfsTableEntry &e = table_.at(ba, la);
+            const DvfsTableEntry &e = table_.atCounts({ba, la});
             EXPECT_GE(e.vBig(), p.v_min - 1e-9);
             EXPECT_LE(e.vBig(), p.v_max + 1e-9);
             EXPECT_GE(e.vLittle(), p.v_min - 1e-9);
@@ -92,7 +92,7 @@ TEST_F(TableFixture, FewerActiveCoresSprintHarder)
     for (int la : {0, 4}) {
         double v_prev = 10.0;
         for (int ba = 1; ba <= 4; ++ba) {
-            double v = table_.at(ba, la).vBig();
+            double v = table_.atCounts({ba, la}).vBig();
             EXPECT_LE(v, v_prev + 1e-9) << "ba=" << ba << " la=" << la;
             v_prev = v;
         }
@@ -101,30 +101,32 @@ TEST_F(TableFixture, FewerActiveCoresSprintHarder)
 
 TEST_F(TableFixture, SingleActiveBigSprintsToMax)
 {
-    EXPECT_NEAR(table_.at(1, 0).vBig(), model_.params().v_max, 1e-6);
+    EXPECT_NEAR(table_.atCounts({1, 0}).vBig(), model_.params().v_max, 1e-6);
 }
 
 TEST_F(TableFixture, SetEntryRejectsOutOfRange)
 {
-    DvfsLookupTable table(model_, 4, 4);
-    EXPECT_DEATH(table.setEntry(5, 0, DvfsTableEntry{}), "outside");
+    DvfsLookupTable table(model_, makeTopology("4b4l", model_.params()));
+    EXPECT_DEATH(table.setEntryAt(table.size(), DvfsTableEntry{}),
+                 "outside");
 }
 
 TEST_F(TableFixture, SetEntryOverwrites)
 {
-    DvfsLookupTable table(model_, 4, 4);
-    table.setEntry(2, 3, DvfsTableEntry::bigLittle(1.11, 0.99, 1.2));
-    EXPECT_DOUBLE_EQ(table.at(2, 3).vBig(), 1.11);
-    EXPECT_DOUBLE_EQ(table.at(2, 3).vLittle(), 0.99);
+    DvfsLookupTable table(model_, makeTopology("4b4l", model_.params()));
+    table.setEntryAt(table.topology().censusIndex({2, 3}),
+                     DvfsTableEntry::bigLittle(1.11, 0.99, 1.2));
+    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).vBig(), 1.11);
+    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).vLittle(), 0.99);
 }
 
 TEST(Table, Shape1B7L)
 {
     FirstOrderModel model;
-    DvfsLookupTable table(model, 1, 7);
+    DvfsLookupTable table(model, makeTopology("1b7l", model.params()));
     EXPECT_EQ(table.size(), 16);
-    EXPECT_EQ(table.nBig(), 1);
-    EXPECT_EQ(table.nLittle(), 7);
+    EXPECT_EQ(table.topology().cluster(0).count, 1);
+    EXPECT_EQ(table.topology().cluster(1).count, 7);
 }
 
 class ControllerFixture : public ::testing::Test
@@ -141,7 +143,7 @@ class ControllerFixture : public ::testing::Test
     }
 
     FirstOrderModel model_;
-    DvfsLookupTable table_{model_, 4, 4};
+    DvfsLookupTable table_{model_, makeTopology("4b4l", model_.params())};
 };
 
 TEST_F(ControllerFixture, BaselineKeepsEveryoneNominal)

@@ -44,15 +44,15 @@ scratchDir(const char *name)
 exp::RunSpec
 sampleSpec()
 {
-    return exp::RunSpec("dict", SystemShape::s4B4L, Variant::base_psm);
+    return exp::RunSpec("dict", Variant::base_psm);
 }
 
 TEST(ResultJson, SimResultRoundTripsBitIdentically)
 {
     // Trace enabled exercises every serialized field, including the
     // record array.
-    RunResult run = runKernel("dict", SystemShape::s4B4L,
-                              Variant::base_psm, /*collect_trace=*/true);
+    RunResult run = exp::executeSpec(
+        {"dict", Variant::base_psm, exp::kDefaultSeed, /*trace=*/true});
     std::string text = simResultToJson(run.sim);
     EXPECT_EQ(text.find('\n'), std::string::npos) << "must be one line";
 
@@ -69,13 +69,13 @@ TEST(ResultJson, SimResultRoundTripsBitIdentically)
 
 TEST(ResultJson, RunResultRoundTripPreservesIdentity)
 {
-    RunResult run = runKernel("qsort-1", SystemShape::s1B7L,
-                              Variant::base_m);
+    exp::RunSpec spec{"qsort-1", Variant::base_m};
+    spec.overrides.topology = "1b7l";
+    RunResult run = exp::executeSpec(spec);
     std::string text = exp::runResultToJson(run);
     RunResult parsed;
     ASSERT_TRUE(exp::runResultFromJson(text, parsed));
     EXPECT_EQ(parsed.kernel, "qsort-1");
-    EXPECT_EQ(parsed.system, SystemShape::s1B7L);
     EXPECT_EQ(parsed.variant, Variant::base_m);
     EXPECT_EQ(std::bit_cast<uint64_t>(parsed.sim.exec_seconds),
               std::bit_cast<uint64_t>(run.sim.exec_seconds));
@@ -92,9 +92,7 @@ TEST(ResultJson, RejectsMalformedInput)
     EXPECT_FALSE(exp::runResultFromJson("{\"kernel\":\"x\"}", run));
     // Unknown enum names fail closed instead of fatal()ing.
     EXPECT_FALSE(exp::runResultFromJson(
-        "{\"kernel\":\"dict\",\"system\":\"9B9L\",\"variant\":\"base\","
-        "\"sim\":{}}",
-        run));
+        "{\"kernel\":\"dict\",\"variant\":\"turbo\",\"sim\":{}}", run));
 }
 
 TEST(Json, NumbersKeepFullIntegerPrecision)
@@ -114,27 +112,32 @@ TEST(RunSpec, CanonicalFormCoversEveryField)
     exp::RunSpec spec = sampleSpec();
     std::string canonical = exp::canonicalSpec(spec);
     EXPECT_NE(canonical.find("kernel=dict"), std::string::npos);
-    EXPECT_NE(canonical.find("system=4B4L"), std::string::npos);
+    EXPECT_NE(canonical.find(";topology=4b4l;"), std::string::npos);
     EXPECT_NE(canonical.find("variant=base+psm"), std::string::npos);
+    // The topology is the only machine description.
+    EXPECT_EQ(canonical.find("system="), std::string::npos);
+    EXPECT_EQ(canonical.find("n_big="), std::string::npos);
     // Unset overrides stay out of the canonical form so hashes remain
     // stable when new override knobs are added.
-    EXPECT_EQ(canonical.find("n_big"), std::string::npos);
+    EXPECT_EQ(canonical.find("steal_attempt_cycles"), std::string::npos);
 
-    spec.overrides.n_big = 8;
-    EXPECT_NE(exp::canonicalSpec(spec).find("n_big=8"),
+    spec.overrides.steal_attempt_cycles = 1000;
+    EXPECT_NE(exp::canonicalSpec(spec).find(";steal_attempt_cycles=1000"),
               std::string::npos);
 }
 
-TEST(RunSpec, TopologyOverrideEntersCanonicalFormOnlyWhenSet)
+TEST(RunSpec, CanonicalFormAlwaysNamesTheTopology)
 {
+    // An unset topology is the default 4b4l machine: the two specs are
+    // one cache entry.
     exp::RunSpec spec = sampleSpec();
-    EXPECT_EQ(exp::canonicalSpec(spec).find("topology"),
-              std::string::npos);
-    EXPECT_FALSE(spec.overrides.any());
+    exp::RunSpec named = sampleSpec();
+    named.overrides.topology = "4b4l";
+    EXPECT_EQ(exp::canonicalSpec(spec), exp::canonicalSpec(named));
+    EXPECT_EQ(exp::specHash(spec), exp::specHash(named));
 
     spec.overrides.topology = "2b2m4l";
-    EXPECT_TRUE(spec.overrides.any());
-    EXPECT_NE(exp::canonicalSpec(spec).find(";topology=2b2m4l"),
+    EXPECT_NE(exp::canonicalSpec(spec).find(";topology=2b2m4l;"),
               std::string::npos);
     EXPECT_NE(exp::specHash(spec), exp::specHash(sampleSpec()));
 
@@ -143,12 +146,13 @@ TEST(RunSpec, TopologyOverrideEntersCanonicalFormOnlyWhenSet)
     other.overrides.topology = "1b7l";
     EXPECT_NE(exp::specHash(spec), exp::specHash(other));
 
-    // applyOverrides resolves the preset into the machine config.
+    // The preset name is the machine config's shape.
     Kernel kernel = makeKernel(spec.kernel, spec.seed);
     MachineConfig config = exp::configForSpec(kernel, spec);
-    EXPECT_FALSE(config.topology.empty());
-    EXPECT_EQ(config.topology.numClusters(), 3);
-    EXPECT_EQ(config.resolvedTopology().numCores(), 8);
+    EXPECT_EQ(config.topology, "2b2m4l");
+    Machine machine(config, kernel.dag);
+    EXPECT_EQ(machine.numClusters(), 3);
+    EXPECT_EQ(machine.numCores(), 8);
 }
 
 TEST(RunSpec, HashSeparatesSpecs)
@@ -503,17 +507,9 @@ TEST(BenchCli, FilterFlagBeatsEnvironment)
 
 TEST(BenchCli, BenchJsonEnvPrefersNeutralName)
 {
-    // AAWS_BENCH_JSON is the schema-neutral name every bench honors;
-    // per-bench names (AAWS_BENCH_SIM_JSON, AAWS_BENCH_RUNTIME_JSON)
-    // are deprecated aliases that still work, with a warning.
-    ASSERT_EQ(setenv("AAWS_BENCH_SIM_JSON", "/tmp/alias.json", 1), 0);
-    EXPECT_STREQ(exp::benchJsonEnv("AAWS_BENCH_SIM_JSON"),
-                 "/tmp/alias.json");
+    // AAWS_BENCH_JSON is the schema-neutral name every bench honors.
     ASSERT_EQ(setenv("AAWS_BENCH_JSON", "/tmp/neutral.json", 1), 0);
-    EXPECT_STREQ(exp::benchJsonEnv("AAWS_BENCH_SIM_JSON"),
-                 "/tmp/neutral.json")
-        << "neutral name wins over the alias";
-    EXPECT_STREQ(exp::benchJsonEnv(nullptr), "/tmp/neutral.json");
+    EXPECT_STREQ(exp::benchJsonEnv(), "/tmp/neutral.json");
     {
         const char *argv[] = {"bench"};
         exp::BenchCli cli;
@@ -525,11 +521,10 @@ TEST(BenchCli, BenchJsonEnvPrefersNeutralName)
         exp::BenchCli cli;
         cli.parse(2, const_cast<char **>(argv));
         EXPECT_EQ(cli.engine.bench_json, "/tmp/flag.json")
-            << "flag beats both env names";
+            << "flag beats the env name";
     }
     ASSERT_EQ(unsetenv("AAWS_BENCH_JSON"), 0);
-    ASSERT_EQ(unsetenv("AAWS_BENCH_SIM_JSON"), 0);
-    EXPECT_EQ(exp::benchJsonEnv("AAWS_BENCH_SIM_JSON"), nullptr);
+    EXPECT_EQ(exp::benchJsonEnv(), nullptr);
 }
 
 TEST(Engine, ResolveJobsClampsToBatchSize)
@@ -813,7 +808,7 @@ TEST(Engine, BenchJsonRecordIsWritten)
 exp::RunSpec
 serveSpecSample()
 {
-    exp::RunSpec spec("dict", SystemShape::s4B4L, Variant::base_ps);
+    exp::RunSpec spec("dict", Variant::base_ps);
     serve::ServeSpec serve_spec;
     serve_spec.arrival.kind = serve::ArrivalKind::mmpp;
     serve_spec.arrival.rate_hz = 40.0;
@@ -829,13 +824,14 @@ serveSpecSample()
 TEST(RunSpec, CacheSchemaCoversServeDimension)
 {
     // v3 made the serving fields spec-addressable; v4 retired every
-    // record of an older engine; v5 retired pre-topology records (see
+    // record of an older engine; v5 retired pre-topology records; v6
+    // made the topology the only machine description (see
     // kCacheSchemaVersion).  A tree that adds spec
     // dimensions or execution paths without bumping this would alias
     // stale entries (alias-miss test below).
-    EXPECT_EQ(exp::kCacheSchemaVersion, 5u);
+    EXPECT_EQ(exp::kCacheSchemaVersion, 6u);
     std::string closed = exp::canonicalSpec(sampleSpec());
-    EXPECT_NE(closed.find("aaws-exp/v5"), std::string::npos);
+    EXPECT_NE(closed.find("aaws-exp/v6"), std::string::npos);
     // Closed-loop specs stay serve-free so their hashes are stable.
     EXPECT_EQ(closed.find("serve."), std::string::npos);
 
@@ -940,7 +936,7 @@ TEST(ResultCache, PreServeSchemaRecordReadsAsMiss)
     exp::RunSpec closed = serveSpecSample();
     closed.serve.reset();
     std::string v2_canonical = exp::canonicalSpec(closed);
-    size_t tag = v2_canonical.find("aaws-exp/v5");
+    size_t tag = v2_canonical.find("aaws-exp/v6");
     ASSERT_NE(tag, std::string::npos);
     v2_canonical.replace(tag, 11, "aaws-exp/v2");
     {
@@ -952,6 +948,40 @@ TEST(ResultCache, PreServeSchemaRecordReadsAsMiss)
     }
     RunResult out_result;
     EXPECT_FALSE(cache.lookup(spec, out_result));
+}
+
+TEST(ResultCache, V5RecordReadsAsMiss)
+{
+    // A record as the v5 engine wrote it (a `system=` machine in the
+    // canonical form, a "system" member in the result) must not satisfy
+    // a lookup, even at the path the current spec hashes to and even
+    // under the current schema number.
+    fs::path dir = scratchDir("cache_v5");
+    exp::ResultCache cache(true, dir.string());
+    exp::RunSpec spec = sampleSpec();
+    RunResult computed = exp::executeSpec(spec);
+    std::string v5_spec = strfmt(
+        "aaws-exp/v5;kernel=dict;system=4B4L;variant=base+psm;"
+        "seed=0x%llx;trace=0",
+        static_cast<unsigned long long>(spec.seed));
+    std::string v5_result = exp::runResultToJson(computed);
+    v5_result.insert(v5_result.find(",\"variant\""),
+                     ",\"system\":\"4B4L\"");
+    for (unsigned schema : {5u, exp::kCacheSchemaVersion}) {
+        {
+            std::ofstream out(cache.pathFor(spec),
+                              std::ios::binary | std::ios::trunc);
+            out << "{\"schema\":" << schema
+                << ",\"spec\":" << json::encodeString(v5_spec)
+                << ",\"result\":" << v5_result << "}\n";
+        }
+        RunResult out_result;
+        EXPECT_FALSE(cache.lookup(spec, out_result)) << "schema " << schema;
+    }
+    // The current engine's own record at that path is a hit.
+    ASSERT_TRUE(cache.store(spec, computed));
+    RunResult hit;
+    EXPECT_TRUE(cache.lookup(spec, hit));
 }
 
 TEST(Engine, ServeBatchIsJobsInvariant)

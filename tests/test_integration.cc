@@ -11,9 +11,20 @@
 
 #include "aaws/experiment.h"
 #include "common/stats.h"
+#include "exp/run_spec.h"
 
 namespace aaws {
 namespace {
+
+/** Simulate `kernel` under `variant` on a topology preset. */
+RunResult
+run(const Kernel &kernel, Variant variant,
+    const std::string &topology = "4b4l", bool trace = false)
+{
+    exp::RunSpec spec{kernel.stats.name, variant, exp::kDefaultSeed, trace};
+    spec.overrides.topology = topology;
+    return exp::executeSpec(spec, kernel);
+}
 
 /** Small-but-representative kernel subset to keep test time bounded. */
 std::vector<std::string>
@@ -26,12 +37,8 @@ TEST(Integration, FullAawsNeverSlowsDown4B4L)
 {
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
-        double base =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base)
-                .sim.exec_seconds;
-        double psm =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base_psm)
-                .sim.exec_seconds;
+        double base = run(kernel, Variant::base).sim.exec_seconds;
+        double psm = run(kernel, Variant::base_psm).sim.exec_seconds;
         // Paper range: 1.02x - 1.32x.
         EXPECT_GT(base / psm, 1.0) << name;
         EXPECT_LT(base / psm, 1.6) << name;
@@ -42,8 +49,7 @@ TEST(Integration, MuggingExhaustsItsOpportunities)
 {
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
-        SimResult result =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base_psm).sim;
+        SimResult result = run(kernel, Variant::base_psm).sim;
         double eligible =
             result.regions.lp_bi_ge_la + result.regions.lp_bi_lt_la;
         EXPECT_LT(eligible, 0.03 * result.exec_seconds) << name;
@@ -57,10 +63,8 @@ TEST(Integration, EnergyEfficiencyImprovesWithFullAaws)
     std::vector<double> gains;
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
-        RunResult base =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base);
-        RunResult psm =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base_psm);
+        RunResult base = run(kernel, Variant::base);
+        RunResult psm = run(kernel, Variant::base_psm);
         gains.push_back(psm.efficiency() / base.efficiency());
     }
     EXPECT_GT(median(gains), 1.0);
@@ -74,10 +78,8 @@ TEST(Integration, EnergyEfficiencyImprovesWithFullAaws)
 TEST(Integration, SprintingCutsWaitingEnergy)
 {
     Kernel kernel = makeKernel("qsort-1"); // large LP regions
-    SimResult base =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base).sim;
-    SimResult ps =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_ps).sim;
+    SimResult base = run(kernel, Variant::base).sim;
+    SimResult ps = run(kernel, Variant::base_ps).sim;
     EXPECT_LT(ps.waiting_energy, base.waiting_energy * 0.7);
 }
 
@@ -86,10 +88,8 @@ TEST(Integration, MuggingAloneReducesBusyWaitingEnergy)
     // Section V-C: base+m reduces the busy-waiting energy of cores in
     // the steal loop (they spin at nominal without sprinting).
     Kernel kernel = makeKernel("radix-2");
-    SimResult base =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base).sim;
-    SimResult m =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_m).sim;
+    SimResult base = run(kernel, Variant::base).sim;
+    SimResult m = run(kernel, Variant::base_m).sim;
     EXPECT_LT(m.waiting_energy, base.waiting_energy);
     EXPECT_GT(m.mugs, 0u);
 }
@@ -99,15 +99,9 @@ TEST(Integration, TechniquesComposeMonotonicallyOnLpHeavyKernels)
     // qsort-1's exponential dataset creates the large LP regions the
     // paper highlights: each added technique should not hurt.
     Kernel kernel = makeKernel("qsort-1");
-    double t_base =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base)
-            .sim.exec_seconds;
-    double t_ps =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_ps)
-            .sim.exec_seconds;
-    double t_psm =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_psm)
-            .sim.exec_seconds;
+    double t_base = run(kernel, Variant::base).sim.exec_seconds;
+    double t_ps = run(kernel, Variant::base_ps).sim.exec_seconds;
+    double t_psm = run(kernel, Variant::base_psm).sim.exec_seconds;
     EXPECT_LT(t_ps, t_base);
     EXPECT_LE(t_psm, t_ps * 1.02);
 }
@@ -115,11 +109,11 @@ TEST(Integration, TechniquesComposeMonotonicallyOnLpHeavyKernels)
 TEST(Integration, BothSystemsRunEveryVariant)
 {
     Kernel kernel = makeKernel("mis");
-    for (SystemShape shape : {SystemShape::s4B4L, SystemShape::s1B7L}) {
+    for (const char *topology : {"4b4l", "1b7l"}) {
         for (Variant v : allVariants()) {
-            SimResult result = runKernel(kernel, shape, v).sim;
+            SimResult result = run(kernel, v, topology).sim;
             EXPECT_GT(result.exec_seconds, 0.0)
-                << systemName(shape) << " " << variantName(v);
+                << topology << " " << variantName(v);
             EXPECT_NEAR(result.regions.total(), result.exec_seconds,
                         result.exec_seconds * 1e-6);
         }
@@ -131,12 +125,8 @@ TEST(Integration, FourBigFourLittleBeatsOneBigSevenLittle)
     // Section V-A: the 4B4L system strictly increases performance.
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
-        double t_4b4l =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base)
-                .sim.exec_seconds;
-        double t_1b7l =
-            runKernel(kernel, SystemShape::s1B7L, Variant::base)
-                .sim.exec_seconds;
+        double t_4b4l = run(kernel, Variant::base).sim.exec_seconds;
+        double t_1b7l = run(kernel, Variant::base, "1b7l").sim.exec_seconds;
         EXPECT_LT(t_4b4l, t_1b7l) << name;
     }
 }
@@ -147,9 +137,7 @@ TEST(Integration, ParallelSpeedupsAreRespectable)
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
         double serial_io = serialSeconds(kernel, CoreType::little);
-        double t =
-            runKernel(kernel, SystemShape::s4B4L, Variant::base)
-                .sim.exec_seconds;
+        double t = run(kernel, Variant::base).sim.exec_seconds;
         EXPECT_GT(serial_io / t, 3.0) << name;
         EXPECT_LT(serial_io / t, 20.0) << name;
     }
@@ -158,8 +146,7 @@ TEST(Integration, ParallelSpeedupsAreRespectable)
 TEST(Integration, TraceShowsPacingLoweringBigVoltage)
 {
     Kernel kernel = makeKernel("radix-2");
-    RunResult result = runKernel(kernel, SystemShape::s4B4L,
-                                 Variant::base_psm, /*trace=*/true);
+    RunResult result = run(kernel, Variant::base_psm, "4b4l", /*trace=*/true);
     bool big_below_nominal = false;
     bool little_above_nominal = false;
     for (const auto &rec : result.sim.trace.records()) {

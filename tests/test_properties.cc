@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "aaws/experiment.h"
+#include "exp/run_spec.h"
 #include "model/optimizer.h"
 
 namespace aaws {
@@ -167,6 +169,18 @@ class ShapeSweep
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {
   protected:
+    /** The topology preset of an nBmL shape (empty clusters left out). */
+    static std::string
+    preset(int n_big, int n_little)
+    {
+        std::string name;
+        if (n_big > 0)
+            name += std::to_string(n_big) + "b";
+        if (n_little > 0)
+            name += std::to_string(n_little) + "l";
+        return name;
+    }
+
     static TaskDag
     workload()
     {
@@ -189,8 +203,7 @@ TEST_P(ShapeSweep, AllVariantsCompleteAndAccount)
     TaskDag dag = workload();
     for (Variant v : allVariants()) {
         MachineConfig config;
-        config.n_big = n_big;
-        config.n_little = n_little;
+        config.topology = preset(n_big, n_little);
         applyVariant(config, v);
         SimResult r = Machine(config, dag).run();
         EXPECT_GT(r.exec_seconds, 0.0) << variantName(v);
@@ -213,11 +226,10 @@ TEST_P(ShapeSweep, MoreBigCoresNeverSlower)
         GTEST_SKIP() << "only meaningful for upgradable shapes";
     TaskDag dag = workload();
     MachineConfig small;
-    small.n_big = n_big;
-    small.n_little = n_little;
+    small.topology = preset(n_big, n_little);
     applyVariant(small, Variant::base);
     MachineConfig bigger = small;
-    bigger.n_big = n_big + 1;
+    bigger.topology = preset(n_big + 1, n_little);
     SimResult a = Machine(small, dag).run();
     SimResult b = Machine(bigger, dag).run();
     EXPECT_LE(b.exec_seconds, a.exec_seconds * 1.001);
@@ -238,13 +250,20 @@ INSTANTIATE_TEST_SUITE_P(
 
 class KernelInvariants : public ::testing::TestWithParam<std::string>
 {
+  protected:
+    /** Simulate `kernel` under `variant` on the default machine. */
+    static SimResult
+    run(const Kernel &kernel, Variant variant)
+    {
+        return exp::executeSpec({kernel.stats.name, variant}, kernel).sim;
+    }
 };
 
 TEST_P(KernelInvariants, EveryTaskRunsExactlyOnce)
 {
     Kernel kernel = makeKernel(GetParam());
     for (Variant v : {Variant::base, Variant::base_psm}) {
-        SimResult r = runKernel(kernel, SystemShape::s4B4L, v).sim;
+        SimResult r = run(kernel, v);
         EXPECT_EQ(r.tasks_executed, kernel.dag.numTasks())
             << variantName(v);
     }
@@ -253,8 +272,7 @@ TEST_P(KernelInvariants, EveryTaskRunsExactlyOnce)
 TEST_P(KernelInvariants, InstructionsCoverDagWork)
 {
     Kernel kernel = makeKernel(GetParam());
-    SimResult r =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_psm).sim;
+    SimResult r = run(kernel, Variant::base_psm);
     // All DAG work executes, plus bounded runtime overhead (< 25%).
     EXPECT_GE(r.instructions, kernel.dag.totalWork());
     EXPECT_LE(r.instructions,
@@ -267,10 +285,8 @@ TEST_P(KernelInvariants, ExecTimeBoundedByWorkAndSpanLaws)
     // Brent-style bounds: T_P >= max(T_1/ideal_throughput, T_inf/fast)
     // and T_P <= T_1 / slowest-core throughput.
     Kernel kernel = makeKernel(GetParam());
-    SimResult r =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base).sim;
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base);
+    SimResult r = run(kernel, Variant::base);
+    MachineConfig config = configFor(kernel, Variant::base);
     FirstOrderModel model(config.app_params);
     double ips_little = model.ips(CoreType::little, 1.0);
     double ips_big = model.ips(CoreType::big, 1.0);
@@ -283,8 +299,7 @@ TEST_P(KernelInvariants, ExecTimeBoundedByWorkAndSpanLaws)
 TEST_P(KernelInvariants, MuggingEliminatesEligibleRegions)
 {
     Kernel kernel = makeKernel(GetParam());
-    SimResult r =
-        runKernel(kernel, SystemShape::s4B4L, Variant::base_psm).sim;
+    SimResult r = run(kernel, Variant::base_psm);
     double eligible = r.regions.lp_bi_lt_la + r.regions.lp_bi_ge_la;
     EXPECT_LT(eligible, 0.05 * r.exec_seconds);
 }

@@ -335,34 +335,33 @@ TEST(MugTrigger, PhaseMuggeeIsTheFirstIdleBigCore)
 
 TEST(ActivityCensus, IncrementalMatchesRecountUnderRandomTransitions)
 {
-    const int n_big = 3, n_little = 5;
-    std::vector<int> cluster_of;
-    for (int i = 0; i < n_big + n_little; ++i) {
-        cluster_of.push_back(i < n_big ? 0 : 1);
-    }
+    const CoreTopology topo = makeTopology("3b5l", ModelParams{});
+    const std::vector<int> &cluster_of = topo.coreClusters();
     std::vector<bool> active(cluster_of.size(), false);
-    sched::ActivityCensus incremental(n_big, n_little);
-    sched::ActivityCensus recounted(n_big, n_little);
+    sched::ActivityCensus incremental(topo);
+    sched::ActivityCensus recounted(topo);
     std::mt19937 rng(42);
     for (int step = 0; step < 2000; ++step) {
         int c = static_cast<int>(rng() % cluster_of.size());
         active[c] = !active[c];
         incremental.note(cluster_of[c], active[c]);
         recounted.recount(active, cluster_of);
-        ASSERT_EQ(incremental.bigActive(), recounted.bigActive());
-        ASSERT_EQ(incremental.littleActive(), recounted.littleActive());
-        ASSERT_EQ(incremental.allBigActive(), recounted.allBigActive());
+        ASSERT_EQ(incremental.clusterActive(0), recounted.clusterActive(0));
+        ASSERT_EQ(incremental.clusterActive(1), recounted.clusterActive(1));
+        ASSERT_EQ(incremental.allFasterActive(1),
+                  recounted.allFasterActive(1));
         ASSERT_EQ(incremental.allActive(), recounted.allActive());
     }
 }
 
 TEST(ActivityCensus, BootsAllActiveWhenAsked)
 {
-    sched::ActivityCensus census(2, 6, /*all_active=*/true);
+    sched::ActivityCensus census(makeTopology("2b6l", ModelParams{}),
+                                 /*all_active=*/true);
     EXPECT_TRUE(census.allActive());
     EXPECT_EQ(census.active(), 8);
     census.note(/*cluster=*/0, false);
-    EXPECT_FALSE(census.allBigActive());
+    EXPECT_FALSE(census.allFasterActive(1));
     EXPECT_EQ(census.active(), 7);
 }
 
@@ -389,8 +388,8 @@ TEST(PolicyStack, AssemblyWiresEverySwitch)
 
 TEST(MachineConfigSchedPolicy, MirrorsTheLegacySwitches)
 {
-    MachineConfig config = MachineConfig::system4B4L();
-    config.random_victim = true;
+    MachineConfig config;
+    config.victim = sched::VictimPolicy::random;
     config.work_biasing = false;
     config.work_mugging = true;
     config.policy.work_pacing = true;
@@ -534,7 +533,7 @@ class GovernorTest : public ::testing::Test
 {
   protected:
     GovernorTest()
-        : table_(FirstOrderModel(mp_), 1, 3)
+        : table_(FirstOrderModel(mp_), makeTopology("1b3l", mp_))
     {
     }
 
@@ -544,10 +543,9 @@ class GovernorTest : public ::testing::Test
 
 TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_p), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
     // All hint bits boot active, so work-pacing applies the full cell.
-    const DvfsTableEntry &entry = table_.at(1, 3);
+    const DvfsTableEntry &entry = table_.atCounts({1, 3});
     EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.vBig());
     for (int w = 1; w < 4; ++w)
         EXPECT_DOUBLE_EQ(gov.decision(w).voltage, entry.vLittle());
@@ -556,8 +554,7 @@ TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
 
 TEST_F(GovernorTest, PacingOnlyGovernorGoesNominalWhenAWorkerRests)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_p), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
     gov.onWorkerWaiting(2);
     EXPECT_EQ(gov.activeWorkers(), 3);
     // base+p has no work-sprinting: partial activity is all-nominal.
@@ -567,10 +564,9 @@ TEST_F(GovernorTest, PacingOnlyGovernorGoesNominalWhenAWorkerRests)
 
 TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
     gov.onWorkerWaiting(2);
-    const DvfsTableEntry &entry = table_.at(1, 2);
+    const DvfsTableEntry &entry = table_.atCounts({1, 2});
     EXPECT_DOUBLE_EQ(gov.decision(2).voltage, mp_.v_min);
     EXPECT_EQ(gov.decision(2).intent, sched::VoltageIntent::rest);
     EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.vBig());
@@ -579,14 +575,13 @@ TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
     EXPECT_GT(gov.sprintIntents(), 0u);
     // The worker coming back re-decides: all-active pacing again.
     gov.onWorkerActive(2);
-    const DvfsTableEntry &full = table_.at(1, 3);
+    const DvfsTableEntry &full = table_.atCounts({1, 3});
     EXPECT_DOUBLE_EQ(gov.decision(2).voltage, full.vLittle());
 }
 
 TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)
 {
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
     uint64_t rounds = gov.decisionRounds();
     gov.onWorkerActive(1); // already active: census unchanged
     EXPECT_EQ(gov.decisionRounds(), rounds);
@@ -599,8 +594,8 @@ TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)
 TEST_F(GovernorTest, GovernsALivePoolAndForwardsDownstream)
 {
     ActivityMonitor monitor(4);
-    PacingGovernor gov(4, 1, policyConfigFor(Variant::base_ps), table_,
-                       mp_, &monitor);
+    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_,
+                       &monitor);
     PoolOptions options;
     options.policy = policyConfigFor(Variant::base_ps);
     options.n_big = 1;

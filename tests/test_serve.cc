@@ -21,6 +21,7 @@
 
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "exp/run_spec.h"
 #include "serve/arrival.h"
 #include "serve/native_server.h"
 #include "serve/sim_server.h"
@@ -478,11 +479,46 @@ TEST(SimServer, MachineSampledServiceTableWorksEndToEnd)
     spec.arrival.rate_hz = 20.0;
     spec.requests = 300;
     spec.service_samples = 2;
+    Kernel kernel = makeKernel("dict", 5);
     SimResult result = serve::simulateService(
-        "dict", SystemShape::s4B4L, Variant::base_psm, 5, spec);
+        serve::sampleServiceTable(configFor(kernel, Variant::base_psm),
+                                  "dict", 5, spec.service_samples),
+        5, spec);
     expectWellFormed(result, spec);
     EXPECT_GT(result.serve.energy, 0.0);
     EXPECT_GT(result.serve.p50, 0.0);
+}
+
+TEST(SimServer, SpecOverridesReachTheServiceTable)
+{
+    // A serving spec samples its service table on configForSpec's
+    // machine, so every override reaches it, the topology included.
+    serve::ServeSpec serving;
+    serving.arrival.rate_hz = 20.0;
+    serving.requests = 300;
+    serving.service_samples = 2;
+    exp::RunSpec plain{"dict", Variant::base_psm, 5};
+    plain.serve = serving;
+    Kernel kernel = makeKernel(plain.kernel, plain.seed);
+    auto sampled = [&](const exp::RunSpec &spec) {
+        return serve::simulateService(
+            serve::sampleServiceTable(exp::configForSpec(kernel, spec),
+                                      spec.kernel, spec.seed,
+                                      serving.service_samples),
+            spec.seed, serving);
+    };
+    const SimResult on_4b4l = sampled(plain);
+
+    exp::RunSpec small = plain;
+    small.overrides.topology = "1b7l";
+    exp::RunSpec costly = plain;
+    costly.overrides.steal_attempt_cycles = 1000;
+    for (const exp::RunSpec *spec : {&small, &costly}) {
+        SCOPED_TRACE(exp::canonicalSpec(*spec));
+        SimResult served = exp::executeSpec(*spec).sim;
+        stress::expectIdenticalResults(served, sampled(*spec));
+        EXPECT_NE(served.exec_seconds, on_4b4l.exec_seconds);
+    }
 }
 
 TEST(SimServer, ServeStatsSurviveResultJsonRoundTrip)

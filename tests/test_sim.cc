@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "aaws/experiment.h"
 #include "aaws/variant.h"
+#include "exp/run_spec.h"
 #include "sim/machine.h"
 #include "sim/stats_writer.h"
 
@@ -20,11 +23,10 @@ namespace {
 
 /** Machine config with every AAWS/baseline technique disabled. */
 MachineConfig
-plainConfig(int n_big = 4, int n_little = 4)
+plainConfig(const std::string &topology = "4b4l")
 {
     MachineConfig config;
-    config.n_big = n_big;
-    config.n_little = n_little;
+    config.topology = topology;
     config.policy.work_pacing = false;
     config.policy.work_sprinting = false;
     config.policy.serial_sprinting = false;
@@ -391,13 +393,12 @@ TEST(SimGuards, RunTwicePanics)
 
 TEST(SimShapes, OneBigSevenLittleWorks)
 {
-    MachineConfig config = plainConfig(1, 7);
+    MachineConfig config = plainConfig("1b7l");
     TaskDag dag = forkJoinDag(64, 500'000);
     SimResult result = Machine(config, dag).run();
     EXPECT_EQ(result.tasks_executed, 65u);
     // 4B4L is strictly faster than 1B7L on the same work (Section V-A).
-    SimResult result_4b4l =
-        Machine(plainConfig(4, 4), dag).run();
+    SimResult result_4b4l = Machine(plainConfig("4b4l"), dag).run();
     EXPECT_LT(result_4b4l.exec_seconds, result.exec_seconds);
 }
 
@@ -435,7 +436,7 @@ TEST(SimDvfs, TransitionSensitivityIsSmall)
 
 TEST(SimEdge, SingleCoreMachineSerializesEverything)
 {
-    MachineConfig config = plainConfig(1, 0);
+    MachineConfig config = plainConfig("1b");
     TaskDag dag = forkJoinDag(4, 1'000'000);
     SimResult result = Machine(config, dag).run();
     EXPECT_EQ(result.tasks_executed, 5u);
@@ -446,7 +447,7 @@ TEST(SimEdge, SingleCoreMachineSerializesEverything)
 
 TEST(SimEdge, LittleOnlyMachineRunsSerialOnLittle)
 {
-    MachineConfig config = plainConfig(0, 2);
+    MachineConfig config = plainConfig("2l");
     TaskDag dag = serialDag(666'000);
     SimResult result = Machine(config, dag).run();
     FirstOrderModel model(config.app_params);
@@ -542,9 +543,8 @@ TEST(SimEdge, ContentionSlowsActiveCores)
 TEST(SimEdge, RandomVictimStillCompletesEverything)
 {
     Kernel kernel = makeKernel("mis");
-    MachineConfig config =
-        configFor(kernel, SystemShape::s4B4L, Variant::base_psm);
-    config.random_victim = true;
+    MachineConfig config = configFor(kernel, Variant::base_psm);
+    config.victim = sched::VictimPolicy::random;
     SimResult result = Machine(config, kernel.dag).run();
     EXPECT_EQ(result.tasks_executed, kernel.dag.numTasks());
     EXPECT_NEAR(result.regions.total(), result.exec_seconds,
@@ -625,8 +625,8 @@ TEST(SimEventCount, PinnedPerKernelRegression)
         {"qsort-1", 24786},
     };
     for (const Expectation &expect : expectations) {
-        RunResult run = runKernel(expect.kernel, SystemShape::s4B4L,
-                                  Variant::base_psm);
+        RunResult run =
+            exp::executeSpec({expect.kernel, Variant::base_psm});
         EXPECT_EQ(run.sim.sim_events, expect.events) << expect.kernel;
         EXPECT_GT(run.sim.sim_events, run.sim.tasks_executed)
             << expect.kernel;
@@ -635,8 +635,10 @@ TEST(SimEventCount, PinnedPerKernelRegression)
 
 TEST(SimEventCount, DeterministicAcrossRuns)
 {
-    RunResult a = runKernel("dict", SystemShape::s1B7L, Variant::base_m);
-    RunResult b = runKernel("dict", SystemShape::s1B7L, Variant::base_m);
+    exp::RunSpec spec{"dict", Variant::base_m};
+    spec.overrides.topology = "1b7l";
+    RunResult a = exp::executeSpec(spec);
+    RunResult b = exp::executeSpec(spec);
     EXPECT_EQ(a.sim.sim_events, b.sim.sim_events);
     EXPECT_GT(a.sim.sim_events, 0u);
 }

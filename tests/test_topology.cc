@@ -2,7 +2,7 @@
  * @file
  * N-cluster CoreTopology tests: the preset grammar, census indexing and
  * incremental maintenance, the equi-marginal cluster solver (including
- * its cross-validation against the legacy two-type optimizer), the
+ * its cross-validation against the two-type optimizer), the
  * per_cluster shared-rail collapse in the DVFS controller, and
  * criticality-aware victim selection.
  */
@@ -96,21 +96,20 @@ TEST(TopologyParse, RejectsMalformedNames)
 TEST(TopologyParse, PresetsMatchTheLegacyAdapters)
 {
     ModelParams mp;
-    // The preset path and the canonical legacy adapter must agree not
-    // just numerically but bit-for-bit: isLegacyBigLittle() is what
-    // routes DVFS-table generation through the original optimizer.
-    EXPECT_TRUE(makeTopology("4b4l", mp).isLegacyBigLittle(mp));
-    EXPECT_TRUE(makeTopology("1b7l", mp).isLegacyBigLittle(mp));
-    EXPECT_TRUE(
-        CoreTopology::bigLittle(4, 4, mp).isLegacyBigLittle(mp));
+    // The presets and the native pools' bigLittle() split must agree
+    // not just numerically but bit-for-bit: isBigLittle() is what
+    // routes DVFS-table generation through the two-type optimizer.
+    EXPECT_TRUE(makeTopology("4b4l", mp).isBigLittle(mp));
+    EXPECT_TRUE(makeTopology("1b7l", mp).isBigLittle(mp));
+    EXPECT_TRUE(CoreTopology::bigLittle(4, 4, mp).isBigLittle(mp));
     // Shared rails, extra clusters, or retargeted parameters all leave
-    // the legacy fast path.
-    EXPECT_FALSE(makeTopology("4b4l:pc", mp).isLegacyBigLittle(mp));
-    EXPECT_FALSE(makeTopology("2b2m4l", mp).isLegacyBigLittle(mp));
-    EXPECT_FALSE(makeTopology("8l", mp).isLegacyBigLittle(mp));
+    // the two-type solver.
+    EXPECT_FALSE(makeTopology("4b4l:pc", mp).isBigLittle(mp));
+    EXPECT_FALSE(makeTopology("2b2m4l", mp).isBigLittle(mp));
+    EXPECT_FALSE(makeTopology("8l", mp).isBigLittle(mp));
     ModelParams app;
     app.beta = 3.1;
-    EXPECT_FALSE(makeTopology("4b4l", app).isLegacyBigLittle(mp));
+    EXPECT_FALSE(makeTopology("4b4l", app).isBigLittle(mp));
 
     for (const std::string &name : topologyPresets()) {
         SCOPED_TRACE(name);
@@ -262,8 +261,8 @@ TEST(ClusterOptimizerTest, CrossValidatesAgainstTheTwoTypeOptimizer)
     // On two-cluster inputs the equi-marginal solver and the original
     // grid-plus-golden-section optimizer chase the same optimum; they
     // must agree to solver tolerance on every 4B4L census cell (the
-    // legacy DVFS path itself uses the original verbatim, so this is a
-    // consistency check, not a bit-identity requirement).
+    // paper's machines keep the two-type solver for their tables, so
+    // this is a consistency check, not a bit-identity requirement).
     ModelParams mp;
     FirstOrderModel model(mp);
     CoreTopology topo = CoreTopology::bigLittle(4, 4, mp);

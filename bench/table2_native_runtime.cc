@@ -489,12 +489,6 @@ main(int argc, char **argv)
     std::printf("=== Table II shootout: native backends vs alternative "
                 "schedulers (host: %d threads) ===\n\n", threads);
 
-    // Each backend family registers the constructing thread as its
-    // master (worker 0) in its own TLS slot, last constructor wins
-    // within a family.  Keep chan_adapt last: the ws-vs-chan ratio the
-    // claim registry checks then compares two pools that both treat
-    // this thread as a participating master, while chan_one/chan_half
-    // exercise the foreign-spawn injection path.
     WorkerPool ws_pool(threads);
     CentralQueuePool cq_pool(threads);
     ChannelPool chan_one(threads, PoolOptions{}, StealKind::one);

@@ -1,6 +1,7 @@
 #include "chan/backend_factory.h"
 
 #include "chan/channel_pool.h"
+#include "runtime/worker_pool.h"
 
 namespace aaws::chan {
 

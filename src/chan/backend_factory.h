@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "runtime/backend.h"
-#include "runtime/worker_pool.h"
 
 namespace aaws::chan {
 

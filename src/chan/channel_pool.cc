@@ -6,14 +6,6 @@
 
 namespace aaws::chan {
 
-namespace {
-
-/** Worker identity of the calling thread, keyed by pool. */
-thread_local const ChannelPool *tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
-} // namespace
-
 const char *
 stealKindName(StealKind kind)
 {
@@ -30,44 +22,19 @@ stealKindName(StealKind kind)
 
 ChannelPool::ChannelPool(int threads, const PoolOptions &options,
                          StealKind steal)
-    : hooks_(options.hooks), policy_config_(options.policy),
-      policy_(sched::makePolicyStack(options.policy)),
-      steal_kind_(steal)
+    : RuntimeBackend(threads, options), steal_kind_(steal)
 {
-    AAWS_ASSERT(threads >= 1, "pool needs at least one worker");
-    const int n_big = std::clamp(options.n_big, 0, threads);
-    topo_ = CoreTopology::bigLittle(n_big, threads - n_big, ModelParams{});
     workers_.reserve(threads);
-    victims_.reserve(threads);
     for (int i = 0; i < threads; ++i) {
         workers_.push_back(std::make_unique<WorkerState>(threads));
-        victims_.push_back(sched::makeVictimSelector(
-            options.policy.victim,
-            options.policy.victim_seed + static_cast<uint64_t>(i)));
+        adoptWorker(workers_.back()->hint);
     }
-    // All hint bits power up active, as the paper's cores do.
-    cluster_active_ =
-        std::make_unique<std::atomic<int>[]>(topo_.numClusters());
-    for (int k = 0; k < topo_.numClusters(); ++k)
-        cluster_active_[k].store(topo_.cluster(k).count,
-                                 std::memory_order_relaxed);
-    // The constructing thread is the master (worker 0).
-    tls_pool = this;
-    tls_worker = 0;
-    threads_.reserve(threads - 1);
-    for (int i = 1; i < threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+    startWorkers();
 }
 
 ChannelPool::~ChannelPool()
 {
-    stop_.store(true, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        sleep_cv_.notify_all();
-    }
-    for (auto &thread : threads_)
-        thread.join();
+    stopWorkers();
     // Drain un-executed tasks: private queues, plus any TaskBatch still
     // sitting in a task channel (granted but never received).
     for (auto &w : workers_) {
@@ -79,25 +46,13 @@ ChannelPool::~ChannelPool()
             for (int i = 0; i < batch.count; ++i)
                 delete batch.tasks[i];
     }
-    while (RtTask *task = tryTakeInjected())
-        delete task;
-    if (tls_pool == this) {
-        tls_pool = nullptr;
-        tls_worker = -1;
-    }
-}
-
-int
-ChannelPool::currentWorker() const
-{
-    return tls_pool == this ? tls_worker : -1;
 }
 
 void
 ChannelPool::spawnTask(RtTask *task)
 {
     int self = currentWorker();
-    // Foreign threads (including another pool's master) have no local
+    // Foreign threads (including another pool's workers) have no local
     // queue or task indicator; their spawns fall back to the
     // cross-thread injection queue, which workers — and the spawner's
     // own TaskGroup::wait loop — drain.
@@ -105,8 +60,7 @@ ChannelPool::spawnTask(RtTask *task)
         enqueueTask(task);
         return;
     }
-    if (hooks_)
-        hooks_->onSpawn(self);
+    noteSpawn(self);
     WorkerState &w = *workers_[self];
     w.local.push_back(task);
     w.indicator.fetch_add(1, std::memory_order_relaxed);
@@ -115,31 +69,6 @@ ChannelPool::spawnTask(RtTask *task)
     if (!w.held.empty())
         releaseHeld(self);
     wakeOne();
-}
-
-void
-ChannelPool::enqueueTask(RtTask *task)
-{
-    {
-        std::lock_guard<std::mutex> lock(inject_mutex_);
-        injected_.push_back(task);
-        injected_count_.fetch_add(1, std::memory_order_release);
-    }
-    wakeOne();
-}
-
-RtTask *
-ChannelPool::tryTakeInjected()
-{
-    if (injected_count_.load(std::memory_order_acquire) == 0)
-        return nullptr;
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    if (injected_.empty())
-        return nullptr;
-    RtTask *task = injected_.front();
-    injected_.pop_front();
-    injected_count_.fetch_sub(1, std::memory_order_release);
-    return task;
 }
 
 RtTask *
@@ -165,7 +94,7 @@ ChannelPool::tryTakeTask()
         RtTask *task = w.local.back();
         w.local.pop_back();
         w.indicator.fetch_sub(1, std::memory_order_relaxed);
-        noteFound(self);
+        noteFound(self, w.hint);
         return task;
     }
     // A reply to our outstanding request?  Received even when the
@@ -179,30 +108,21 @@ ChannelPool::tryTakeTask()
         // says back off to single tasks.
         w.steal_half_next = batch.count > 0;
         if (batch.count > 0) {
-            steals_.fetch_add(1, std::memory_order_relaxed);
             tasks_received_.fetch_add(
                 static_cast<uint64_t>(batch.count),
                 std::memory_order_relaxed);
-            if (batch.mug) {
-                mugs_.fetch_add(1, std::memory_order_relaxed);
-                if (hooks_)
-                    hooks_->onMug(self, batch.victim);
-            }
-            if (hooks_)
-                hooks_->onStealSuccess(self, batch.victim);
             for (int i = 1; i < batch.count; ++i)
                 w.local.push_back(batch.tasks[i]);
             if (batch.count > 1)
                 w.indicator.fetch_add(batch.count - 1,
                                       std::memory_order_relaxed);
-            noteFound(self);
+            noteSteal(self, batch.victim, batch.mug);
             return batch.tasks[0];
         }
     }
     // Work-biasing: a gated-out little worker charges a failed attempt
     // without posting any request, exactly as the deque backend does.
-    const sched::SchedView &view = *this;
-    if (!policy_.gate.allowSteal(view, self)) {
+    if (!stealAllowed(self)) {
         noteFailed(self);
         return nullptr;
     }
@@ -346,41 +266,25 @@ ChannelPool::releaseHeld(int self)
 void
 ChannelPool::maybeSendRequest(int self)
 {
-    WorkerState &w = *workers_[self];
-    const sched::SchedView &view = *this;
     StealRequest req;
     req.thief = self;
     req.kind = resolveKind(self);
     // Work-mugging as a message: when the mug trigger fires for this
     // starved fast-cluster worker, the request goes straight to the
     // policy's muggee with the mug flag set, bypassing victim selection.
-    if (policy_.mug.wantsMug(view, self, w.failed)) {
-        int muggee = policy_.mug.pickMuggee(view, topo_.clusterOf(self));
-        if (muggee >= 0 && muggee != self) {
-            req.mug = true;
-            mug_attempts_.fetch_add(1, std::memory_order_relaxed);
-            if (hooks_)
-                hooks_->onStealAttempt(self, muggee);
-            ChanStatus status = workers_[muggee]->requests.trySend(req);
-            AAWS_ASSERT(status == ChanStatus::ok,
-                        "request mailbox overflow");
-            (void)status;
-            requests_sent_.fetch_add(1, std::memory_order_relaxed);
-            w.outstanding = true;
-            wakeOne();
+    int victim = mugTarget(self);
+    req.mug = victim >= 0;
+    if (!req.mug) {
+        victim = pickVictim(self);
+        if (victim < 0 || victim == self)
             return;
-        }
+        noteStealAttempt(self, victim);
     }
-    int victim = victims_[self]->pick(view, self);
-    if (victim < 0 || victim == self)
-        return;
-    if (hooks_)
-        hooks_->onStealAttempt(self, victim);
     ChanStatus status = workers_[victim]->requests.trySend(req);
     AAWS_ASSERT(status == ChanStatus::ok, "request mailbox overflow");
     (void)status;
     requests_sent_.fetch_add(1, std::memory_order_relaxed);
-    w.outstanding = true;
+    workers_[self]->outstanding = true;
     wakeOne();
 }
 
@@ -397,79 +301,6 @@ ChannelPool::resolveKind(int self)
                                                : StealKind::one;
     }
     return StealKind::one;
-}
-
-void
-ChannelPool::noteFound(int self)
-{
-    WorkerState &w = *workers_[self];
-    w.failed = 0;
-    if (w.waiting.load(std::memory_order_relaxed)) {
-        w.waiting.store(false, std::memory_order_relaxed);
-        cluster_active_[topo_.clusterOf(self)].fetch_add(
-            1, std::memory_order_relaxed);
-        if (hooks_)
-            hooks_->onWorkerActive(self);
-    }
-}
-
-void
-ChannelPool::noteFailed(int self)
-{
-    WorkerState &w = *workers_[self];
-    // Same hint protocol as the deque backend: the activity bit toggles
-    // on the second consecutive failed attempt; the count keeps running
-    // (saturating) so the mug trigger can read the starvation streak.
-    w.failed = std::min(w.failed + 1, 1 << 20);
-    if (w.failed == 2 && !w.waiting.load(std::memory_order_relaxed)) {
-        w.waiting.store(true, std::memory_order_relaxed);
-        cluster_active_[topo_.clusterOf(self)].fetch_sub(
-            1, std::memory_order_relaxed);
-        if (hooks_)
-            hooks_->onWorkerWaiting(self);
-    }
-}
-
-void
-ChannelPool::wakeOne()
-{
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        sleep_cv_.notify_one();
-    }
-}
-
-void
-ChannelPool::workerLoop(int index)
-{
-    tls_pool = this;
-    tls_worker = index;
-    int idle_spins = 0;
-    while (!stop_.load(std::memory_order_acquire)) {
-        RtTask *task = tryTakeTask();
-        if (task) {
-            idle_spins = 0;
-            task->invoke(task);
-            continue;
-        }
-        if (++idle_spins < 64) {
-            std::this_thread::yield();
-            continue;
-        }
-        // Park with a 1ms backstop: the timeout doubles as the liveness
-        // guarantee for request service — a sleeping victim re-checks
-        // its mailbox at least once a millisecond even if every wakeup
-        // notification went to another worker.
-        if (hooks_)
-            hooks_->onRest(index);
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        sleepers_.fetch_add(1, std::memory_order_acq_rel);
-        sleep_cv_.wait_for(lock, std::chrono::milliseconds(1));
-        sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-        idle_spins = 0;
-    }
-    tls_pool = nullptr;
-    tls_worker = -1;
 }
 
 } // namespace aaws::chan

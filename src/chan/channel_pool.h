@@ -24,36 +24,32 @@
  * to work sharing), and a holder that is itself starving declines all
  * held requests so thieves can re-aim.
  *
- * Policy-wise the pool is a drop-in peer of WorkerPool: it implements
- * `RuntimeBackend` + `sched::SchedView`, consults the same PolicyStack
- * (victim selection, the work-biasing steal gate, the mug trigger), and
- * fires the same SchedulerHooks — so all five AAWS variants and the
- * PacingGovernor run on it unchanged.  Work-mugging becomes a *literal
- * message*: a starved big worker posts a mug-flagged request straight
- * into the policy-picked muggee's mailbox (never forwarded, never
- * held), much closer to the paper's user-level interrupts than the
- * deque backend's queue raid.
+ * Policy-wise the pool is a drop-in peer of WorkerPool: both derive
+ * from the shared body in `runtime/backend.h`, which owns the worker
+ * threads, the activity hints and census, parking, the injection queue,
+ * the steal/mug counters and hooks, and the `src/sched/` policy
+ * components (victim selection, the work-biasing steal gate, the mug
+ * trigger) — so all five AAWS variants and the PacingGovernor run on it
+ * unchanged.  This class adds only the queues and the channel protocol.
+ * Work-mugging becomes a *literal message*: a starved big worker posts
+ * a mug-flagged request straight into the policy-picked muggee's
+ * mailbox (never forwarded, never held), much closer to the paper's
+ * user-level interrupts than the deque backend's queue raid.
  */
 
 #ifndef AAWS_CHAN_CHANNEL_POOL_H
 #define AAWS_CHAN_CHANNEL_POOL_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "chan/channel.h"
 #include "chan/steal_request.h"
 #include "runtime/backend.h"
-#include "runtime/hooks.h"
-#include "runtime/worker_pool.h"
-#include "sched/policy_stack.h"
-#include "sched/view.h"
+#include "runtime/task.h"
 
 namespace aaws::chan {
 
@@ -62,12 +58,10 @@ namespace aaws::chan {
  * thread is worker 0 (the master) and participates whenever it waits on
  * a TaskGroup; `threads - 1` additional worker threads are spawned.
  *
- * Reuses `runtime`'s PoolOptions (policy assembly, worker-cluster split,
- * hooks); `steal` additionally selects the request granularity
- * (steal-one / steal-half / adaptive), which is a backend mechanism,
- * not an AAWS policy switch.
+ * `steal` selects the request granularity (steal-one / steal-half /
+ * adaptive), which is a backend mechanism, not an AAWS policy switch.
  */
-class ChannelPool : public RuntimeBackend, private sched::SchedView
+class ChannelPool : public RuntimeBackend
 {
   public:
     explicit ChannelPool(int threads,
@@ -76,43 +70,9 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
 
     ~ChannelPool() override;
 
-    ChannelPool(const ChannelPool &) = delete;
-    ChannelPool &operator=(const ChannelPool &) = delete;
-
-    /** Single final overrider for both RuntimeBackend and SchedView. */
-    int numWorkers() const override
-    {
-        return static_cast<int>(workers_.size());
-    }
-
-    int currentWorker() const override;
-
     void spawnTask(RtTask *task) override;
 
-    void enqueueTask(RtTask *task) override;
-
     RtTask *tryTakeTask() override;
-
-    /** Successful steals = non-empty TaskBatch receipts (incl. mugs). */
-    uint64_t steals() const override
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-    uint64_t mugAttempts() const override
-    {
-        return mug_attempts_.load(std::memory_order_relaxed);
-    }
-
-    uint64_t mugs() const override
-    {
-        return mugs_.load(std::memory_order_relaxed);
-    }
-
-    const sched::PolicyConfig &policyConfig() const override
-    {
-        return policy_config_;
-    }
 
     /** The configured request granularity. */
     StealKind stealKind() const { return steal_kind_; }
@@ -178,10 +138,7 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
         bool steal_half_next = false;
         /** Lifeline parking lot: requests held until work appears. */
         std::vector<StealRequest> held;
-        /** Consecutive failed take attempts (owner-thread only). */
-        int failed = 0;
-        /** Activity hint bit read by the concurrent census. */
-        std::atomic<bool> waiting{false};
+        WorkerHint hint;
 
         explicit WorkerState(int threads)
             : requests(static_cast<std::size_t>(2 * threads)), batches(2)
@@ -190,12 +147,6 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
     };
     static_assert(alignof(WorkerState) == kCacheLine,
                   "per-worker blocks must not share a cache line");
-
-    void workerLoop(int index);
-    void wakeOne();
-    void noteFound(int self);
-    void noteFailed(int self);
-    RtTask *tryTakeInjected();
 
     /** Drain the mailbox, answering/forwarding/holding each request. */
     void serveRequests(int self);
@@ -213,69 +164,21 @@ class ChannelPool : public RuntimeBackend, private sched::SchedView
     /** Resolve the configured kind to the on-wire one/half. */
     StealKind resolveKind(int self);
 
-    // --- sched::SchedView (concurrent snapshots) ------------------------
-
-    int64_t dequeSize(int worker) const override
+    int64_t
+    dequeSize(int worker) const override
     {
         return workers_[worker]->indicator.load(std::memory_order_relaxed);
     }
 
-    sched::CoreActivity activity(int core) const override
-    {
-        return workers_[core]->waiting.load(std::memory_order_relaxed)
-                   ? sched::CoreActivity::stealing
-                   : sched::CoreActivity::running;
-    }
-
-    int numClusters() const override { return topo_.numClusters(); }
-
-    int clusterOf(int core) const override { return topo_.clusterOf(core); }
-
-    int clusterSize(int cluster) const override
-    {
-        return topo_.cluster(cluster).count;
-    }
-
-    int clusterActive(int cluster) const override
-    {
-        return cluster_active_[cluster].load(std::memory_order_relaxed);
-    }
-
     std::vector<std::unique_ptr<WorkerState>> workers_;
-    SchedulerHooks *hooks_ = nullptr;
-    sched::PolicyConfig policy_config_{};
-    sched::PolicyStack policy_;
-    /** One stateful selector per worker (pick() is single-threaded). */
-    std::vector<std::unique_ptr<sched::VictimSelector>> victims_;
     StealKind steal_kind_ = StealKind::adaptive;
-    /** Worker-cluster assignment (the n_big split). */
-    CoreTopology topo_;
-    /**
-     * Hint-bit census per cluster (the biasing gate's input).  Array,
-     * not vector: atomics are not movable.
-     */
-    std::unique_ptr<std::atomic<int>[]> cluster_active_;
-    std::vector<std::thread> threads_;
-    std::atomic<bool> stop_{false};
 
-    std::atomic<uint64_t> steals_{0};
-    std::atomic<uint64_t> mug_attempts_{0};
-    std::atomic<uint64_t> mugs_{0};
     std::atomic<uint64_t> requests_sent_{0};
     std::atomic<uint64_t> tasks_received_{0};
     std::atomic<uint64_t> declines_{0};
     std::atomic<uint64_t> forwards_{0};
     std::atomic<uint64_t> lifeline_holds_{0};
     std::atomic<uint64_t> lifeline_grants_{0};
-
-    std::mutex sleep_mutex_;
-    std::condition_variable sleep_cv_;
-    std::atomic<int> sleepers_{0};
-
-    /** Foreign-thread injection queue (enqueue()); see WorkerPool. */
-    std::mutex inject_mutex_;
-    std::deque<RtTask *> injected_;
-    std::atomic<size_t> injected_count_{0};
 };
 
 } // namespace aaws::chan

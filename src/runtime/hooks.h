@@ -23,7 +23,14 @@ namespace aaws {
 /**
  * Observer of per-worker activity transitions.  Callbacks may run
  * concurrently from different workers but never concurrently for the
- * same worker index.
+ * same worker index.  Both native backends fire them from one shared
+ * body (runtime/backend.h), so the sequences below hold for either.
+ *
+ * A foreign thread — one that is not a worker of the pool, helping
+ * from a TaskGroup::wait — reports onStealAttempt and onStealSuccess
+ * with thief index -1 when it steals on the deque backend.  The
+ * never-concurrently promise does not cover -1: any number of foreign
+ * threads may report it at once.
  */
 class SchedulerHooks
 {
@@ -40,10 +47,11 @@ class SchedulerHooks
     virtual void onWorkerWaiting(int worker) { (void)worker; }
 
     /**
-     * Worker `thief` is about to attempt a steal from `victim`'s deque
-     * (after victim selection, before touching the victim's top index).
-     * High-frequency instrumentation point; also what the stress suite's
-     * schedule shaker uses to perturb thread interleavings.
+     * Worker `thief` is about to attempt a steal from `victim` (after
+     * victim selection, before touching the victim's deque or posting
+     * it a steal request).  High-frequency instrumentation point; also
+     * what the stress suite's schedule shaker uses to perturb thread
+     * interleavings.
      */
     virtual void
     onStealAttempt(int thief, int victim)
@@ -52,13 +60,14 @@ class SchedulerHooks
         (void)victim;
     }
 
-    /** Worker is about to push a spawned task onto its own deque. */
+    /** Worker is about to push a spawned task onto its own queue. */
     virtual void onSpawn(int worker) { (void)worker; }
 
     /**
-     * Worker `thief` took a task from `victim`'s deque.  Fires after
-     * the steal committed (the task is the thief's) and before the
-     * thief starts executing it.
+     * Worker `thief` took work from `victim`: a committed deque steal,
+     * or a granted batch received.  Fires after the steal committed
+     * (the task is the thief's) and before the thief starts executing
+     * it.
      */
     virtual void
     onStealSuccess(int thief, int victim)

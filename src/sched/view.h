@@ -6,7 +6,7 @@
  * decisions) are *runtime* policies, not simulator features: the same
  * decision code must drive both the deterministic discrete-event
  * simulator (`sim::Machine`) and the genuinely concurrent native
- * runtime (`runtime::WorkerPool`).  `SchedView` is the seam: each
+ * pools (`RuntimeBackend`).  `SchedView` is the seam: each
  * engine exposes its worker/core state through this read-only
  * interface, and every policy component in `src/sched/` is written
  * against it alone.
@@ -54,8 +54,8 @@ enum class CoreActivity
 
 /**
  * Read-only engine state for policy decisions.  Implemented by
- * `sim::Machine` (exact state) and `runtime::WorkerPool` (concurrent
- * snapshots).
+ * `sim::Machine` (exact state) and `RuntimeBackend`, the body of both
+ * native pools (concurrent snapshots).
  */
 class SchedView
 {

@@ -29,8 +29,8 @@
  *
  * Every policy *decision* — victim choice, work-biasing, mug
  * triggering/targeting, rest/sprint intents — is delegated to the
- * engine-agnostic components in `src/sched/` (the same stack the
- * native `runtime::WorkerPool` runs); the machine implements the
+ * engine-agnostic components in `src/sched/` (the same stack both
+ * native pools run); the machine implements the
  * `sched::SchedView` interface they read and keeps only event
  * mechanics and cost charging for itself.
  *
@@ -69,7 +69,7 @@ namespace aaws {
  * components' templates bind `Machine` directly, so the millions of
  * occupancy/activity probes per simulated second are ordinary inlined
  * reads.  Deriving from the abstract `sched::SchedView` (as the native
- * `runtime::WorkerPool` does) would add a vtable to an otherwise
+ * pools' `RuntimeBackend` does) would add a vtable to an otherwise
  * virtual-free class and an indirect call per probe — measurably (>5%)
  * slower on steal-heavy kernels for zero flexibility the simulator
  * needs.  `sim::detail::MachineViewCheck` pins the concept match at

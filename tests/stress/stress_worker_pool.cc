@@ -3,8 +3,9 @@
  * WorkerPool churn stress: pools constructed and destroyed in a loop
  * with work in flight, spawn storms that force worker-thread steals,
  * deep nested joins, and activity-census consistency under load.  The
- * fork-join storm runs on both backends, so the channel pool shares
- * the fork-join benchmark's own load here.
+ * census check and the fork-join storm run on both backends: the
+ * census is the body both pools share, and the storm gives the channel
+ * pool the fork-join benchmark's own load.
  */
 
 #include <gtest/gtest.h>
@@ -132,47 +133,80 @@ TEST(WorkerPoolStress, ParallelAlgorithmsUnderChurn)
     }
 }
 
+/** ActivityMonitor that also remembers the master's own hint. */
+struct MasterTrackingMonitor : ActivityMonitor
+{
+    using ActivityMonitor::ActivityMonitor;
+
+    void
+    onWorkerActive(int worker) override
+    {
+        ActivityMonitor::onWorkerActive(worker);
+        if (worker == 0)
+            master_active.store(true);
+    }
+
+    void
+    onWorkerWaiting(int worker) override
+    {
+        ActivityMonitor::onWorkerWaiting(worker);
+        if (worker == 0)
+            master_active.store(false);
+    }
+
+    std::atomic<bool> master_active{true};
+};
+
 TEST(WorkerPoolStress, ActivityCensusStaysInBounds)
 {
     // Hammer the hint machinery: repeated storms followed by quiescence.
-    // The census must stay within [0, workers] at every observation and
-    // settle to exactly one active worker (the idle master) after work
-    // dries up.
+    // The census must stay within [0, workers] at every observation and,
+    // after work dries up, count no worker thread: only the idle master
+    // may remain, and only if its last take attempt of the final join
+    // found work (a master that missed twice there signalled waiting).
     const int64_t rounds = envKnob("AAWS_STRESS_ROUNDS", 40, 8);
     const int workers = 4;
-    ActivityMonitor monitor(workers);
-    WorkerPool pool(workers, &monitor);
-    for (int64_t round = 0; round < rounds; ++round) {
-        SCOPED_TRACE(testing::Message() << "round " << round);
-        std::atomic<int> ran{0};
-        TaskGroup group(pool);
-        for (int i = 0; i < 300; ++i) {
-            group.run([&] {
-                volatile int x = 0;
-                for (int j = 0; j < 500; ++j)
-                    x = x + j;
-                ran.fetch_add(1);
-            });
+    for (BackendKind kind : {BackendKind::deque, BackendKind::chan}) {
+        SCOPED_TRACE(backendName(kind));
+        MasterTrackingMonitor monitor(workers);
+        PoolOptions options;
+        options.hooks = &monitor;
+        std::unique_ptr<RuntimeBackend> pool =
+            chan::makeBackend(kind, workers, options);
+        for (int64_t round = 0; round < rounds; ++round) {
+            SCOPED_TRACE(testing::Message() << "round " << round);
+            std::atomic<int> ran{0};
+            TaskGroup group(*pool);
+            for (int i = 0; i < 300; ++i) {
+                group.run([&] {
+                    volatile int x = 0;
+                    for (int j = 0; j < 500; ++j)
+                        x = x + j;
+                    ran.fetch_add(1);
+                });
+            }
+            group.wait();
+            ASSERT_EQ(ran.load(), 300);
+            int census = monitor.activeWorkers();
+            ASSERT_GE(census, 0);
+            ASSERT_LE(census, workers);
+            // Every committed steal reports through onStealSuccess.
+            ASSERT_EQ(monitor.stealSuccesses(), pool->steals());
         }
-        group.wait();
-        ASSERT_EQ(ran.load(), 300);
-        int census = monitor.activeWorkers();
-        ASSERT_GE(census, 0);
-        ASSERT_LE(census, workers);
-        // Every committed steal reports through onStealSuccess.
-        ASSERT_EQ(monitor.stealSuccesses(), pool.steals());
+        const int master = monitor.master_active.load() ? 1 : 0;
+        for (int spin = 0;
+             spin < 200'000 && monitor.activeWorkers() > master; ++spin)
+            std::this_thread::yield();
+        EXPECT_EQ(monitor.activeWorkers(), master);
+        // Idle workers exhaust their spin budget and park; the rest hook
+        // must have fired by the time the pool has been quiet this long.
+        for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
+            std::this_thread::yield();
+        EXPECT_GT(monitor.rests(), 0u);
+        // The default pool has mugging disabled: the hook must stay
+        // quiet.
+        EXPECT_EQ(monitor.mugs(), 0u);
     }
-    for (int spin = 0; spin < 200'000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    EXPECT_EQ(monitor.activeWorkers(), 1);
-    // Idle workers exhaust their spin budget and park; the rest hook
-    // must have fired by the time the pool has been quiet this long.
-    for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
-        std::this_thread::yield();
-    EXPECT_GT(monitor.rests(), 0u);
-    // The default pool has mugging disabled: the hook must stay quiet.
-    EXPECT_EQ(monitor.mugs(), 0u);
 }
 
 TEST(WorkerPoolStress, PolicyStackPoolSurvivesShaking)

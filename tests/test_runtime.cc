@@ -2,18 +2,22 @@
  * @file
  * Tests of the native concurrent work-stealing runtime: Chase-Lev deque
  * semantics (sequential and under real thief contention), the worker
- * pool, TaskGroup joins, parallel_for/reduce/invoke correctness, and the
- * Table II comparison schedulers.
+ * pool, TaskGroup joins, parallel_for/reduce/invoke correctness, the
+ * Table II comparison schedulers, and the body both native backends
+ * share (worker identity, the activity-hint protocol and its hooks),
+ * which runs on each backend in turn.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chan/backend_factory.h"
 #include "runtime/central_queue.h"
 #include "runtime/hooks.h"
 #include "runtime/parallel_for.h"
@@ -23,6 +27,17 @@
 
 namespace aaws {
 namespace {
+
+/** Both native backends, for the tests of the body they share. */
+constexpr BackendKind kBackends[] = {BackendKind::deque, BackendKind::chan};
+
+std::unique_ptr<RuntimeBackend>
+makePool(BackendKind kind, int threads, SchedulerHooks *hooks = nullptr)
+{
+    PoolOptions options;
+    options.hooks = hooks;
+    return chan::makeBackend(kind, threads, options);
+}
 
 TEST(ChaseLev, LifoOwnerPops)
 {
@@ -350,42 +365,48 @@ TEST(AsyncChunked, CoversRangeExactlyOnce)
 
 TEST(Hooks, WorkersSignalWaitingWhenIdle)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    // With nothing to do, the three worker threads fail steals and
-    // signal waiting; the master only participates during joins, so the
-    // census settles at exactly one active worker (the master).
-    for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    EXPECT_EQ(monitor.activeWorkers(), 1);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        // With nothing to do, the three worker threads fail steals and
+        // signal waiting; the master only participates during joins, so
+        // the census settles at exactly one active worker (the master).
+        for (int spin = 0; spin < 200'000 && monitor.activeWorkers() > 1;
+             ++spin)
+            std::this_thread::yield();
+        EXPECT_EQ(monitor.activeWorkers(), 1);
+    }
 }
 
 TEST(Hooks, WorkersReactivateForWork)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    for (int spin = 0; spin < 20000 && monitor.activeWorkers() > 1;
-         ++spin)
-        std::this_thread::yield();
-    ASSERT_EQ(monitor.activeWorkers(), 1);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        for (int spin = 0; spin < 200'000 && monitor.activeWorkers() > 1;
+             ++spin)
+            std::this_thread::yield();
+        ASSERT_EQ(monitor.activeWorkers(), 1);
 
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 2000; ++i) {
-        group.run([&ran] {
-            // Enough work per task for activity to be observable.
-            volatile int x = 0;
-            for (int j = 0; j < 2000; ++j)
-                x += j;
-            ran.fetch_add(1);
-        });
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 2000; ++i) {
+            group.run([&ran] {
+                // Enough work per task for activity to be observable.
+                volatile int x = 0;
+                for (int j = 0; j < 2000; ++j)
+                    x += j;
+                ran.fetch_add(1);
+            });
+        }
+        group.wait();
+        EXPECT_EQ(ran.load(), 2000);
+        // Census must never go negative or exceed the worker count.
+        EXPECT_GE(monitor.activeWorkers(), 0);
+        EXPECT_LE(monitor.activeWorkers(), 4);
     }
-    group.wait();
-    EXPECT_EQ(ran.load(), 2000);
-    // Census must never go negative or exceed the worker count.
-    EXPECT_GE(monitor.activeWorkers(), 0);
-    EXPECT_LE(monitor.activeWorkers(), 4);
 }
 
 TEST(Hooks, TransitionCountsAreBalanced)
@@ -400,67 +421,82 @@ TEST(Hooks, TransitionCountsAreBalanced)
         void onWorkerActive(int) override { actives.fetch_add(1); }
         void onWorkerWaiting(int) override { waits.fetch_add(1); }
     };
-    Counter counter;
-    {
-        WorkerPool pool(3, &counter);
-        for (int round = 0; round < 5; ++round) {
-            TaskGroup group(pool);
-            for (int i = 0; i < 50; ++i)
-                group.run([] {});
-            group.wait();
-            std::this_thread::yield();
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        Counter counter;
+        {
+            auto pool = makePool(kind, 3, &counter);
+            for (int round = 0; round < 5; ++round) {
+                TaskGroup group(*pool);
+                for (int i = 0; i < 50; ++i)
+                    group.run([] {});
+                group.wait();
+                std::this_thread::yield();
+            }
         }
+        int waits = counter.waits.load();
+        int actives = counter.actives.load();
+        EXPECT_GE(waits, actives);
+        EXPECT_LE(waits - actives, 3);
     }
-    int waits = counter.waits.load();
-    int actives = counter.actives.load();
-    EXPECT_GE(waits, actives);
-    EXPECT_LE(waits - actives, 3);
 }
 
 TEST(Hooks, NullHooksAreSafe)
 {
-    WorkerPool pool(3, nullptr);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 100; ++i)
-        group.run([&ran] { ran.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(ran.load(), 100);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        auto pool = makePool(kind, 3, nullptr);
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 100; ++i)
+            group.run([&ran] { ran.fetch_add(1); });
+        group.wait();
+        EXPECT_EQ(ran.load(), 100);
+    }
 }
 
 TEST(Hooks, StealSuccessReportsEveryCommittedSteal)
 {
-    ActivityMonitor monitor(4);
-    WorkerPool pool(4, &monitor);
-    std::atomic<int> ran{0};
-    TaskGroup group(pool);
-    for (int i = 0; i < 2000; ++i) {
-        group.run([&ran] {
-            volatile int x = 0;
-            for (int j = 0; j < 1000; ++j)
-                x += j;
-            ran.fetch_add(1);
-        });
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(4);
+        auto pool = makePool(kind, 4, &monitor);
+        std::atomic<int> ran{0};
+        TaskGroup group(*pool);
+        for (int i = 0; i < 2000; ++i) {
+            group.run([&ran] {
+                // Enough work that the join outlasts a worker's wakeup:
+                // a host may run a woken thread on the waker's busy CPU
+                // for milliseconds before migrating it.
+                volatile int x = 0;
+                for (int j = 0; j < 20000; ++j)
+                    x += j;
+                ran.fetch_add(1);
+            });
+        }
+        group.wait();
+        EXPECT_EQ(ran.load(), 2000);
+        EXPECT_EQ(monitor.stealSuccesses(), pool->steals());
+        // With this much work and three hungry workers, something stole.
+        EXPECT_GT(monitor.stealSuccesses(), 0u);
     }
-    group.wait();
-    EXPECT_EQ(ran.load(), 2000);
-    EXPECT_EQ(monitor.stealSuccesses(), pool.steals());
-    // With this much work and three hungry workers, something stole.
-    EXPECT_GT(monitor.stealSuccesses(), 0u);
 }
 
 TEST(Hooks, RestFiresWhenWorkersPark)
 {
-    ActivityMonitor monitor(3);
-    WorkerPool pool(3, &monitor);
-    // Idle workers exhaust their spin budget and park on the wakeup
-    // condition variable, announcing the rest through the hook.
-    for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
-        std::this_thread::yield();
-    EXPECT_GT(monitor.rests(), 0u);
-    // Mugging is off in a default pool: no mug may ever be reported.
-    EXPECT_EQ(monitor.mugs(), 0u);
-    EXPECT_EQ(pool.mugAttempts(), 0u);
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        ActivityMonitor monitor(3);
+        auto pool = makePool(kind, 3, &monitor);
+        // Idle workers exhaust their spin budget and park on the wakeup
+        // condition variable, announcing the rest through the hook.
+        for (int spin = 0; spin < 200'000 && monitor.rests() == 0; ++spin)
+            std::this_thread::yield();
+        EXPECT_GT(monitor.rests(), 0u);
+        // Mugging is off in a default pool: no mug may ever be reported.
+        EXPECT_EQ(monitor.mugs(), 0u);
+        EXPECT_EQ(pool->mugAttempts(), 0u);
+    }
 }
 
 TEST(Hooks, SequencedTransitionsObserveNewCallbacks)
@@ -480,16 +516,83 @@ TEST(Hooks, SequencedTransitionsObserveNewCallbacks)
             events.push_back("steal");
         }
     };
-    Recorder recorder;
-    WorkerPool pool(1, &recorder); // master only: single-threaded
-    EXPECT_EQ(pool.tryTakeTask(), nullptr);
-    EXPECT_EQ(pool.tryTakeTask(), nullptr); // 2nd miss: waiting
-    pool.spawn([] {});
-    RtTask *task = pool.tryTakeTask(); // own pop: active again
-    ASSERT_NE(task, nullptr);
-    task->invoke(task);
-    std::vector<std::string> expect = {"wait", "active"};
-    EXPECT_EQ(recorder.events, expect); // own pops are not steals
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        Recorder recorder;
+        // Master only: single-threaded.
+        auto pool = makePool(kind, 1, &recorder);
+        EXPECT_EQ(pool->tryTakeTask(), nullptr);
+        EXPECT_EQ(pool->tryTakeTask(), nullptr); // 2nd miss: waiting
+        pool->spawn([] {});
+        RtTask *task = pool->tryTakeTask(); // own pop: active again
+        ASSERT_NE(task, nullptr);
+        task->invoke(task);
+        std::vector<std::string> expect = {"wait", "active"};
+        EXPECT_EQ(recorder.events, expect); // own pops are not steals
+    }
+}
+
+TEST(WorkerIdentity, EveryPoolAThreadBuildsCountsItAsMaster)
+{
+    // A thread that builds two pools is worker 0 of both — not only of
+    // the last one — so spawns on either land in its own queue, where
+    // the worker threads can only get them by stealing.
+    for (BackendKind kind : kBackends) {
+        SCOPED_TRACE(backendName(kind));
+        auto first = makePool(kind, 4);
+        auto second = makePool(kind, 4);
+        for (RuntimeBackend *pool : {first.get(), second.get()}) {
+            EXPECT_EQ(pool->currentWorker(), 0);
+            std::atomic<int> ran{0};
+            TaskGroup group(*pool);
+            for (int i = 0; i < 2000; ++i) {
+                group.run([&ran] {
+                    // As in StealSuccessReportsEveryCommittedSteal: long
+                    // enough to outlast a worker's wakeup.
+                    volatile int x = 0;
+                    for (int j = 0; j < 20000; ++j)
+                        x = x + j;
+                    ran.fetch_add(1);
+                });
+            }
+            group.wait();
+            EXPECT_EQ(ran.load(), 2000);
+            EXPECT_GT(pool->steals(), 0u);
+        }
+    }
+}
+
+TEST(WorkerIdentity, PoolBuiltInsideATaskKeepsTheWorkersIndex)
+{
+    // A task builds and destroys a pool of its own: the worker running
+    // it is that pool's master meanwhile, and afterwards still the same
+    // worker of the outer pool.
+    for (BackendKind outer_kind : kBackends) {
+        for (BackendKind inner_kind : kBackends) {
+            SCOPED_TRACE(std::string(backendName(inner_kind)) + " in " +
+                         backendName(outer_kind));
+            auto outer = makePool(outer_kind, 2);
+            std::atomic<int> before{-2};
+            std::atomic<int> inner_master{-2};
+            std::atomic<int> after{-2};
+            std::atomic<bool> done{false};
+            // The master never helps, so worker 1 runs the task.
+            outer->enqueue([&] {
+                before.store(outer->currentWorker());
+                {
+                    auto inner = makePool(inner_kind, 2);
+                    inner_master.store(inner->currentWorker());
+                }
+                after.store(outer->currentWorker());
+                done.store(true, std::memory_order_release);
+            });
+            while (!done.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            EXPECT_EQ(before.load(), 1);
+            EXPECT_EQ(inner_master.load(), 0);
+            EXPECT_EQ(after.load(), 1);
+        }
+    }
 }
 
 } // namespace

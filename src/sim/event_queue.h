@@ -92,6 +92,9 @@ class IndexedEventQueue
     /** Tick of the earliest event; queue must be non-empty. */
     Tick topTick() const { return heap_[0].key.tick; }
 
+    /** Sequence number of the earliest event; queue must be non-empty. */
+    uint64_t topSeq() const { return heap_[0].key.seq; }
+
     /** Remove and return the slot of the earliest event. */
     int
     pop()

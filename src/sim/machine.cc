@@ -1,7 +1,9 @@
 #include "sim/machine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -43,6 +45,13 @@ sharedDvfsTable(const ModelParams &mp, const CoreTopology &table_topo)
                                                        table_topo);
     }
     return slot;
+}
+
+/** Ticks a delay occupies: rounded up, and never zero. */
+Tick
+delayTicks(double delay_seconds)
+{
+    return std::max<Tick>(1, secondsToTicks(delay_seconds));
 }
 
 } // namespace
@@ -189,10 +198,182 @@ void
 Machine::schedule(int c, double delay_seconds)
 {
     Core &core = cores_[c];
+#ifdef AAWS_SANITIZER_BUILD
+    AAWS_ASSERT((parked_ >> c & 1) == 0,
+                "core %d's parked steal attempt rescheduled at t=%.6f ms "
+                "without a wakeParked()",
+                c, now() * 1e3);
+#endif
     core.last_update = now_;
-    Tick when = now_ + std::max<Tick>(1, secondsToTicks(delay_seconds));
-    events_.schedule(opSlot(c), when, seq_++);
+    events_.schedule(opSlot(c), now_ + delayTicks(delay_seconds), seq_++);
 }
+
+void
+Machine::park(int c, double delay_seconds)
+{
+    Core &core = cores_[c];
+    core.park_period = delayTicks(delay_seconds);
+    core.park_next = now_ + core.park_period;
+    core.park_seq = seq_++;
+    parked_ |= uint64_t{1} << c;
+}
+
+void
+Machine::rearmParked()
+{
+    for (uint64_t mask = parked_; mask != 0; mask &= mask - 1) {
+        int c = std::countr_zero(mask);
+        Core &core = cores_[c];
+        core.last_update = core.park_next - core.park_period;
+        events_.schedule(opSlot(c), core.park_next, core.park_seq);
+    }
+    parked_ = 0;
+}
+
+namespace detail {
+
+void
+orderByLastAttempt(SkippedThief *thieves, int n)
+{
+    // Each dispatched attempt would have rescheduled its thief with the
+    // next seq_, so the thieves leave in the order of their last
+    // attempts.  At one tick, a thief whose last attempt was its first
+    // still holds its old seq and goes first, by that seq.  Two thieves
+    // with fresh seqs rank by the attempts before: the longer period
+    // attempted earlier; at equal periods the thief with fewer attempts
+    // held its old seq for longer; at equal counts the old seq decides.
+    std::sort(thieves, thieves + n,
+              [](const SkippedThief &a, const SkippedThief &b) {
+                  if (a.last != b.last)
+                      return a.last < b.last;
+                  if ((a.attempts == 1) != (b.attempts == 1))
+                      return a.attempts == 1;
+                  if (a.attempts > 1 && a.period != b.period)
+                      return a.period > b.period;
+                  if (a.attempts != b.attempts)
+                      return a.attempts < b.attempts;
+                  return a.seq < b.seq;
+              });
+}
+
+} // namespace detail
+
+void
+Machine::skipParked(Tick tick, uint64_t seq)
+{
+    detail::SkippedThief skipped[64];
+    int n = 0;
+    uint64_t total = 0;
+    for (uint64_t mask = parked_; mask != 0; mask &= mask - 1) {
+        int c = std::countr_zero(mask);
+        const Core &core = cores_[c];
+        uint64_t attempts = detail::attemptsBefore(
+            core.park_next, core.park_seq, core.park_period, tick, seq);
+        if (attempts == 0)
+            continue;
+        skipped[n++] = {c, attempts,
+                        core.park_next + (attempts - 1) * core.park_period,
+                        core.park_period, core.park_seq};
+        total += attempts;
+    }
+    if (n == 0)
+        return;
+    if (total > config_.max_events - result_.sim_events)
+        exhaustBudget(tick);
+    detail::orderByLastAttempt(skipped, n);
+    for (int rank = 0; rank < n; ++rank) {
+        const detail::SkippedThief &thief = skipped[rank];
+        Core &core = cores_[thief.core];
+#ifdef AAWS_SANITIZER_BUILD
+        checkStillFails(thief.core);
+#endif
+        core.failed_steals += static_cast<int>(thief.attempts);
+        core.park_next = thief.last + thief.period;
+        core.park_seq = seq_ + static_cast<uint64_t>(rank);
+    }
+    seq_ += static_cast<uint64_t>(n);
+    result_.failed_steals += total;
+    result_.sim_events += total;
+}
+
+void
+Machine::exhaustBudget(Tick tick)
+{
+    constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    const uint64_t budget = config_.max_events - result_.sim_events;
+    auto attemptsThrough = [this](Tick t) {
+        uint64_t total = 0;
+        for (uint64_t mask = parked_; mask != 0; mask &= mask - 1) {
+            const Core &core = cores_[std::countr_zero(mask)];
+            if (core.park_next > t)
+                continue;
+            uint64_t attempts = 1 + (t - core.park_next) / core.park_period;
+            total = attempts > kMax - total ? kMax : total + attempts;
+        }
+        return total;
+    };
+    // Bracket the tick of the crossing attempt in (lo, hi]: no attempt
+    // comes before the earliest parked one, and by `tick`, or once the
+    // earliest thief alone has made budget + 1 attempts, too many have.
+    const Core *first = nullptr;
+    for (uint64_t mask = parked_; mask != 0; mask &= mask - 1) {
+        const Core &core = cores_[std::countr_zero(mask)];
+        if (!first || core.park_next < first->park_next)
+            first = &core;
+    }
+    Tick lo = first->park_next - 1;
+    Tick hi = tick;
+    if ((tick - first->park_next) / first->park_period > budget)
+        hi = first->park_next + budget * first->park_period;
+    while (hi - lo > 1) {
+        Tick mid = lo + (hi - lo) / 2;
+        (attemptsThrough(mid) > budget ? hi : lo) = mid;
+    }
+    // Every attempt before tick `hi` fits; at `hi`, attempts run in seq
+    // order until the one past the budget.
+    skipParked(hi, 0);
+    std::vector<int> at_hi;
+    for (uint64_t mask = parked_; mask != 0; mask &= mask - 1) {
+        int c = std::countr_zero(mask);
+        if (cores_[c].park_next == hi)
+            at_hi.push_back(c);
+    }
+    std::sort(at_hi.begin(), at_hi.end(), [this](int a, int b) {
+        return cores_[a].park_seq < cores_[b].park_seq;
+    });
+    uint64_t fitting = config_.max_events - result_.sim_events;
+    AAWS_ASSERT(fitting < at_hi.size(), "event budget crossing not found");
+    for (uint64_t i = 0; i < fitting; ++i) {
+        cores_[at_hi[i]].failed_steals++;
+        result_.failed_steals++;
+    }
+    result_.sim_events = config_.max_events;
+    now_ = hi;
+    dumpStateAndPanic();
+}
+
+#ifdef AAWS_SANITIZER_BUILD
+void
+Machine::checkStillFails(int c) const
+{
+    const Core &core = cores_[c];
+    bool no_victim = true;
+    for (int w = 0; w < numWorkers(); ++w)
+        no_victim = no_victim && (w == core.worker || workers_[w].dq.empty());
+    bool fails = (!policy_.gate.allowSteal(*this, c) || no_victim) &&
+                 (!policy_.mug.wantsMug(*this, c, core.failed_steals + 1) ||
+                  policy_.mug.pickMuggee(*this, core.cluster) < 0);
+    AAWS_ASSERT(fails && core.state == CoreState::stealing &&
+                    core.pending == Pending::steal && !core.hint_active &&
+                    !events_.active(opSlot(c)) &&
+                    core.park_period ==
+                        delayTicks(core.remaining / cycleRate(core)),
+                "parked thief on core %d would not repeat its failed "
+                "attempt at t=%.6f ms: an input changed without a "
+                "wakeParked()",
+                c, now() * 1e3);
+}
+#endif
 
 void
 Machine::settle(int c)
@@ -317,6 +498,7 @@ Machine::setCoreState(int c, CoreState state)
     Core &core = cores_[c];
     if (core.state == state)
         return;
+    wakeParked();
     // Bank the elapsed interval under the outgoing state.
     double dt = ticksToSeconds(now_ - core.state_since);
     if (core.state == CoreState::stealing)
@@ -472,6 +654,8 @@ Machine::advanceWorker(int c)
             return;
           case OpKind::spawn:
             instrs += static_cast<double>(costs.spawn_instrs);
+            if (w.dq.empty())
+                wakeParked(); // a first victim for the thieves
             w.dq.push_back({static_cast<uint32_t>(op.arg), fid});
             frame.outstanding++;
             break;
@@ -520,6 +704,7 @@ Machine::onChildJoined(int32_t pf)
     if (core.state == CoreState::stealing &&
         core.pending == Pending::steal && !w.stack.empty() &&
         w.stack.back() == pf) {
+        wakeParked(); // the owner may be parked
         events_.cancel(opSlot(owner_core)); // in-flight steal attempt
         core.pending = Pending::none;
         advanceWorker(owner_core);
@@ -580,7 +765,17 @@ Machine::onStealDone(int c)
     core.pending = Pending::steal;
     core.remaining =
         static_cast<double>(costs.steal_attempt_cycles) * core.backoff;
-    schedule(c, core.remaining / cycleRate(core));
+    // Steady: the next attempt keeps this backoff and cannot toggle the
+    // hint or start wanting a mug, so it fails the same way until a
+    // wakeParked() site changes one of its inputs.
+    bool steady = !core.hint_active && core.failed_steals >= 2 &&
+                  core.backoff ==
+                      std::min(costs.steal_backoff_max,
+                               core.backoff * costs.steal_backoff_growth);
+    if (steady)
+        park(c, core.remaining / cycleRate(core));
+    else
+        schedule(c, core.remaining / cycleRate(core));
 }
 
 void
@@ -606,6 +801,7 @@ void
 Machine::issueMug(int c, int target, bool for_phase)
 {
     Core &core = cores_[c];
+    wakeParked();
     cores_[target].mug_targeted = true;
     core.mug_peer = target;
     core.mug_save_done = false;
@@ -631,6 +827,7 @@ Machine::onMugIssueDone(int c)
         abortMug(c);
         return;
     }
+    wakeParked(); // the muggee may be a parked thief
 
     // Preempt the muggee and run the state-save code on both sides.
     double swap = static_cast<double>(config_.costs.mug_swap_instrs);
@@ -670,6 +867,7 @@ Machine::onMugSaveDone(int c)
 void
 Machine::performSwap(int a, int b)
 {
+    wakeParked();
     result_.mugs++;
     bool for_phase = cores_[a].mug_for_phase;
 
@@ -716,6 +914,7 @@ void
 Machine::abortMug(int c)
 {
     Core &core = cores_[c];
+    wakeParked();
     result_.aborted_mugs++;
     int peer = core.mug_peer;
     cores_[peer].mug_targeted = false;
@@ -869,6 +1068,7 @@ Machine::setFrequency(int c, double freq)
     Core &core = cores_[c];
     if (core.freq == freq)
         return;
+    wakeParked(); // a parked thief's attempt period changes
     settle(c); // bank progress at the old rate first
     core.freq = freq;
     refreshRate(core);
@@ -1020,7 +1220,13 @@ Machine::run()
     AAWS_ASSERT(!ran_, "Machine::run() called twice");
     ran_ = true;
     boot();
-    while (!finished_ && !events_.empty()) {
+    while (!finished_ && (!events_.empty() || parked_ != 0)) {
+        if (parked_ != 0) {
+            // Parked thieves alone fail forever: only the budget ends it.
+            if (events_.empty())
+                exhaustBudget(std::numeric_limits<Tick>::max());
+            skipParked(events_.topTick(), events_.topSeq());
+        }
         Tick tick = events_.topTick();
         int slot = events_.pop();
         AAWS_ASSERT(tick >= now_, "time went backwards");

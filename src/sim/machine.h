@@ -39,6 +39,18 @@
  * (core pending-op, core transition, controller), so rescheduling a
  * core's in-flight charge is an in-place heap update instead of a stale
  * entry plus an epoch check at pop time.
+ *
+ * Each source has at most one pending event, but a *parked* thief's
+ * pending steal attempt lives outside the queue.  A thief is parked
+ * when a failed attempt leaves it steady (backoff at its fixed point,
+ * hint down): its next attempt reads the same deques, census and mug
+ * engagements and fails the same way, until one of those changes.  Its
+ * repeated failures are counted in closed form before each pop
+ * (skipParked), and every change to a failed attempt's inputs first
+ * re-arms it with the exact (tick, seq) key it would have had
+ * (wakeParked), so every result is the one dispatching each attempt
+ * would give.  DESIGN.md ("Parked thieves") has the wake list and the
+ * tie rule.
  */
 
 #ifndef AAWS_SIM_MACHINE_H
@@ -60,6 +72,43 @@
 #include "sim/result.h"
 
 namespace aaws {
+
+namespace detail {
+
+/**
+ * Failed steal attempts of a thief parked at key (next, seq) with
+ * `period` that come before key (tick, horizon_seq): every attempt at a
+ * tick before `tick`, and one at `tick` itself only while it still
+ * carries its old seq (each attempt after the first reschedules with a
+ * seq newer than every key in the queue).
+ */
+inline uint64_t
+attemptsBefore(Tick next, uint64_t seq, Tick period, Tick tick,
+               uint64_t horizon_seq)
+{
+    if (next < tick)
+        return 1 + (tick - 1 - next) / period;
+    return next == tick && seq < horizon_seq ? 1 : 0;
+}
+
+/** A parked thief's attempts in one skip window (Machine::skipParked). */
+struct SkippedThief
+{
+    int core;
+    uint64_t attempts;
+    Tick last;    ///< Tick of the last attempt.
+    Tick period;
+    uint64_t seq; ///< Seq of the first attempt (the key's at the start).
+};
+
+/**
+ * Sort the thieves of one skip window into the order in which their
+ * last attempts would have popped, which is the order of the seqs those
+ * attempts would have rescheduled them with.
+ */
+void orderByLastAttempt(SkippedThief *thieves, int n);
+
+} // namespace detail
 
 /**
  * One simulated machine executing one task DAG.  Construct and run()
@@ -231,6 +280,10 @@ class Machine final
         bool mug_save_done = false;
         bool mug_targeted = false; ///< Reserved as muggee.
         bool mug_for_phase = false;
+        /** Parked thief: next attempt's key and the attempt period. */
+        Tick park_next = 0;
+        uint64_t park_seq = 0;
+        Tick park_period = 0;
     };
 
     // --- frame pool -----------------------------------------------------
@@ -245,6 +298,30 @@ class Machine final
     double rateFor(const Core &core) const;    ///< per current pending
     void refreshRate(Core &core);  ///< recompute the cached instr rate
     void schedule(int c, double delay_seconds);
+    /** Keep core c's next steal attempt out of the queue (steady thief). */
+    void park(int c, double delay_seconds);
+    /**
+     * Re-arm every parked thief.  Call before any input of a failed
+     * steal attempt changes, and before touching a parked core's op.
+     */
+    void
+    wakeParked()
+    {
+        if (parked_ != 0)
+            rearmParked();
+    }
+    void rearmParked();
+    /** Count every parked attempt keyed before (tick, seq). */
+    void skipParked(Tick tick, uint64_t seq);
+    /**
+     * The parked attempts before `tick` overrun max_events: stop at the
+     * attempt that crosses it and panic, as dispatching would.
+     */
+    [[noreturn]] void exhaustBudget(Tick tick);
+#ifdef AAWS_SANITIZER_BUILD
+    /** Assert a parked thief's next attempt would fail like its last. */
+    void checkStillFails(int c) const;
+#endif
     void settle(int c); ///< Consume elapsed progress of the pending op.
     void updateEnergy(int c);
     void recordTrace(int c);
@@ -272,7 +349,7 @@ class Machine final
     // --- phases ---------------------------------------------------------------
 
     void startNextPhase(int c);
-    void dumpStateAndPanic();
+    [[noreturn]] void dumpStateAndPanic();
 
     // --- DVFS / census ----------------------------------------------------------
 
@@ -331,8 +408,15 @@ class Machine final
     int num_cores_ = 0;
     IndexedEventQueue events_;
     Tick now_ = 0;
-    /** Tie-break counter for same-tick events (earlier schedule first). */
+    /**
+     * Tie-break counter for same-tick events (earlier schedule first).
+     * Parked thieves draw from it too: parking takes the next value,
+     * and skipParked hands out one value per skipped thief, in the
+     * order their last skipped attempts would have popped.
+     */
     uint64_t seq_ = 0;
+    /** Bit c set: core c is a parked thief (n <= 64 cores). */
+    uint64_t parked_ = 0;
 
     // Packed DAG op view (flat array + per-task span offsets).
     const TaskOp *dag_ops_ = nullptr;

@@ -1,15 +1,26 @@
 /**
  * @file
- * Golden-file regression for the Table III per-kernel statistics: every
- * registered kernel is simulated at the default workload seed under the
- * full AAWS variant (base+psm, 4B4L) and its gem5-style stats dump is
- * compared line-by-line against tests/stress/golden/table3_stats.txt.
+ * Golden-file regressions for the simulator's results.
  *
- * Any behavioural drift in the simulator, cost model, DVFS controller,
- * or workload generators shows up here at PR time as a readable diff of
- * exactly which statistic moved for which kernel.
+ * StatsMatchGoldenFile: every registered kernel is simulated at the
+ * default workload seed under the full AAWS variant (base+psm, 4B4L)
+ * and its gem5-style stats dump is compared line-by-line against
+ * tests/stress/golden/table3_stats.txt.  Any behavioural drift in the
+ * simulator, cost model, DVFS controller, or workload generators shows
+ * up here as a readable diff of exactly which statistic moved for which
+ * kernel.
  *
- * After an *intentional* behaviour change, regenerate with
+ * SweepDigestsMatchGoldenFile: every simulation shape the reproduction
+ * gate sweeps (22 kernels x 5 variants x {4b4l, 1b7l, 2b2m4l}, the 12
+ * sens_* knob values on base+psm 4b4l, and random victim selection on
+ * base+psm 4b4l: 616 simulations) reduces to one line holding an FNV-1a
+ * digest of every SimResult number at full precision, sim_events and
+ * the occupancy histogram included, compared against
+ * tests/stress/golden/sweep_digests.txt.  The stats dump above rounds
+ * to six digits and covers one shape; this one catches a change in the
+ * last bit of any result, such as a slip in same-tick event order.
+ *
+ * After an *intentional* behaviour change, regenerate both with
  *
  *   AAWS_UPDATE_GOLDEN=1 ./tests/stress/stress_golden_table3
  *
@@ -21,10 +32,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "aaws/experiment.h"
+#include "exp/run_spec.h"
 #include "sim/stats_writer.h"
 
 namespace aaws {
@@ -92,6 +105,163 @@ TEST(GoldenTable3, StatsMatchGoldenFile)
                    << "\nIf the change is intentional, regenerate with "
                       "AAWS_UPDATE_GOLDEN=1 and commit the diff.";
         }
+    }
+}
+
+/**
+ * FNV-1a over every number of a SimResult, each printed with %.17g (or
+ * as an integer), so a difference in any bit of any field shows.
+ */
+std::string
+simDigest(const SimResult &r)
+{
+    std::string text;
+    char buf[64];
+    auto real = [&](double v) {
+        std::snprintf(buf, sizeof buf, "%.17g;", v);
+        text += buf;
+    };
+    auto count = [&](uint64_t v) {
+        std::snprintf(buf, sizeof buf, "%llu;",
+                      static_cast<unsigned long long>(v));
+        text += buf;
+    };
+    real(r.exec_seconds);
+    real(r.energy);
+    real(r.waiting_energy);
+    real(r.avg_power);
+    real(r.regions.serial);
+    real(r.regions.hp);
+    real(r.regions.lp_bi_lt_la);
+    real(r.regions.lp_bi_ge_la);
+    real(r.regions.lp_other);
+    count(r.instructions);
+    count(r.steals);
+    count(r.failed_steals);
+    count(r.mugs);
+    count(r.aborted_mugs);
+    count(r.transitions);
+    count(r.tasks_executed);
+    count(r.sim_events);
+    for (const CoreStats &core : r.core_stats) {
+        real(core.busy_seconds);
+        real(core.waiting_seconds);
+        real(core.energy);
+        count(core.instructions);
+    }
+    for (double seconds : r.occupancy_seconds)
+        real(seconds);
+    uint64_t hash = 14695981039346656037ull;
+    for (char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+/** label -> digest for every simulation of the swept shapes. */
+std::map<std::string, std::string>
+renderSweepDigests()
+{
+    std::map<std::string, std::string> digests;
+    for (const auto &name : kernelNames()) {
+        Kernel kernel = makeKernel(name, exp::kDefaultSeed);
+        auto spec = [&](Variant variant, const char *topology) {
+            exp::RunSpec s{name, variant, exp::kDefaultSeed};
+            s.overrides.topology = topology;
+            return s;
+        };
+        auto run = [&](const std::string &label, const MachineConfig &config) {
+            digests[name + "/" + label] =
+                simDigest(Machine(config, kernel.dag).run());
+        };
+        for (const char *topology : {"4b4l", "1b7l", "2b2m4l"}) {
+            for (Variant v : allVariants()) {
+                run(std::string(variantName(v)) + "/" + topology,
+                    exp::configForSpec(kernel, spec(v, topology)));
+            }
+        }
+        for (uint64_t cycles : {20, 100, 400, 1000}) {
+            exp::RunSpec s = spec(Variant::base_psm, "4b4l");
+            s.overrides.mug_interrupt_cycles = cycles;
+            run("base+psm/4b4l/mug=" + std::to_string(cycles),
+                exp::configForSpec(kernel, s));
+        }
+        for (uint64_t cycles : {10, 30, 60, 120}) {
+            exp::RunSpec s = spec(Variant::base_psm, "4b4l");
+            s.overrides.steal_attempt_cycles = cycles;
+            run("base+psm/4b4l/steal=" + std::to_string(cycles),
+                exp::configForSpec(kernel, s));
+        }
+        for (int ns : {40, 100, 175, 250}) {
+            exp::RunSpec s = spec(Variant::base_psm, "4b4l");
+            s.overrides.regulator_ns_per_step = ns;
+            run("base+psm/4b4l/reg=" + std::to_string(ns),
+                exp::configForSpec(kernel, s));
+        }
+        MachineConfig random =
+            exp::configForSpec(kernel, spec(Variant::base_psm, "4b4l"));
+        random.victim = sched::VictimPolicy::random;
+        run("base+psm/4b4l/victim=random", random);
+    }
+    return digests;
+}
+
+TEST(GoldenTable3, SweepDigestsMatchGoldenFile)
+{
+    const char *path = AAWS_SWEEP_GOLDEN_FILE;
+    std::map<std::string, std::string> rendered = renderSweepDigests();
+    ASSERT_EQ(rendered.size(), 616u);
+
+    if (std::getenv("AAWS_UPDATE_GOLDEN")) {
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << "# label digest: FNV-1a of every SimResult number at %.17g "
+               "(see simDigest in stress_golden_table3.cc)\n";
+        for (const auto &[label, digest] : rendered)
+            out << label << " " << digest << "\n";
+        GTEST_SKIP() << "golden file regenerated: " << path;
+    }
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path
+                    << " (regenerate with AAWS_UPDATE_GOLDEN=1)";
+    std::map<std::string, std::string> golden;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string label, digest;
+        fields >> label >> digest;
+        golden[label] = digest;
+    }
+
+    int drifted = 0;
+    for (const auto &[label, digest] : rendered) {
+        auto it = golden.find(label);
+        if (it == golden.end()) {
+            ADD_FAILURE() << label << ": no line in " << path;
+        } else if (it->second != digest) {
+            ADD_FAILURE() << label << ": digest " << digest
+                          << ", golden " << it->second;
+        } else {
+            continue;
+        }
+        if (++drifted == 20)
+            FAIL() << "stopping after 20 drifted simulations";
+    }
+    for (const auto &[label, digest] : golden) {
+        EXPECT_TRUE(rendered.count(label))
+            << label << ": golden line without a simulation";
+    }
+    if (drifted > 0) {
+        ADD_FAILURE() << drifted << " of " << rendered.size()
+                      << " simulations drifted.  If the change is "
+                         "intentional, regenerate with "
+                         "AAWS_UPDATE_GOLDEN=1 and commit the diff.";
     }
 }
 

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "aaws/experiment.h"
 #include "aaws/variant.h"
@@ -380,6 +384,131 @@ TEST(SimGuards, LivelockDetectorFires)
     TaskDag dag = forkJoinDag(8, 50'000'000);
     Machine machine(config, dag);
     EXPECT_DEATH((void)machine.run(), "event budget");
+}
+
+TEST(SimGuards, LivelockBudgetCountsSkippedAttempts)
+{
+    // A 5M-instruction serial phase on 1B7L, then eight children: the
+    // seven littles spend the serial phase failing to steal, almost
+    // every attempt counted in closed form while they are parked.
+    TaskDag dag;
+    uint32_t root = dag.addTask();
+    for (int i = 0; i < 8; ++i) {
+        uint32_t child = dag.addTask();
+        dag.addWork(child, 200'000);
+        dag.addSpawn(root, child);
+    }
+    dag.addSync(root);
+    dag.addPhase(5'000'000, static_cast<int32_t>(root));
+    MachineConfig config;
+    config.topology = "1b7l";
+    applyVariant(config, Variant::base_psm);
+    SimResult full = Machine(config, dag).run();
+    const uint64_t events = full.sim_events;
+    ASSERT_GT(full.failed_steals, 7u * 1000u);
+
+    // The budget counts every attempt: exactly enough completes ...
+    config.max_events = events;
+    SimResult exact = Machine(config, dag).run();
+    EXPECT_EQ(exact.sim_events, events);
+    EXPECT_EQ(exact.failed_steals, full.failed_steals);
+    EXPECT_EQ(exact.exec_seconds, full.exec_seconds);
+    EXPECT_EQ(exact.energy, full.energy);
+    // ... and one fewer does not.
+    config.max_events = events - 1;
+    EXPECT_DEATH((void)Machine(config, dag).run(), "event budget");
+
+    // A budget that runs out mid-phase stops at the very attempt that
+    // crosses it: core7's 1069th, after the other six made theirs.  The
+    // time and counts were recorded with every attempt dispatched.
+    config.max_events = 7500;
+    EXPECT_DEATH((void)Machine(config, dag).run(),
+                 "t=2\\.291443 ms.* fails=1069\n"
+                 "  core7 little worker=7 state=0 pending=2 rem=240 .* "
+                 "fails=1068\npanic: event budget");
+}
+
+TEST(SimParking, ClosedFormMatchesAttemptByAttempt)
+{
+    // Parked thieves on a few short periods and nearby ticks, so that
+    // same-tick attempts are the rule.  Stepping every attempt in
+    // (tick, seq) order, each rescheduled with the next fresh seq, is
+    // what dispatching them would do; the closed form must agree on
+    // every thief's attempt count and next tick, and on the order of
+    // all seqs afterwards.
+    struct Thief
+    {
+        Tick next;
+        uint64_t seq;
+        Tick period;
+    };
+    std::mt19937_64 rng(7);
+    auto below = [&rng](uint64_t n) { return rng() % n; };
+    for (int trial = 0; trial < 20000; ++trial) {
+        const int n = 1 + static_cast<int>(below(6));
+        // Distinct seqs below 100 for the thieves and the heap top;
+        // the seqs a window hands out start at 100.
+        std::vector<uint64_t> seqs(100);
+        for (uint64_t i = 0; i < 100; ++i)
+            seqs[i] = i;
+        std::shuffle(seqs.begin(), seqs.end(), rng);
+        std::vector<Thief> start(n);
+        for (int i = 0; i < n; ++i)
+            start[i] = {1 + below(12), seqs[i], 1 + below(4)};
+        const Tick tick = below(30);
+        const uint64_t horizon_seq = seqs[n];
+        const uint64_t fresh = 100;
+
+        std::vector<Thief> stepped = start;
+        std::vector<uint64_t> stepped_attempts(n, 0);
+        uint64_t next_seq = fresh;
+        while (true) {
+            int first = 0;
+            for (int i = 1; i < n; ++i) {
+                if (std::tie(stepped[i].next, stepped[i].seq) <
+                    std::tie(stepped[first].next, stepped[first].seq))
+                    first = i;
+            }
+            if (!(std::tie(stepped[first].next, stepped[first].seq) <
+                  std::tie(tick, horizon_seq)))
+                break;
+            stepped_attempts[first]++;
+            stepped[first].next += stepped[first].period;
+            stepped[first].seq = next_seq++;
+        }
+
+        std::vector<Thief> closed = start;
+        std::vector<detail::SkippedThief> skipped;
+        for (int i = 0; i < n; ++i) {
+            const Thief &t = start[i];
+            uint64_t attempts = detail::attemptsBefore(
+                t.next, t.seq, t.period, tick, horizon_seq);
+            EXPECT_EQ(attempts, stepped_attempts[i]);
+            if (attempts > 0) {
+                skipped.push_back({i, attempts,
+                                   t.next + (attempts - 1) * t.period,
+                                   t.period, t.seq});
+            }
+        }
+        detail::orderByLastAttempt(skipped.data(),
+                                   static_cast<int>(skipped.size()));
+        for (size_t rank = 0; rank < skipped.size(); ++rank) {
+            Thief &t = closed[skipped[rank].core];
+            t.next = skipped[rank].last + t.period;
+            t.seq = fresh + rank;
+        }
+        for (int i = 0; i < n; ++i) {
+            SCOPED_TRACE(testing::Message() << "trial " << trial
+                                            << " thief " << i);
+            EXPECT_EQ(closed[i].next, stepped[i].next);
+            for (int j = 0; j < n; ++j) {
+                EXPECT_EQ(closed[i].seq < closed[j].seq,
+                          stepped[i].seq < stepped[j].seq);
+            }
+        }
+        if (HasFailure())
+            return;
+    }
 }
 
 TEST(SimGuards, RunTwicePanics)

@@ -45,10 +45,10 @@ main(int argc, char **argv)
         Kernel kernel = makeKernel(name);
         double base = runWith(kernel, [](MachineConfig &) {});
         double random_pick = runWith(kernel, [](MachineConfig &c) {
-            c.victim = sched::VictimPolicy::random;
+            c.policy.victim = sched::VictimPolicy::random;
         });
         double no_biasing = runWith(kernel, [](MachineConfig &c) {
-            c.work_biasing = false;
+            c.policy.work_biasing = false;
         });
         double no_serial = runWith(kernel, [](MachineConfig &c) {
             c.policy.serial_sprinting = false;

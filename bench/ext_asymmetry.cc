@@ -3,19 +3,14 @@
  * Extension study: the AAWS techniques on N-cluster topologies.
  *
  * The paper evaluates two-cluster big/little systems (4B4L, 1B7L);
- * this bench sweeps every runtime variant across topology presets —
- * including a three-cluster big/medium/little machine — to check that
- * the techniques generalize beyond the dichotomy:
+ * this bench sweeps all five runtime variants across {4b4l, 1b7l,
+ * 2b2m4l} — including a three-cluster big/medium/little machine — to
+ * check that the techniques generalize beyond the dichotomy.  Each cell
+ * is the speedup and perf-per-joule gain vs the `base` runtime on the
+ * same topology (engine-cached; the DVFS lookup table is regenerated
+ * per topology, one cell per census tuple).
  *
- *  1. topology sweep: all five variants x {4b4l, 1b7l, 2b2m4l},
- *     speedup and perf-per-joule gain vs the `base` runtime on the
- *     same topology (engine-cached; the DVFS lookup table is
- *     regenerated per topology, one cell per census tuple);
- *  2. criticality-victim ablation: direct (uncached) runs comparing
- *     Costero-style criticality-aware victim selection against the
- *     paper's occupancy policy on each topology.
- *
- * `--topology=NAME` (or AAWS_TOPOLOGY) restricts both legs to one
+ * `--topology=NAME` (or AAWS_TOPOLOGY) restricts the sweep to one
  * preset.
  */
 
@@ -27,7 +22,6 @@
 #include "common/stats.h"
 #include "exp/cli.h"
 #include "exp/engine.h"
-#include "sim/machine.h"
 
 using namespace aaws;
 
@@ -36,18 +30,6 @@ namespace {
 /** Kernels the sweep covers (the ext_scaling set). */
 const char *kSweepKernels[] = {"radix-2", "qsort-1", "cilksort", "dict",
                                "uts"};
-
-double
-runCriticality(const Kernel &kernel, const std::string &preset,
-               bool criticality)
-{
-    exp::RunSpec spec{kernel.stats.name, Variant::base_psm};
-    spec.overrides.topology = preset;
-    MachineConfig config = exp::configForSpec(kernel, spec);
-    if (criticality)
-        config.victim = sched::VictimPolicy::criticality;
-    return Machine(config, kernel.dag).run().exec_seconds;
-}
 
 } // namespace
 
@@ -64,7 +46,7 @@ main(int argc, char **argv)
         if (cli.matches(name))
             names.push_back(name);
 
-    // --- 1. variant sweep across topologies (engine-cached) ---------
+    // Variant sweep across topologies (engine-cached).
     std::vector<exp::RunSpec> specs;
     for (const auto &preset : presets) {
         for (const auto &name : names) {
@@ -129,40 +111,5 @@ main(int argc, char **argv)
                 "median %.3fx; perf-per-joule gain min %.3fe\n",
                 presets.size(), minOf(psm_speedups),
                 median(psm_speedups), minOf(psm_gains));
-
-    // --- 2. criticality-aware victim selection ablation -------------
-    // Direct runs: the victim policy is not spec-addressable, so these
-    // bypass the engine cache like ablation_victim_biasing.
-    std::printf("\n--- criticality vs occupancy victim selection "
-                "(base+psm; values are time ratios) ---\n%-9s", "kernel");
-    for (const auto &preset : presets)
-        std::printf(" %9s", preset.c_str());
-    std::printf("\n");
-    std::vector<double> crit_ratios;
-    for (const auto &name : names) {
-        Kernel kernel = makeKernel(name);
-        std::printf("%-9s", name.c_str());
-        for (const auto &preset : presets) {
-            double occ = runCriticality(kernel, preset, false);
-            double crit = runCriticality(kernel, preset, true);
-            double ratio = crit / occ;
-            crit_ratios.push_back(ratio);
-            cli.results.add({.series = "criticality",
-                             .kernel = name,
-                             .shape = preset,
-                             .variant = "base+psm",
-                             .metric = "time_ratio",
-                             .value = ratio});
-            std::printf(" %8.3fx", ratio);
-        }
-        std::printf("\n");
-    }
-    cli.results.add("criticality_summary", "median_ratio",
-                    median(crit_ratios));
-    cli.results.add("criticality_summary", "max_ratio",
-                    maxOf(crit_ratios));
-    std::printf("\ncriticality victim selection: median %.3fx, worst "
-                "%.3fx of the occupancy baseline\n",
-                median(crit_ratios), maxOf(crit_ratios));
     return 0;
 }

@@ -62,7 +62,7 @@ main()
                 "LPshare");
     for (Variant v : allVariants()) {
         MachineConfig config;
-        applyVariant(config, v);
+        config.policy = policyConfigFor(v);
         SimResult r = Machine(config, dag).run();
         if (v == Variant::base) {
             base_seconds = r.exec_seconds;
@@ -81,7 +81,7 @@ main()
 
     std::printf("\nfull AAWS (base+psm) activity profile:\n");
     MachineConfig config;
-    applyVariant(config, Variant::base_psm);
+    config.policy = policyConfigFor(Variant::base_psm);
     config.collect_trace = true;
     SimResult r = Machine(config, dag).run();
     std::printf("%s", r.trace.renderAscii(8, 96, 1.0).c_str());

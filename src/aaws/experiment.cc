@@ -15,7 +15,7 @@ configFor(const Kernel &kernel, Variant variant, bool collect_trace)
     config.mpki = kernel.stats.mpki;
     // The lookup table keeps the designer's system-wide estimates
     // (ModelParams defaults: alpha = 3, beta = 2).
-    applyVariant(config, variant);
+    config.policy = policyConfigFor(variant);
     config.collect_trace = collect_trace;
     return config;
 }

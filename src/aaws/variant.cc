@@ -56,17 +56,4 @@ policyConfigFor(Variant v)
     return sp;
 }
 
-void
-applyVariant(MachineConfig &config, Variant v)
-{
-    sched::PolicyConfig sp = policyConfigFor(v);
-    config.policy.serial_sprinting = sp.serial_sprinting;
-    config.work_biasing = sp.work_biasing;
-    config.policy.work_pacing = sp.work_pacing;
-    config.policy.work_sprinting = sp.work_sprinting;
-    config.work_mugging = sp.work_mugging;
-    // sp.victim is deliberately not copied: config.victim is an
-    // ablation knob orthogonal to the variant (see MachineConfig).
-}
-
 } // namespace aaws

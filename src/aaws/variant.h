@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/config.h"
+#include "sched/policy_stack.h"
 
 namespace aaws {
 
@@ -42,12 +42,10 @@ const char *variantName(Variant v);
 /** Parse a display name; fatal() on unknown names. */
 Variant variantFromName(const std::string &name);
 
-/** Apply the variant's technique switches to a machine config. */
-void applyVariant(MachineConfig &config, Variant v);
-
 /**
- * The variant as a flat scheduler-policy assembly — what a native
- * `runtime::WorkerPool` or a software pacing governor consumes.
+ * The variant as a scheduling-policy assembly — what a simulated
+ * machine (`MachineConfig::policy`), a native pool
+ * (`PoolOptions::policy`) or a software pacing governor consumes.
  * Victim selection stays at its default (occupancy); the ablation
  * benches override it separately.
  */

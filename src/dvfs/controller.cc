@@ -7,9 +7,9 @@
 namespace aaws {
 
 DvfsController::DvfsController(const DvfsLookupTable &table,
-                               const DvfsPolicy &policy,
+                               const sched::PolicyConfig &policy,
                                const ModelParams &mp)
-    : table_(table), policy_(policy),
+    : table_(table),
       rest_(policy.serial_sprinting, policy.work_pacing,
             policy.work_sprinting),
       v_nom_(mp.v_nom), v_min_(mp.v_min), v_max_(mp.v_max)
@@ -45,6 +45,16 @@ DvfsController::decideInto(const std::vector<bool> &active,
                 "activity vector size mismatch");
     const CoreTopology &topo = table_.topology();
     const std::vector<int> &cluster_of = topo.coreClusters();
+#ifdef AAWS_SANITIZER_BUILD
+    sched::ActivityCensus recount(topo);
+    recount.recount(active, cluster_of);
+    for (int k = 0; k < topo.numClusters(); ++k) {
+        AAWS_ASSERT(census.clusterActive(k) == recount.clusterActive(k),
+                    "activity census counts %d active cores in cluster %d "
+                    "but the activity bits hold %d",
+                    census.clusterActive(k), k, recount.clusterActive(k));
+    }
+#endif
     out.assign(active.size(), v_nom_);
 
     const bool serial_hinted = serial_core >= 0;

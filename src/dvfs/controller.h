@@ -38,20 +38,10 @@
 
 #include "dvfs/lookup_table.h"
 #include "sched/census.h"
+#include "sched/policy_stack.h"
 #include "sched/rest_policy.h"
 
 namespace aaws {
-
-/** Which AAWS voltage techniques the controller applies. */
-struct DvfsPolicy
-{
-    /** Marginal-utility voltages when all cores are active (Sec. III-A). */
-    bool work_pacing = false;
-    /** Rest waiting cores and sprint active ones in LP regions. */
-    bool work_sprinting = false;
-    /** Sprint the single active core during true serial regions. */
-    bool serial_sprinting = true;
-};
 
 /**
  * Pure decision function of the global DVFS controller.
@@ -62,10 +52,11 @@ class DvfsController
     /**
      * @param table Borrowed lookup table; must outlive the controller.
      *              Its topology defines the machine shape.
-     * @param policy Enabled techniques.
+     * @param policy The policy assembly; only its voltage techniques
+     *               (serial-sprinting, work-pacing, work-sprinting) apply.
      */
-    DvfsController(const DvfsLookupTable &table, const DvfsPolicy &policy,
-                   const ModelParams &mp);
+    DvfsController(const DvfsLookupTable &table,
+                   const sched::PolicyConfig &policy, const ModelParams &mp);
 
     /**
      * Compute target voltages from the activity bits.
@@ -88,7 +79,8 @@ class DvfsController
     /**
      * Census-supplied variant: the caller maintains the activity
      * census incrementally (the simulator does, one update per hint
-     * toggle) and `census` must equal a recount of `active`.  The
+     * toggle) and `census` must equal a recount of `active`; sanitizer
+     * builds (AAWS_SANITIZER_BUILD) assert that contract.  The
      * simulator calls this once per hint change, so it reuses one
      * buffer across the whole run.
      */
@@ -96,14 +88,10 @@ class DvfsController
                     const sched::ActivityCensus &census, int serial_core,
                     std::vector<double> &out) const;
 
-    const DvfsPolicy &policy() const { return policy_; }
-    /** The rest/sprint intent policy the voltages are mapped from. */
-    const sched::RestPolicy &restPolicy() const { return rest_; }
     int numCores() const { return table_.topology().numCores(); }
 
   private:
     const DvfsLookupTable &table_;
-    DvfsPolicy policy_;
     sched::RestPolicy rest_;
     double v_nom_;
     double v_min_;

@@ -79,10 +79,20 @@ RuntimeBackend::adoptWorker(WorkerHint &hint)
 {
     // Stateful selectors (random) must not be shared across threads:
     // one per worker, streams decorrelated by index.
-    hint.victim = sched::makeVictimSelector(
+    hint.victim = sched::VictimSelector(
         policy_config_.victim,
-        policy_config_.victim_seed + static_cast<uint64_t>(hints_.size()));
+        sched::VictimSelector::kDefaultSeed + hints_.size());
     hints_.push_back(&hint);
+}
+
+int
+RuntimeBackend::pickVictim(int self)
+{
+    // Bound to SchedView, like stealAllowed.
+    const sched::SchedView &view = *this;
+    if (self < 0)
+        return sched::VictimSelector().pick(view, self);
+    return hints_[self]->victim.pick(view, self);
 }
 
 void

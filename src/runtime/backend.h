@@ -14,12 +14,13 @@
  * The body owns everything the backends do alike: the worker threads
  * and their identity, the activity-hint protocol and its per-cluster
  * census (Section III-A), the park ladder, the foreign-thread injection
- * queue, the steal/mug counters and their hook calls, the work-biasing
- * steal gate and the mug trigger, and the `sched::SchedView` answers
- * the shared policy components read.  A backend supplies only how work
- * moves — `spawnTask`, `tryTakeTask`, and the queue-occupancy probe
- * `dequeSize` — plus one cache-line-aligned block per worker that
- * embeds the worker's `WorkerHint`.
+ * queue, the steal/mug counters and their hook calls, the policy
+ * components built from `PoolOptions::policy` (a victim selector per
+ * worker, the work-biasing steal gate and the mug trigger), and the
+ * `sched::SchedView` answers those components read.  A backend
+ * supplies only how work moves — `spawnTask`, `tryTakeTask`, and the
+ * queue-occupancy probe `dequeSize` — plus one cache-line-aligned block
+ * per worker that embeds the worker's `WorkerHint`.
  *
  * The contract mirrors what TaskGroup::wait needs to make a blocking
  * join productive: spawnTask from a pool thread, enqueueTask from any
@@ -195,8 +196,8 @@ class RuntimeBackend : protected sched::SchedView
         int failed = 0;
         /** Activity hint bit read by the concurrent census. */
         std::atomic<bool> waiting{false};
-        /** Stateful victim selector (owner-thread only). */
-        std::unique_ptr<sched::VictimSelector> victim;
+        /** The worker's victim selector (owner-thread only). */
+        sched::VictimSelector victim;
     };
 
     /**
@@ -207,7 +208,8 @@ class RuntimeBackend : protected sched::SchedView
 
     /**
      * Register the next worker's hint (call once per worker, in index
-     * order) and give it its own victim selector.
+     * order) and give it its own victim selector, seeded
+     * `kDefaultSeed + index` so random streams are decorrelated.
      */
     void adoptWorker(WorkerHint &hint);
 
@@ -258,9 +260,19 @@ class RuntimeBackend : protected sched::SchedView
     void
     noteFailed(int self)
     {
-        if (self < 0)
-            return;
-        WorkerHint &hint = *hints_[self];
+        // Foreign threads carry no hint.
+        if (self >= 0)
+            noteFailed(self, *hints_[self]);
+    }
+
+    /**
+     * noteFailed for a worker whose block is already in hand: the deque
+     * pool's gated-out owner path skips the hint-table lookup, which
+     * keeps the table index out of its pop fast path.
+     */
+    void
+    noteFailed(int self, WorkerHint &hint)
+    {
         // The paper toggles the activity bit on the *second* consecutive
         // failed steal attempt (Section III-A); the count keeps running
         // (saturating) so the mug trigger can read the starvation streak.
@@ -315,12 +327,13 @@ class RuntimeBackend : protected sched::SchedView
                                 self);
     }
 
-    /** Worker `self`'s policy-selected victim, or -1. */
-    int
-    pickVictim(int self)
-    {
-        return hints_[self]->victim->pick(*this, self);
-    }
+    /**
+     * Worker `self`'s policy-selected victim, or -1.  A foreign thread
+     * (`self == -1`) has no selector of its own and takes the richest
+     * queue.  Out of line, so the probe loops stay out of the inlined
+     * pop fast path of the backends' tryTakeTask.
+     */
+    int pickVictim(int self);
 
     /**
      * Mug trigger: the slower worker a starved `self` should raid, or

@@ -58,7 +58,7 @@ WorkerPool::tryTakeTask()
             return task;
         }
         if (!stealAllowed(self)) {
-            noteFailed(self);
+            noteFailed(self, w.hint);
             return nullptr;
         }
     }
@@ -69,8 +69,7 @@ WorkerPool::tryTakeTask()
         noteFound(self);
         return task;
     }
-    int victim =
-        self >= 0 ? pickVictim(self) : foreign_victim_.pick(*this, self);
+    int victim = pickVictim(self);
     if (victim >= 0) {
         noteStealAttempt(self, victim);
         if (workers_[victim]->deque.steal(task)) {

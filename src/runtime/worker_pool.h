@@ -3,7 +3,7 @@
  * The native work-stealing thread pool (Section IV-C analog).
  *
  * A library-based, child-stealing runtime in the spirit of Intel TBB:
- * per-worker Chase-Lev deques, pluggable victim selection, and
+ * per-worker Chase-Lev deques, policy-selected victims, and
  * blocking-style joins in which the waiting thread keeps executing local
  * and stolen tasks.  Deliberately lightweight: no exceptions across
  * tasks, no cancellation — the paper credits the same omissions for its
@@ -30,7 +30,6 @@
 #include "runtime/chase_lev_deque.h"
 #include "runtime/hooks.h"
 #include "runtime/task.h"
-#include "sched/victim.h"
 
 namespace aaws {
 
@@ -97,8 +96,6 @@ class WorkerPool : public RuntimeBackend
                   "per-worker blocks must not share a cache line");
 
     std::vector<std::unique_ptr<WorkerState>> workers_;
-    /** Stateless fallback for foreign threads (no own deque). */
-    sched::OccupancyVictimSelector foreign_victim_;
 };
 
 } // namespace aaws

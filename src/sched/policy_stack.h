@@ -1,24 +1,22 @@
 /**
  * @file
- * Policy-stack assembly: one bag of switches, one bundle of components.
+ * `PolicyConfig`: the one description of a scheduling-policy assembly.
  *
  * An AAWS runtime variant (base, base+p, ..., base+psm) is nothing but
  * a particular assembly of the policy components in this directory:
  * which victim selector, whether the steal gate biases, whether the mug
  * trigger is armed, and which voltage intents the rest policy may
- * emit.  `PolicyConfig` is the flat switch set (what `src/aaws/`
- * variants produce and `MachineConfig` mirrors); `makePolicyStack`
- * turns it into live components for an engine to consult.
+ * emit.  `PolicyConfig` is that switch set, and every engine reads it
+ * directly: `policyConfigFor` (src/aaws/) produces it, the simulator
+ * holds it as `MachineConfig::policy`, the DVFS controller and the
+ * native pacing governor take it, and the native pools take it as
+ * `PoolOptions::policy`.  Each engine builds its `VictimSelector`,
+ * `StealGate`, `MugTrigger` and `RestPolicy` values from it.
  */
 
 #ifndef AAWS_SCHED_POLICY_STACK_H
 #define AAWS_SCHED_POLICY_STACK_H
 
-#include <memory>
-
-#include "sched/mug.h"
-#include "sched/rest_policy.h"
-#include "sched/steal_gate.h"
 #include "sched/victim.h"
 
 namespace aaws {
@@ -27,10 +25,12 @@ namespace sched {
 /** Flat description of a scheduling-policy assembly. */
 struct PolicyConfig
 {
-    /** Victim selection (occupancy is the paper's baseline). */
+    /**
+     * Victim selection: occupancy (the baseline, following [Contreras &
+     * Martonosi]) or random (the classic Cilk policy, kept for the
+     * ablation bench).
+     */
     VictimPolicy victim = VictimPolicy::occupancy;
-    /** Seed for the random victim stream (when selected). */
-    uint64_t victim_seed = RandomVictimSelector::kDefaultSeed;
     /** Work-biasing: little cores steal only when all bigs are busy. */
     bool work_biasing = true;
     /** Work-mugging: preemptive little-to-big migration. */
@@ -42,28 +42,6 @@ struct PolicyConfig
     /** Work-sprinting: rest waiters, sprint workers in LP regions. */
     bool work_sprinting = false;
 };
-
-/** Live policy components assembled from a `PolicyConfig`. */
-struct PolicyStack
-{
-    std::unique_ptr<VictimSelector> victim;
-    StealGate gate{true};
-    MugTrigger mug{false};
-    RestPolicy rest{true, false, false};
-};
-
-/** Assemble the components a `PolicyConfig` describes. */
-inline PolicyStack
-makePolicyStack(const PolicyConfig &config)
-{
-    PolicyStack stack;
-    stack.victim = makeVictimSelector(config.victim, config.victim_seed);
-    stack.gate = StealGate(config.work_biasing);
-    stack.mug = MugTrigger(config.work_mugging);
-    stack.rest = RestPolicy(config.serial_sprinting, config.work_pacing,
-                            config.work_sprinting);
-    return stack;
-}
 
 } // namespace sched
 } // namespace aaws

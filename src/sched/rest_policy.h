@@ -50,10 +50,6 @@ class RestPolicy
     {
     }
 
-    bool serialSprinting() const { return serial_sprinting_; }
-    bool workPacing() const { return work_pacing_; }
-    bool workSprinting() const { return work_sprinting_; }
-
     /**
      * Intent for one core.
      *

@@ -25,8 +25,6 @@ class StealGate
   public:
     explicit StealGate(bool work_biasing) : work_biasing_(work_biasing) {}
 
-    bool biasing() const { return work_biasing_; }
-
     /**
      * May `thief_core` attempt a steal right now?  A gated-out attempt
      * counts as a failed steal (the thief backs off and may toggle its

@@ -15,6 +15,9 @@
  * lookup table is always generated from the designer's system-wide
  * estimates in `table_params` (alpha = 3, beta = 2), exactly as
  * Section III-A prescribes (CoreTopology::retargeted).
+ *
+ * The runtime variant is `policy`, the same `sched::PolicyConfig` the
+ * native pools take (`policyConfigFor` in src/aaws/ fills it).
  */
 
 #ifndef AAWS_SIM_CONFIG_H
@@ -22,7 +25,7 @@
 
 #include <string>
 
-#include "dvfs/controller.h"
+#include "dvfs/lookup_table.h"
 #include "sched/policy_stack.h"
 #include "sim/cost_model.h"
 
@@ -37,19 +40,12 @@ struct MachineConfig
     ModelParams app_params;
     /** Designer's system-wide model used to build the DVFS table. */
     ModelParams table_params;
-    /** Voltage techniques applied by the DVFS controller. */
-    DvfsPolicy policy;
-    /** Enable work-mugging (Section III-B). */
-    bool work_mugging = false;
-    /** Enable work-biasing (Section III-C; part of the baseline). */
-    bool work_biasing = true;
     /**
-     * Victim-selection policy: occupancy (the baseline, following
-     * [Contreras & Martonosi]), random (the classic Cilk policy, kept
-     * for the ablation bench), or criticality (prefer victims hosted on
-     * faster clusters, Costero-style; see sched/victim.h).
+     * The runtime's policy assembly: victim selection, work-biasing,
+     * work-mugging (Section III-B) and the voltage techniques the DVFS
+     * controller applies (see sched/policy_stack.h).
      */
-    sched::VictimPolicy victim = sched::VictimPolicy::occupancy;
+    sched::PolicyConfig policy;
     /** Runtime and mug cost constants. */
     RuntimeCosts costs;
     /** Regulator transition latency per voltage step. */
@@ -75,24 +71,6 @@ struct MachineConfig
      * from `table_params`.  Used by the adaptive controller.
      */
     const DvfsLookupTable *table_override = nullptr;
-
-    /**
-     * The flat sched::PolicyConfig this configuration describes — the
-     * single source the Machine assembles its policy stack from (and
-     * the same shape runtime::PoolOptions consumes natively).
-     */
-    sched::PolicyConfig
-    schedPolicy() const
-    {
-        sched::PolicyConfig sp;
-        sp.victim = victim;
-        sp.work_biasing = work_biasing;
-        sp.work_mugging = work_mugging;
-        sp.serial_sprinting = policy.serial_sprinting;
-        sp.work_pacing = policy.work_pacing;
-        sp.work_sprinting = policy.work_sprinting;
-        return sp;
-    }
 };
 
 } // namespace aaws

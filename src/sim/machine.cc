@@ -72,7 +72,9 @@ Machine::Machine(const MachineConfig &config, const TaskDag &dag)
       energy_(app_model_, topo_),
       regions_(topo_.cluster(0).count,
                topo_.numCores() - topo_.cluster(0).count),
-      num_cores_(topo_.numCores()), events_(2 * num_cores_ + 1)
+      num_cores_(topo_.numCores()), events_(2 * num_cores_ + 1),
+      victim_(config.policy.victim), gate_(config.policy.work_biasing),
+      mug_(config.policy.work_mugging)
 {
     AAWS_ASSERT(!dag_.phases().empty(), "kernel has no phases");
     int n = num_cores_;
@@ -81,15 +83,6 @@ Machine::Machine(const MachineConfig &config, const TaskDag &dag)
                 "DVFS table shape (%d cores) does not match the machine "
                 "topology (%d cores)",
                 controller_.numCores(), n);
-    policy_ = sched::makePolicyStack(config.schedPolicy());
-    occ_victim_ =
-        dynamic_cast<sched::OccupancyVictimSelector *>(policy_.victim.get());
-    rand_victim_ =
-        dynamic_cast<sched::RandomVictimSelector *>(policy_.victim.get());
-    crit_victim_ = dynamic_cast<sched::CriticalityVictimSelector *>(
-        policy_.victim.get());
-    AAWS_ASSERT(occ_victim_ || rand_victim_ || crit_victim_,
-                "unknown victim selector");
     // Cores boot in the steal loop (inactive) but their hint bits power
     // up raised, so the two censuses intentionally disagree at t=0.
     state_census_ = sched::ActivityCensus(topo_);
@@ -360,9 +353,9 @@ Machine::checkStillFails(int c) const
     bool no_victim = true;
     for (int w = 0; w < numWorkers(); ++w)
         no_victim = no_victim && (w == core.worker || workers_[w].dq.empty());
-    bool fails = (!policy_.gate.allowSteal(*this, c) || no_victim) &&
-                 (!policy_.mug.wantsMug(*this, c, core.failed_steals + 1) ||
-                  policy_.mug.pickMuggee(*this, core.cluster) < 0);
+    bool fails = (!gate_.allowSteal(*this, c) || no_victim) &&
+                 (!mug_.wantsMug(*this, c, core.failed_steals + 1) ||
+                  mug_.pickMuggee(*this, core.cluster) < 0);
     AAWS_ASSERT(fails && core.state == CoreState::stealing &&
                     core.pending == Pending::steal && !core.hint_active &&
                     !events_.active(opSlot(c)) &&
@@ -717,12 +710,10 @@ Machine::onStealDone(int c)
     Core &core = cores_[c];
     const RuntimeCosts &costs = config_.costs;
 
-    bool biased_out = !policy_.gate.allowSteal(*this, c);
+    bool biased_out = !gate_.allowSteal(*this, c);
     int victim = -1;
     if (!biased_out) {
-        victim = occ_victim_    ? occ_victim_->pickIn(*this, core.worker)
-                 : rand_victim_ ? rand_victim_->pickIn(*this, core.worker)
-                                : crit_victim_->pickIn(*this, core.worker);
+        victim = victim_.pick(*this, core.worker);
     }
 
     if (victim >= 0) {
@@ -752,8 +743,8 @@ Machine::onStealDone(int c)
     // core blocked at a sync may also mug (its blocked continuation
     // migrates to the slower core and resumes whenever its join
     // completes).
-    if (policy_.mug.wantsMug(*this, c, core.failed_steals)) {
-        int target = policy_.mug.pickMuggee(*this, core.cluster);
+    if (mug_.wantsMug(*this, c, core.failed_steals)) {
+        int target = mug_.pickMuggee(*this, core.cluster);
         if (target >= 0) {
             issueMug(c, target, /*for_phase=*/false);
             return;
@@ -978,8 +969,8 @@ Machine::phaseTransition(int c)
     // End of a parallel region: logical thread 0 must continue on a
     // fast core (Section III-B); if it is on a slower cluster, mug an
     // idle core of any faster one.
-    if (policy_.mug.enabled() && cores_[c].cluster > 0) {
-        int target = policy_.mug.pickPhaseMuggee(*this, cores_[c].cluster);
+    if (mug_.enabled() && cores_[c].cluster > 0) {
+        int target = mug_.pickPhaseMuggee(*this, cores_[c].cluster);
         if (target >= 0) {
             issueMug(c, target, /*for_phase=*/true);
             return;

@@ -29,10 +29,10 @@
  *
  * Every policy *decision* — victim choice, work-biasing, mug
  * triggering/targeting, rest/sprint intents — is delegated to the
- * engine-agnostic components in `src/sched/` (the same stack both
- * native pools run); the machine implements the
- * `sched::SchedView` interface they read and keeps only event
- * mechanics and cost charging for itself.
+ * engine-agnostic components in `src/sched/` (the same values both
+ * native pools run), each built from `MachineConfig::policy`; the
+ * machine implements the `sched::SchedView` concept they read and
+ * keeps only event mechanics and cost charging for itself.
  *
  * Simulation is single-threaded and fully deterministic.  The event
  * structure is an IndexedEventQueue with one slot per event source
@@ -60,11 +60,14 @@
 #include <memory>
 #include <vector>
 
+#include "dvfs/controller.h"
 #include "dvfs/regulator.h"
 #include "energy/accountant.h"
 #include "kernels/task_dag.h"
 #include "sched/census.h"
-#include "sched/policy_stack.h"
+#include "sched/mug.h"
+#include "sched/steal_gate.h"
+#include "sched/victim.h"
 #include "sched/view.h"
 #include "sim/config.h"
 #include "sim/event_queue.h"
@@ -142,7 +145,7 @@ class Machine final
     // --- sched::SchedView concept (read-only policy inputs) -------------
     //
     // Same signatures as the abstract interface, bound statically by
-    // the policy templates (`pickIn`, `allowSteal`, `pickMuggee`): the
+    // the policy templates (`pick`, `allowSteal`, `pickMuggee`): the
     // bodies are inline, so the steal path's occupancy probes compile
     // down to direct vector reads instead of vtable hops.
 
@@ -436,14 +439,10 @@ class Machine final
     SimResult result_;
     bool ran_ = false;
     bool trace_enabled_ = false;
-    /** Victim choice / biasing / mug policy stack (src/sched/). */
-    sched::PolicyStack policy_;
-    // Concrete selector for the hot steal path (exactly one non-null):
-    // calling `pickIn` on the concrete type keeps the per-worker
-    // occupancy probes statically dispatched.
-    sched::OccupancyVictimSelector *occ_victim_ = nullptr;
-    sched::RandomVictimSelector *rand_victim_ = nullptr;
-    sched::CriticalityVictimSelector *crit_victim_ = nullptr;
+    // Policy components built from config_.policy (src/sched/).
+    sched::VictimSelector victim_;
+    const sched::StealGate gate_;
+    const sched::MugTrigger mug_;
     int active_count_ = 0;
     double contention_factor_ = 1.0;
     /** Per-cluster IPC under app_params (refreshRate hot path). */

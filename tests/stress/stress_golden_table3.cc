@@ -203,7 +203,7 @@ renderSweepDigests()
         }
         MachineConfig random =
             exp::configForSpec(kernel, spec(Variant::base_psm, "4b4l"));
-        random.victim = sched::VictimPolicy::random;
+        random.policy.victim = sched::VictimPolicy::random;
         run("base+psm/4b4l/victim=random", random);
     }
     return digests;

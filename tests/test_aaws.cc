@@ -69,28 +69,6 @@ TEST(Variant, NearMissNamesAreFatalToo)
     EXPECT_DEATH((void)variantFromName(" base"), "unknown variant");
 }
 
-TEST(Variant, ApplyVariantMatchesPolicyConfigFor)
-{
-    // applyVariant and policyConfigFor must stay two views of the same
-    // switch table.
-    for (Variant v : allVariants()) {
-        MachineConfig config;
-        applyVariant(config, v);
-        sched::PolicyConfig sp = policyConfigFor(v);
-        EXPECT_EQ(config.work_biasing, sp.work_biasing) << variantName(v);
-        EXPECT_EQ(config.work_mugging, sp.work_mugging) << variantName(v);
-        EXPECT_EQ(config.policy.serial_sprinting, sp.serial_sprinting)
-            << variantName(v);
-        EXPECT_EQ(config.policy.work_pacing, sp.work_pacing)
-            << variantName(v);
-        EXPECT_EQ(config.policy.work_sprinting, sp.work_sprinting)
-            << variantName(v);
-        // The ablation victim knob is not a variant concern.
-        EXPECT_EQ(config.victim, sched::VictimPolicy::occupancy)
-            << variantName(v);
-    }
-}
-
 TEST(Metrics, SpeedupAndEfficiencyGainOnHandBuiltResults)
 {
     // Baseline: 2 s at 8 J.  Optimized: 1 s at 5 J.
@@ -122,34 +100,31 @@ TEST(Metrics, SpeedupAndEfficiencyGainOnHandBuiltResults)
 
 TEST(Variant, TechniqueMatrix)
 {
-    MachineConfig config;
-
-    applyVariant(config, Variant::base);
-    EXPECT_FALSE(config.policy.work_pacing);
-    EXPECT_FALSE(config.policy.work_sprinting);
-    EXPECT_FALSE(config.work_mugging);
-    EXPECT_TRUE(config.policy.serial_sprinting); // aggressive baseline
-    EXPECT_TRUE(config.work_biasing);
-
-    applyVariant(config, Variant::base_p);
-    EXPECT_TRUE(config.policy.work_pacing);
-    EXPECT_FALSE(config.policy.work_sprinting);
-    EXPECT_FALSE(config.work_mugging);
-
-    applyVariant(config, Variant::base_ps);
-    EXPECT_TRUE(config.policy.work_pacing);
-    EXPECT_TRUE(config.policy.work_sprinting);
-    EXPECT_FALSE(config.work_mugging);
-
-    applyVariant(config, Variant::base_psm);
-    EXPECT_TRUE(config.policy.work_pacing);
-    EXPECT_TRUE(config.policy.work_sprinting);
-    EXPECT_TRUE(config.work_mugging);
-
-    applyVariant(config, Variant::base_m);
-    EXPECT_FALSE(config.policy.work_pacing);
-    EXPECT_FALSE(config.policy.work_sprinting);
-    EXPECT_TRUE(config.work_mugging);
+    // Every (variant, switch) cell.  Serial-sprinting and work-biasing
+    // are the aggressive baseline of every variant, and victim selection
+    // is not a variant concern.
+    struct Row
+    {
+        Variant v;
+        bool pacing, sprinting, mugging;
+    };
+    const Row rows[] = {
+        {Variant::base, false, false, false},
+        {Variant::base_p, true, false, false},
+        {Variant::base_ps, true, true, false},
+        {Variant::base_psm, true, true, true},
+        {Variant::base_m, false, false, true},
+    };
+    for (const Row &row : rows) {
+        sched::PolicyConfig sp = policyConfigFor(row.v);
+        EXPECT_EQ(sp.work_pacing, row.pacing) << variantName(row.v);
+        EXPECT_EQ(sp.work_sprinting, row.sprinting) << variantName(row.v);
+        EXPECT_EQ(sp.work_mugging, row.mugging) << variantName(row.v);
+        EXPECT_TRUE(sp.serial_sprinting) << variantName(row.v);
+        EXPECT_TRUE(sp.work_biasing) << variantName(row.v);
+        EXPECT_EQ(sp.victim, sched::VictimPolicy::occupancy)
+            << variantName(row.v);
+    }
 }
 
 TEST(Experiment, ConfigUsesPerKernelModelButDesignerTable)
@@ -343,7 +318,7 @@ SimResult
 runDag(const TaskDag &dag, Variant variant)
 {
     MachineConfig config;
-    applyVariant(config, variant);
+    config.policy = policyConfigFor(variant);
     return Machine(config, dag).run();
 }
 

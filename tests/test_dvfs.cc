@@ -135,7 +135,7 @@ class ControllerFixture : public ::testing::Test
     DvfsController
     make(bool pacing, bool sprinting, bool serial)
     {
-        DvfsPolicy policy;
+        sched::PolicyConfig policy;
         policy.work_pacing = pacing;
         policy.work_sprinting = sprinting;
         policy.serial_sprinting = serial;

@@ -204,7 +204,7 @@ TEST_P(ShapeSweep, AllVariantsCompleteAndAccount)
     for (Variant v : allVariants()) {
         MachineConfig config;
         config.topology = preset(n_big, n_little);
-        applyVariant(config, v);
+        config.policy = policyConfigFor(v);
         SimResult r = Machine(config, dag).run();
         EXPECT_GT(r.exec_seconds, 0.0) << variantName(v);
         EXPECT_EQ(r.tasks_executed, 25u) << variantName(v);
@@ -227,7 +227,7 @@ TEST_P(ShapeSweep, MoreBigCoresNeverSlower)
     TaskDag dag = workload();
     MachineConfig small;
     small.topology = preset(n_big, n_little);
-    applyVariant(small, Variant::base);
+    small.policy = policyConfigFor(Variant::base);
     MachineConfig bigger = small;
     bigger.topology = preset(n_big + 1, n_little);
     SimResult a = Machine(small, dag).run();

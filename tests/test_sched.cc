@@ -28,7 +28,6 @@
 #include "sched/steal_gate.h"
 #include "sched/victim.h"
 #include "sched/view.h"
-#include "sim/config.h"
 
 namespace aaws {
 namespace {
@@ -89,7 +88,7 @@ TEST(OccupancyVictim, PicksTheStrictlyRichestDeque)
 {
     FakeView view(4);
     view.occ_ = {5, 2, 9, 1};
-    sched::OccupancyVictimSelector sel;
+    sched::VictimSelector sel(sched::VictimPolicy::occupancy);
     EXPECT_EQ(sel.pick(view, 0), 2);
     EXPECT_EQ(sel.pick(view, 2), 0); // thief excluded
 }
@@ -97,7 +96,7 @@ TEST(OccupancyVictim, PicksTheStrictlyRichestDeque)
 TEST(OccupancyVictim, ReturnsMinusOneWhenEveryDequeIsEmpty)
 {
     FakeView view(4);
-    sched::OccupancyVictimSelector sel;
+    sched::VictimSelector sel(sched::VictimPolicy::occupancy);
     EXPECT_EQ(sel.pick(view, 1), -1);
 }
 
@@ -105,7 +104,7 @@ TEST(OccupancyVictim, TiesBreakToTheLowestWorkerId)
 {
     FakeView view(4);
     view.occ_ = {0, 3, 3, 3};
-    sched::OccupancyVictimSelector sel;
+    sched::VictimSelector sel(sched::VictimPolicy::occupancy);
     // Strict-greater comparison keeps the first maximum seen.
     EXPECT_EQ(sel.pick(view, 0), 1);
 }
@@ -114,7 +113,7 @@ TEST(OccupancyVictim, SingleWorkerHasNoVictim)
 {
     FakeView view(1);
     view.occ_ = {7};
-    sched::OccupancyVictimSelector sel;
+    sched::VictimSelector sel(sched::VictimPolicy::occupancy);
     EXPECT_EQ(sel.pick(view, 0), -1);
 }
 
@@ -122,7 +121,7 @@ TEST(RandomVictim, OnlyPicksNonEmptyDequesAndNeverTheThief)
 {
     FakeView view(6);
     view.occ_ = {4, 0, 1, 0, 9, 0};
-    sched::RandomVictimSelector sel(12345);
+    sched::VictimSelector sel(sched::VictimPolicy::random, 12345);
     for (int i = 0; i < 500; ++i) {
         int v = sel.pick(view, 0);
         ASSERT_TRUE(v == 2 || v == 4) << "picked " << v;
@@ -133,7 +132,8 @@ TEST(RandomVictim, SameSeedSameSequence)
 {
     FakeView view(8);
     view.occ_ = {1, 2, 3, 4, 5, 6, 7, 8};
-    sched::RandomVictimSelector a(99), b(99);
+    sched::VictimSelector a(sched::VictimPolicy::random, 99);
+    sched::VictimSelector b(sched::VictimPolicy::random, 99);
     for (int i = 0; i < 200; ++i)
         ASSERT_EQ(a.pick(view, 3), b.pick(view, 3));
 }
@@ -146,8 +146,8 @@ TEST(RandomVictim, EmptyMachineDoesNotAdvanceTheStream)
     FakeView empty(4);
     FakeView full(4);
     full.occ_ = {3, 1, 4, 1};
-    sched::RandomVictimSelector fresh(7);
-    sched::RandomVictimSelector perturbed(7);
+    sched::VictimSelector fresh(sched::VictimPolicy::random, 7);
+    sched::VictimSelector perturbed(sched::VictimPolicy::random, 7);
     for (int i = 0; i < 50; ++i)
         ASSERT_EQ(perturbed.pick(empty, 0), -1);
     for (int i = 0; i < 100; ++i)
@@ -158,8 +158,8 @@ TEST(RandomVictim, SeededDistributionIsRoughlyUniform)
 {
     FakeView view(4);
     view.occ_ = {0, 5, 5, 5};
-    sched::RandomVictimSelector sel(
-        sched::RandomVictimSelector::kDefaultSeed);
+    sched::VictimSelector sel(sched::VictimPolicy::random,
+                              sched::VictimSelector::kDefaultSeed);
     int counts[4] = {0, 0, 0, 0};
     const int draws = 3000;
     for (int i = 0; i < draws; ++i)
@@ -178,21 +178,96 @@ TEST(RandomVictim, DifferentSeedsDiverge)
 {
     FakeView view(8);
     view.occ_ = {1, 1, 1, 1, 1, 1, 1, 1};
-    sched::RandomVictimSelector a(1), b(2);
+    sched::VictimSelector a(sched::VictimPolicy::random, 1);
+    sched::VictimSelector b(sched::VictimPolicy::random, 2);
     int differences = 0;
     for (int i = 0; i < 100; ++i)
         differences += a.pick(view, 0) != b.pick(view, 0) ? 1 : 0;
     EXPECT_GT(differences, 0);
 }
 
-TEST(VictimFactory, AssemblesTheRequestedPolicy)
+TEST(RandomVictim, PicksAmongMoreThanSixtyFourWorkers)
 {
-    auto occ = sched::makeVictimSelector(sched::VictimPolicy::occupancy);
-    auto rnd = sched::makeVictimSelector(sched::VictimPolicy::random, 5);
-    EXPECT_NE(dynamic_cast<sched::OccupancyVictimSelector *>(occ.get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<sched::RandomVictimSelector *>(rnd.get()),
-              nullptr);
+    // The pick needs no per-worker buffer, so a pool of any size may
+    // select victims at random.
+    FakeView view(100);
+    view.occ_[3] = 4;
+    view.occ_[70] = 2;
+    view.occ_[99] = 1;
+    sched::VictimSelector sel(sched::VictimPolicy::random, 5);
+    bool seen[100] = {};
+    for (int i = 0; i < 300; ++i) {
+        int v = sel.pick(view, 0);
+        ASSERT_TRUE(v == 3 || v == 70 || v == 99) << "picked " << v;
+        seen[v] = true;
+    }
+    EXPECT_TRUE(seen[3] && seen[70] && seen[99]);
+    for (int i = 0; i < 100; ++i) {
+        int v = sel.pick(view, 3); // the thief's own deque is excluded
+        ASSERT_TRUE(v == 70 || v == 99) << "picked " << v;
+    }
+}
+
+/**
+ * The buffered random pick the selector used before it counted and
+ * walked instead, kept as the reference: on an exact view both must
+ * draw and pick alike.
+ */
+class BufferedRandomReference
+{
+  public:
+    explicit BufferedRandomReference(uint64_t seed) : rng_(seed) {}
+
+    int
+    pick(const sched::SchedView &view, int thief)
+    {
+        int candidates[64];
+        int n = 0;
+        const int workers = view.numWorkers();
+        for (int w = 0; w < workers; ++w) {
+            if (w != thief && view.dequeSize(w) > 0)
+                candidates[n++] = w;
+        }
+        if (n == 0)
+            return -1;
+        rng_ ^= rng_ >> 12;
+        rng_ ^= rng_ << 25;
+        rng_ ^= rng_ >> 27;
+        return candidates[(rng_ * 0x2545F4914F6CDD1Dull >> 33) %
+                          static_cast<uint64_t>(n)];
+    }
+
+  private:
+    uint64_t rng_;
+};
+
+TEST(RandomVictim, MatchesTheBufferedAlgorithmDrawForDraw)
+{
+    // One selector pair across every view, so each pick also checks the
+    // stream position the earlier picks (and non-picks) left behind.
+    sched::VictimSelector sel(sched::VictimPolicy::random,
+                              sched::VictimSelector::kDefaultSeed);
+    BufferedRandomReference ref(sched::VictimSelector::kDefaultSeed);
+    std::mt19937_64 gen(0xA5A5);
+    int picks = 0;
+    for (int round = 0; round < 5000; ++round) {
+        const int workers = 1 + static_cast<int>(gen() % 64);
+        FakeView view(workers);
+        // A third of the rounds are sparse: about one deque in eight
+        // holds work, so many picks find one candidate or none.
+        const uint64_t full_one_in = round % 3 == 0 ? 8 : 2;
+        for (int64_t &occ : view.occ_) {
+            occ = gen() % full_one_in == 0
+                      ? static_cast<int64_t>(1 + gen() % 5)
+                      : 0;
+        }
+        const int thief = static_cast<int>(gen() % (workers + 1)) - 1;
+        const int want = ref.pick(view, thief);
+        ASSERT_EQ(sel.pick(view, thief), want)
+            << "round " << round << ", " << workers << " workers";
+        picks += want >= 0;
+    }
+    EXPECT_GT(picks, 2500); // most rounds drew
 }
 
 // --- steal gate -------------------------------------------------------------
@@ -367,43 +442,6 @@ TEST(ActivityCensus, BootsAllActiveWhenAsked)
 
 // --- assembly ---------------------------------------------------------------
 
-TEST(PolicyStack, AssemblyWiresEverySwitch)
-{
-    sched::PolicyConfig config;
-    config.victim = sched::VictimPolicy::random;
-    config.work_biasing = false;
-    config.work_mugging = true;
-    config.serial_sprinting = false;
-    config.work_pacing = true;
-    config.work_sprinting = true;
-    sched::PolicyStack stack = sched::makePolicyStack(config);
-    EXPECT_NE(dynamic_cast<sched::RandomVictimSelector *>(
-                  stack.victim.get()),
-              nullptr);
-    EXPECT_FALSE(stack.gate.biasing());
-    EXPECT_TRUE(stack.mug.enabled());
-    EXPECT_EQ(stack.rest.intentFor(true, true, true, false),
-              sched::VoltageIntent::sprint_table); // no serial sprint
-}
-
-TEST(MachineConfigSchedPolicy, MirrorsTheLegacySwitches)
-{
-    MachineConfig config;
-    config.victim = sched::VictimPolicy::random;
-    config.work_biasing = false;
-    config.work_mugging = true;
-    config.policy.work_pacing = true;
-    config.policy.work_sprinting = true;
-    config.policy.serial_sprinting = false;
-    sched::PolicyConfig sp = config.schedPolicy();
-    EXPECT_EQ(sp.victim, sched::VictimPolicy::random);
-    EXPECT_FALSE(sp.work_biasing);
-    EXPECT_TRUE(sp.work_mugging);
-    EXPECT_TRUE(sp.work_pacing);
-    EXPECT_TRUE(sp.work_sprinting);
-    EXPECT_FALSE(sp.serial_sprinting);
-}
-
 TEST(VariantPolicy, EveryVariantAssemblesItsDocumentedStack)
 {
     for (Variant v : allVariants()) {
@@ -468,6 +506,73 @@ TEST(PoolPolicy, RandomVictimPoolExecutesCorrectly)
     WorkerPool pool(4, options);
     const int64_t n = 1 << 15;
     EXPECT_EQ(checksumRun(pool, n), n * (n - 1) / 2);
+}
+
+/** Counts the steals committed by foreign threads (thief -1). */
+class ForeignStealCounter : public SchedulerHooks
+{
+  public:
+    void
+    onStealSuccess(int thief, int victim) override
+    {
+        (void)victim;
+        if (thief < 0)
+            steals.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    std::atomic<uint64_t> steals{0};
+};
+
+TEST(PoolPolicy, ForeignWaiterStealsAndEveryTaskRunsOnce)
+{
+    // A thread outside the pool waits on a TaskGroup.  Pool workers run
+    // the fan tasks it spawned, and each fan's nested spawns land on
+    // that worker's deque, which the foreign waiter raids: the foreign
+    // steal path, which takes the richest deque under either victim
+    // policy.
+    static constexpr int kFans = 3;
+    static constexpr int kLeaves = 16;
+    static constexpr int kTasks = kFans * (1 + kLeaves);
+    for (sched::VictimPolicy victim :
+         {sched::VictimPolicy::occupancy, sched::VictimPolicy::random}) {
+        SCOPED_TRACE(victim == sched::VictimPolicy::random ? "random"
+                                                            : "occupancy");
+        ForeignStealCounter counter;
+        PoolOptions options;
+        options.policy.victim = victim;
+        options.hooks = &counter;
+        WorkerPool pool(4, options);
+        // A round where this thread ran the fans itself has nothing to
+        // steal; retry until a steal lands (nearly always at once).
+        for (int round = 0; round < 50 && counter.steals.load() == 0;
+             ++round) {
+            std::vector<std::atomic<int>> runs(kTasks);
+            std::thread foreign([&] {
+                TaskGroup group(pool);
+                for (int f = 0; f < kFans; ++f) {
+                    const int fan = f * (1 + kLeaves);
+                    group.run([&group, &runs, fan] {
+                        runs[fan].fetch_add(1);
+                        for (int leaf = fan + 1; leaf <= fan + kLeaves;
+                             ++leaf) {
+                            group.run([&runs, leaf] {
+                                std::this_thread::sleep_for(
+                                    std::chrono::microseconds(100));
+                                runs[leaf].fetch_add(1);
+                            });
+                        }
+                    });
+                }
+                // Give the workers time to take the fans first.
+                std::this_thread::sleep_for(std::chrono::microseconds(500));
+                group.wait();
+            });
+            foreign.join();
+            for (int id = 0; id < kTasks; ++id)
+                ASSERT_EQ(runs[id].load(), 1) << "task " << id;
+        }
+        EXPECT_GT(counter.steals.load(), 0u);
+    }
 }
 
 TEST(PoolPolicy, DefaultOptionsPreserveLegacyBehavior)

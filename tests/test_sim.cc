@@ -34,8 +34,8 @@ plainConfig(const std::string &topology = "4b4l")
     config.policy.work_pacing = false;
     config.policy.work_sprinting = false;
     config.policy.serial_sprinting = false;
-    config.work_biasing = false;
-    config.work_mugging = false;
+    config.policy.work_biasing = false;
+    config.policy.work_mugging = false;
     return config;
 }
 
@@ -158,7 +158,7 @@ TEST(SimForkJoin, RegionsSumToExecTime)
 TEST(SimForkJoin, Deterministic)
 {
     MachineConfig config;
-    applyVariant(config, Variant::base_psm);
+    config.policy = policyConfigFor(Variant::base_psm);
     TaskDag dag = forkJoinDag(16, 500'000, 200'000);
     SimResult a = Machine(config, dag).run();
     SimResult b = Machine(config, dag).run();
@@ -188,7 +188,7 @@ TEST(SimMug, MuggingMovesLaggingWorkToBigCores)
     SimResult no_mug = Machine(base, dag).run();
 
     MachineConfig mug = plainConfig();
-    mug.work_mugging = true;
+    mug.policy.work_mugging = true;
     SimResult with_mug = Machine(mug, dag).run();
 
     EXPECT_GE(with_mug.mugs, 3u);
@@ -203,7 +203,7 @@ TEST(SimMug, MuggingMovesLaggingWorkToBigCores)
 TEST(SimMug, MugCountsAndInstructionsStayConsistent)
 {
     MachineConfig mug = plainConfig();
-    mug.work_mugging = true;
+    mug.policy.work_mugging = true;
     TaskDag dag = forkJoinDag(7, 10'000'000, 10'000'000);
     SimResult result = Machine(mug, dag).run();
     // All task work plus bounded overhead (swap code + cache penalty
@@ -220,7 +220,7 @@ TEST(SimMug, HighInterruptLatencyBarelyMatters)
     // performance by < 1%.
     TaskDag dag = forkJoinDag(7, 10'000'000, 10'000'000);
     MachineConfig fast = plainConfig();
-    fast.work_mugging = true;
+    fast.policy.work_mugging = true;
     MachineConfig slow = fast;
     slow.costs.mug_interrupt_cycles = 1000;
     SimResult a = Machine(fast, dag).run();
@@ -278,7 +278,7 @@ TEST(SimBiasing, LittleCoresHoldBackWhenBigIdle)
     // a two-task DAG the steals must land on big cores.
     TaskDag dag = forkJoinDag(2, 4'000'000);
     MachineConfig biased = plainConfig();
-    biased.work_biasing = true;
+    biased.policy.work_biasing = true;
     SimResult result = Machine(biased, dag).run();
     // 2 children + root work on bigs only: time = children serialized
     // across two big cores => all LP work, no little participation.
@@ -402,7 +402,7 @@ TEST(SimGuards, LivelockBudgetCountsSkippedAttempts)
     dag.addPhase(5'000'000, static_cast<int32_t>(root));
     MachineConfig config;
     config.topology = "1b7l";
-    applyVariant(config, Variant::base_psm);
+    config.policy = policyConfigFor(Variant::base_psm);
     SimResult full = Machine(config, dag).run();
     const uint64_t events = full.sim_events;
     ASSERT_GT(full.failed_steals, 7u * 1000u);
@@ -555,7 +555,7 @@ TEST(SimDvfs, TransitionSensitivityIsSmall)
     // Paper: 250 ns/step transitions changed results by < 2%.
     TaskDag dag = forkJoinDag(32, 2'000'000);
     MachineConfig fast;
-    applyVariant(fast, Variant::base_ps);
+    fast.policy = policyConfigFor(Variant::base_ps);
     MachineConfig slow = fast;
     slow.regulator_ns_per_step = 250.0;
     SimResult a = Machine(fast, dag).run();
@@ -673,7 +673,7 @@ TEST(SimEdge, RandomVictimStillCompletesEverything)
 {
     Kernel kernel = makeKernel("mis");
     MachineConfig config = configFor(kernel, Variant::base_psm);
-    config.victim = sched::VictimPolicy::random;
+    config.policy.victim = sched::VictimPolicy::random;
     SimResult result = Machine(config, kernel.dag).run();
     EXPECT_EQ(result.tasks_executed, kernel.dag.numTasks());
     EXPECT_NEAR(result.regions.total(), result.exec_seconds,
@@ -775,7 +775,7 @@ TEST(SimEventCount, DeterministicAcrossRuns)
 TEST(SimTrace, RecordsAreTimeOrdered)
 {
     MachineConfig config;
-    applyVariant(config, Variant::base_psm);
+    config.policy = policyConfigFor(Variant::base_psm);
     config.collect_trace = true;
     TaskDag dag = forkJoinDag(16, 500'000, 250'000);
     SimResult result = Machine(config, dag).run();

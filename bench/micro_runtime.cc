@@ -30,6 +30,7 @@
 #include "kernels/registry.h"
 #include "runtime/chase_lev_deque.h"
 #include "runtime/parallel_for.h"
+#include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
 
 using namespace aaws;

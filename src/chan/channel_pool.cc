@@ -55,7 +55,7 @@ ChannelPool::spawnTask(RtTask *task)
     // Foreign threads (including another pool's workers) have no local
     // queue or task indicator; their spawns fall back to the
     // cross-thread injection queue, which workers — and the spawner's
-    // own TaskGroup::wait loop — drain.
+    // own join (helpUntil) — drain.
     if (self < 0) {
         enqueueTask(task);
         return;
@@ -63,7 +63,7 @@ ChannelPool::spawnTask(RtTask *task)
     noteSpawn(self);
     WorkerState &w = *workers_[self];
     w.local.push_back(task);
-    w.indicator.fetch_add(1, std::memory_order_relaxed);
+    w.publishSize();
     // Lifeline release: new work answers parked thieves directly (the
     // work-sharing half of the protocol).
     if (!w.held.empty())
@@ -93,7 +93,7 @@ ChannelPool::tryTakeTask()
     if (!w.local.empty()) {
         RtTask *task = w.local.back();
         w.local.pop_back();
-        w.indicator.fetch_sub(1, std::memory_order_relaxed);
+        w.publishSize();
         noteFound(self, w.hint);
         return task;
     }
@@ -113,9 +113,7 @@ ChannelPool::tryTakeTask()
                 std::memory_order_relaxed);
             for (int i = 1; i < batch.count; ++i)
                 w.local.push_back(batch.tasks[i]);
-            if (batch.count > 1)
-                w.indicator.fetch_add(batch.count - 1,
-                                      std::memory_order_relaxed);
+            w.publishSize();
             noteSteal(self, batch.victim, batch.mug);
             return batch.tasks[0];
         }
@@ -202,7 +200,7 @@ ChannelPool::grant(int self, const StealRequest &req)
         batch.tasks[i] = w.local.front();
         w.local.pop_front();
     }
-    w.indicator.fetch_sub(give, std::memory_order_relaxed);
+    w.publishSize();
     ChanStatus status = workers_[req.thief]->batches.trySend(batch);
     AAWS_ASSERT(status == ChanStatus::ok,
                 "task channel full: thief had more than one outstanding "

@@ -56,7 +56,7 @@ namespace aaws::chan {
 /**
  * Fixed-size message-passing work-stealing pool.  The constructing
  * thread is worker 0 (the master) and participates whenever it waits on
- * a TaskGroup; `threads - 1` additional worker threads are spawned.
+ * a join; `threads - 1` additional worker threads are spawned.
  *
  * `steal` selects the request granularity (steal-one / steal-half /
  * adaptive), which is a backend mechanism, not an AAWS policy switch.
@@ -120,7 +120,9 @@ class ChannelPool : public RuntimeBackend
      * Per-worker scheduling state, one cache-line-aligned block per
      * worker.  `local`, `outstanding`, `steal_half_next`, and `held`
      * are owner-thread-only; `indicator` is the concurrently probed
-     * task count; the channels carry the steal protocol.
+     * task count, written only by the owner (a plain store of
+     * `local.size()` after each change, as tasking-2.0's `atomic_set`);
+     * the channels carry the steal protocol.
      */
     struct alignas(kCacheLine) WorkerState
     {
@@ -143,6 +145,14 @@ class ChannelPool : public RuntimeBackend
         explicit WorkerState(int threads)
             : requests(static_cast<std::size_t>(2 * threads)), batches(2)
         {
+        }
+
+        /** Owner: publish the queue length to victim probes. */
+        void
+        publishSize()
+        {
+            indicator.store(static_cast<int64_t>(local.size()),
+                            std::memory_order_relaxed);
         }
     };
     static_assert(alignof(WorkerState) == kCacheLine,

@@ -6,7 +6,7 @@
  * Two backends derive from it — `runtime::WorkerPool` (per-worker
  * Chase-Lev deques raided directly by thieves) and `chan::ChannelPool`
  * (explicit steal-request messages over bounded channels, modeled on
- * aprell/tasking-2.0).  TaskGroup, parallelFor, parallelInvoke, and the
+ * aprell/tasking-2.0).  parallelInvoke, parallelFor, TaskGroup, and the
  * serving ingest loop are written against this class, so every
  * algorithm and all five AAWS policy variants run on either backend
  * unchanged.
@@ -22,9 +22,10 @@
  * queue-occupancy probe `dequeSize` — plus one cache-line-aligned block
  * per worker that embeds the worker's `WorkerHint`.
  *
- * The contract mirrors what TaskGroup::wait needs to make a blocking
- * join productive: spawnTask from a pool thread, enqueueTask from any
- * thread, and a non-blocking tryTakeTask the waiter can spin on.
+ * The contract is what a productive blocking join needs: spawnTask
+ * from a pool thread, enqueueTask from any thread, and a non-blocking
+ * tryTakeTask that `helpUntil` — the one help loop every join runs —
+ * spins on.
  */
 
 #ifndef AAWS_RUNTIME_BACKEND_H
@@ -95,7 +96,7 @@ struct PoolOptions
 
 /**
  * A fixed-size native worker pool.  The constructing thread is worker 0
- * (the master) and participates whenever it waits on a TaskGroup;
+ * (the master) and participates whenever it waits on a join;
  * `threads - 1` worker threads are spawned.
  *
  * Implements sched::SchedView for the shared policy components with
@@ -129,8 +130,8 @@ class RuntimeBackend : protected sched::SchedView
     }
 
     /**
-     * Push a heap task as stealable work of the current worker.
-     * Foreign threads fall back to the injection queue.
+     * Push a task as stealable work of the current worker.  Foreign
+     * threads fall back to the injection queue.
      */
     virtual void spawnTask(RtTask *task) = 0;
 
@@ -166,7 +167,25 @@ class RuntimeBackend : protected sched::SchedView
     /** The policy switches this pool was assembled from. */
     const sched::PolicyConfig &policyConfig() const { return policy_config_; }
 
-    /** Spawn a closure as a stealable task on the current worker. */
+    /**
+     * Run work until `done()` holds: the productive blocking join.  The
+     * caller takes a task and runs it, or yields when none was found.
+     * Any thread may help; a foreign one reaches only the work its
+     * backend lets it take (see tryTakeTask).
+     */
+    template <class Done>
+    void
+    helpUntil(const Done &done)
+    {
+        while (!done()) {
+            if (RtTask *task = tryTakeTask())
+                task->invoke(task);
+            else
+                std::this_thread::yield();
+        }
+    }
+
+    /** Spawn a closure as a stealable heap task on the current worker. */
     template <typename F>
     void
     spawn(F &&fn)
@@ -175,7 +194,7 @@ class RuntimeBackend : protected sched::SchedView
             std::forward<F>(fn)));
     }
 
-    /** Submit a closure from any thread (see enqueueTask). */
+    /** Submit a closure as a heap task from any thread (see enqueueTask). */
     template <typename F>
     void
     enqueue(F &&fn)

@@ -27,10 +27,12 @@ namespace aaws {
  * body (runtime/backend.h), so the sequences below hold for either.
  *
  * A foreign thread — one that is not a worker of the pool, helping
- * from a TaskGroup::wait — reports onStealAttempt and onStealSuccess
- * with thief index -1 when it steals on the deque backend.  The
- * never-concurrently promise does not cover -1: any number of foreign
- * threads may report it at once.
+ * while it joins a fork or a TaskGroup (RuntimeBackend::helpUntil) —
+ * reports onStealAttempt and onStealSuccess with thief index -1 when
+ * it steals on the deque backend.  The never-concurrently promise does
+ * not cover -1: any number of foreign threads may report it at once.
+ * onSpawn fires for every task a worker makes stealable, heap task or
+ * frame job alike.
  */
 class SchedulerHooks
 {

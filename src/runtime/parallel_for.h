@@ -2,8 +2,10 @@
  * @file
  * parallel_for / parallel_reduce with automatic recursive decomposition
  * (TBB simple_partitioner style): ranges split in half, the right half
- * is spawned (stealable), the left half is executed inline, and the two
- * join before returning.
+ * is forked as a stealable frame job, the left half is executed inline,
+ * and the two join before returning — each split is one two-way
+ * parallelInvoke (runtime/parallel_invoke.h), so a split that no thief
+ * takes costs no heap task and no locked read-modify-write.
  */
 
 #ifndef AAWS_RUNTIME_PARALLEL_FOR_H
@@ -12,7 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "runtime/task_group.h"
+#include "runtime/parallel_invoke.h"
 
 namespace aaws {
 
@@ -33,12 +35,8 @@ parallelFor(RuntimeBackend &pool, int64_t lo, int64_t hi, int64_t grain,
         return;
     }
     int64_t mid = lo + (hi - lo) / 2;
-    TaskGroup group(pool);
-    group.run([&pool, mid, hi, grain, &body] {
-        parallelFor(pool, mid, hi, grain, body);
-    });
-    parallelFor(pool, lo, mid, grain, body);
-    group.wait();
+    parallelInvoke(pool, [&] { parallelFor(pool, lo, mid, grain, body); },
+                   [&] { parallelFor(pool, mid, hi, grain, body); });
 }
 
 /**
@@ -75,15 +73,18 @@ parallelReduce(RuntimeBackend &pool, int64_t lo, int64_t hi, int64_t grain,
     if (hi - lo <= grain)
         return leaf(lo, hi);
     int64_t mid = lo + (hi - lo) / 2;
+    T left_value = identity;
     T right_value = identity;
-    TaskGroup group(pool);
-    group.run([&, mid, hi] {
-        right_value = parallelReduce(pool, mid, hi, grain, identity, leaf,
-                                     combine);
-    });
-    T left_value =
-        parallelReduce(pool, lo, mid, grain, identity, leaf, combine);
-    group.wait();
+    parallelInvoke(
+        pool,
+        [&] {
+            left_value = parallelReduce(pool, lo, mid, grain, identity,
+                                        leaf, combine);
+        },
+        [&] {
+            right_value = parallelReduce(pool, mid, hi, grain, identity,
+                                         leaf, combine);
+        });
     return combine(left_value, right_value);
 }
 

@@ -1,12 +1,22 @@
 /**
  * @file
- * Type-erased heap tasks shared by every runtime backend.
+ * Type-erased tasks shared by every runtime backend.
  *
  * Split out of worker_pool.h so backends that never see a Chase-Lev
  * deque (src/chan/) can traffic in the same task objects: a task is a
- * plain function-pointer invoke plus a virtual destructor, freed by
- * whichever worker executes (or drains) it.  The cache-line size every
- * backend pads its per-worker state to lives here for the same reason.
+ * plain function-pointer invoke plus a virtual destructor.  A task
+ * comes in two kinds, and the backends move both alike:
+ *
+ *  - a heap task (`ClosureTask`, from spawn/enqueue and TaskGroup) is
+ *    freed by whichever worker executes it, or deleted by the pool's
+ *    drain if nobody ran it;
+ *  - a frame job (`detail::FrameJob` in runtime/parallel_invoke.h)
+ *    lives in the frame that forked it.  Its runner's last touch is
+ *    the release store that tells that frame it is done; it is never
+ *    freed, and the frame's join guarantees it never reaches a drain.
+ *
+ * The cache-line size every backend pads its per-worker state to lives
+ * here too, so a backend needs no deque header to use it.
  */
 
 #ifndef AAWS_RUNTIME_TASK_H
@@ -20,7 +30,7 @@ namespace aaws {
 /** Destructive-interference padding (std::hardware_* is still shaky). */
 inline constexpr std::size_t kCacheLine = 64;
 
-/** Type-erased heap task: freed by the executor after running. */
+/** Type-erased task: `invoke` runs it (and frees a heap task). */
 struct RtTask
 {
     void (*invoke)(RtTask *self);

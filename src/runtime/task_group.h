@@ -1,18 +1,21 @@
 /**
  * @file
- * TaskGroup: structured spawn/wait (the runtime's join primitive).
+ * TaskGroup: structured spawn/wait for dynamic N-way fan-out.
  *
- * `run()` spawns a stealable child; `wait()` blocks *productively*: the
- * waiting thread executes its own and stolen tasks until every child of
- * the group has finished (TBB-style blocking join, which is what a
- * child-stealing runtime does at a sync).
+ * `run()` spawns a stealable heap child; `wait()` blocks
+ * *productively*: the waiting thread executes its own and stolen tasks
+ * until every child of the group has finished (TBB-style blocking join,
+ * which is what a child-stealing runtime does at a sync).  Use it when
+ * the number of children is known only at run time — the experiment
+ * engine's batch, the serving request fan-out.  Binary fork-join
+ * (parallelInvoke, parallelFor, parallelReduce) does not come here: it
+ * forks frame jobs, which need no heap task and no shared counter.
  */
 
 #ifndef AAWS_RUNTIME_TASK_GROUP_H
 #define AAWS_RUNTIME_TASK_GROUP_H
 
 #include <atomic>
-#include <thread>
 
 #include "runtime/backend.h"
 
@@ -46,13 +49,8 @@ class TaskGroup
     void
     wait()
     {
-        while (pending_.load(std::memory_order_acquire) > 0) {
-            RtTask *task = pool_.tryTakeTask();
-            if (task)
-                task->invoke(task);
-            else
-                std::this_thread::yield();
-        }
+        pool_.helpUntil(
+            [this] { return pending_.load(std::memory_order_acquire) == 0; });
     }
 
   private:

@@ -35,8 +35,8 @@ WorkerPool::spawnTask(RtTask *task)
     int w = currentWorker();
     // Foreign threads (including another pool's workers) cannot touch a
     // deque's owner end; their spawns fall back to the cross-thread
-    // injection queue, which workers — and the spawner's own
-    // TaskGroup::wait loop — drain.
+    // injection queue, which workers — and the spawner's own join
+    // (helpUntil) — drain.
     if (w < 0) {
         enqueueTask(task);
         return;

@@ -36,7 +36,7 @@ namespace aaws {
 /**
  * Fixed-size work-stealing pool over per-worker Chase-Lev deques.  The
  * constructing thread is "worker 0" (the master) and participates in
- * execution whenever it waits on a TaskGroup; `threads - 1` additional
+ * execution whenever it waits on a join; `threads - 1` additional
  * worker threads are spawned.
  */
 class WorkerPool : public RuntimeBackend
@@ -58,7 +58,7 @@ class WorkerPool : public RuntimeBackend
     ~WorkerPool() override;
 
     /**
-     * Push a heap task on the current worker's deque.  Deque pushes are
+     * Push a task on the current worker's deque.  Deque pushes are
      * owner-only, so foreign threads use the injection queue instead.
      */
     void spawnTask(RtTask *task) override;

@@ -13,7 +13,6 @@
 #include "energy/accountant.h"
 #include "model/first_order.h"
 #include "chan/backend_factory.h"
-#include "runtime/task.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
 #include "serve/arrival.h"
@@ -357,14 +356,10 @@ runNativeService(const NativeServeOptions &options)
 
     // The master (worker 0) helps until ingest has submitted the whole
     // schedule and every admitted request has drained.
-    while (!ingest_done.load(std::memory_order_acquire) ||
-           in_system.load(std::memory_order_acquire) > 0) {
-        RtTask *task = pool.tryTakeTask();
-        if (task)
-            task->invoke(task);
-        else
-            std::this_thread::yield();
-    }
+    pool.helpUntil([&] {
+        return ingest_done.load(std::memory_order_acquire) &&
+               in_system.load(std::memory_order_acquire) == 0;
+    });
     ingest.join();
 
     NativeServeResult result;

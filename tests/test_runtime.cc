@@ -3,16 +3,22 @@
  * Tests of the native concurrent work-stealing runtime: Chase-Lev deque
  * semantics (sequential and under real thief contention), the worker
  * pool, TaskGroup joins, parallel_for/reduce/invoke correctness, the
- * Table II comparison schedulers, and the body both native backends
- * share (worker identity, the activity-hint protocol and its hooks),
- * which runs on each backend in turn.
+ * frame-resident fork (its join under an exception, its allocation-free
+ * owner path, foreign-thread callers), the Table II comparison
+ * schedulers, and the body both native backends share (worker identity,
+ * the activity-hint protocol and its hooks), which runs on each backend
+ * in turn.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +31,47 @@
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
 
+#ifndef AAWS_SANITIZER_BUILD
+// Every global operator new of this binary is counted, so a test can
+// pin that a fork allocates nothing.  Sanitizer runtimes own these
+// operators (ASan checks that each delete matches its new), so
+// sanitizer builds keep theirs and skip that test.  Out of line, so
+// the compiler never sees a `new` paired with a bare free().
+namespace {
+std::atomic<uint64_t> g_operator_news{0};
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    g_operator_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *block = std::malloc(size ? size : 1))
+        return block;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void *block, std::size_t) noexcept
+{
+    std::free(block);
+}
+#endif
+
 namespace aaws {
+
+/** Parameterized test names print the backend's name. */
+static void
+PrintTo(BackendKind kind, std::ostream *os)
+{
+    *os << backendName(kind);
+}
+
 namespace {
 
 /** Both native backends, for the tests of the body they share. */
@@ -300,21 +346,118 @@ TEST(ParallelInvoke, RunsAllBranches)
     EXPECT_EQ(mask.load(), 15);
 }
 
+/** fib(n) with a two-way fork at every level. */
+uint64_t
+forkFib(RuntimeBackend &pool, int n)
+{
+    if (n < 2)
+        return static_cast<uint64_t>(n);
+    uint64_t a = 0;
+    uint64_t b = 0;
+    parallelInvoke(pool, [&] { a = forkFib(pool, n - 1); },
+                   [&] { b = forkFib(pool, n - 2); });
+    return a + b;
+}
+
 TEST(ParallelInvoke, RecursiveFibonacci)
 {
     WorkerPool pool(4);
     // Classic spawn-and-sync recursion exercising deep nesting.
-    std::function<int64_t(int64_t)> fib = [&](int64_t n) -> int64_t {
-        if (n < 2)
-            return n;
-        int64_t a = 0;
-        int64_t b = 0;
-        parallelInvoke(pool, [&] { a = fib(n - 1); },
-                       [&] { b = fib(n - 2); });
-        return a + b;
-    };
-    EXPECT_EQ(fib(18), 2584);
+    EXPECT_EQ(forkFib(pool, 18), 2584u);
 }
+
+/** The frame-resident fork on each backend, one ctest entry each. */
+class FrameFork : public ::testing::TestWithParam<BackendKind>
+{
+};
+
+TEST_P(FrameFork, ThrowingInlineBranchJoinsTheForkFirst)
+{
+    // The forked job lives in the frame the exception unwinds, so it
+    // must have run to completion before the exception leaves it.
+    auto pool = makePool(GetParam(), 4);
+    for (int rep = 0; rep < 50; ++rep) {
+        std::atomic<bool> forked_done{false};
+        bool done_at_catch = false;
+        EXPECT_THROW(
+            {
+                try {
+                    parallelInvoke(
+                        *pool,
+                        [] { throw std::runtime_error("inline branch"); },
+                        [&] {
+                            std::this_thread::sleep_for(
+                                std::chrono::microseconds(200));
+                            forked_done.store(true,
+                                              std::memory_order_release);
+                        });
+                } catch (const std::runtime_error &) {
+                    done_at_catch =
+                        forked_done.load(std::memory_order_acquire);
+                    throw;
+                }
+            },
+            std::runtime_error);
+        EXPECT_TRUE(done_at_catch) << "rep " << rep;
+    }
+}
+
+TEST_P(FrameFork, OwnerForksAllocateNothing)
+{
+#ifdef AAWS_SANITIZER_BUILD
+    GTEST_SKIP() << "the sanitizer runtime owns operator new in this build";
+#else
+    // One worker: no thief, so the owner pops every fork straight back.
+    auto pool = makePool(GetParam(), 1);
+    // The warm-up lets every queue reach the depth fib(20) needs.
+    ASSERT_EQ(forkFib(*pool, 20), 6765u);
+    const uint64_t before = g_operator_news.load();
+    const uint64_t value = forkFib(*pool, 20);
+    const uint64_t news = g_operator_news.load() - before;
+    EXPECT_EQ(value, 6765u);
+    EXPECT_EQ(news, 0u) << "heap allocations over 10945 forks";
+#endif
+}
+
+TEST_P(FrameFork, ForeignThreadRunsEveryConstruct)
+{
+    // A thread outside the pool forks through the injection queue; a
+    // worker or the foreign waiter itself runs each job.
+    auto pool = makePool(GetParam(), 4);
+    constexpr int64_t kItems = 20000;
+    std::vector<std::atomic<int>> hits(kItems);
+    int64_t sum = 0;
+    uint64_t fib = 0;
+    std::thread foreign([&] {
+        EXPECT_EQ(pool->currentWorker(), -1);
+        parallelFor(*pool, 0, kItems, 64, [&](int64_t lo, int64_t hi) {
+            for (int64_t i = lo; i < hi; ++i)
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        sum = parallelReduce<int64_t>(
+            *pool, 0, kItems, 64, 0,
+            [](int64_t lo, int64_t hi) {
+                int64_t s = 0;
+                for (int64_t i = lo; i < hi; ++i)
+                    s += i;
+                return s;
+            },
+            [](int64_t a, int64_t b) { return a + b; });
+        fib = forkFib(*pool, 18);
+    });
+    foreign.join();
+    int64_t wrong = 0;
+    for (const auto &hit : hits)
+        wrong += hit.load() != 1;
+    EXPECT_EQ(wrong, 0) << "indices not run exactly once";
+    EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
+    EXPECT_EQ(fib, 2584u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FrameFork, ::testing::ValuesIn(kBackends),
+                         [](const ::testing::TestParamInfo<BackendKind> &info) {
+                             return std::string(backendName(info.param));
+                         });
 
 TEST(WorkerPool, WorkerThreadsStealFromTheMaster)
 {

@@ -20,7 +20,15 @@
  * to six digits and covers one shape; this one catches a change in the
  * last bit of any result, such as a slip in same-tick event order.
  *
- * After an *intentional* behaviour change, regenerate both with
+ * DagDigestsMatchGoldenFile: every kernel's generated task DAG, at the
+ * default workload seed and at seeds 1, 2, 3 and 12345 (110 DAGs),
+ * reduces to one FNV-1a digest of its packed ops (kind and argument),
+ * its per-task span offsets and its phases, compared against
+ * tests/stress/golden/dag_digests.txt.  The two files above see a DAG
+ * only through simulation and only at the default seed; this one pins
+ * generation itself.
+ *
+ * After an *intentional* behaviour change, regenerate all three with
  *
  *   AAWS_UPDATE_GOLDEN=1 ./tests/stress/stress_golden_table3
  *
@@ -209,17 +217,19 @@ renderSweepDigests()
     return digests;
 }
 
-TEST(GoldenTable3, SweepDigestsMatchGoldenFile)
+/**
+ * Compare label -> digest lines against the golden file at `path`, or
+ * rewrite it (with `header` as its first line) under AAWS_UPDATE_GOLDEN.
+ */
+void
+expectDigestsMatchGolden(const char *path,
+                         const std::map<std::string, std::string> &rendered,
+                         const char *header, const char *what)
 {
-    const char *path = AAWS_SWEEP_GOLDEN_FILE;
-    std::map<std::string, std::string> rendered = renderSweepDigests();
-    ASSERT_EQ(rendered.size(), 616u);
-
     if (std::getenv("AAWS_UPDATE_GOLDEN")) {
         std::ofstream out(path, std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
-        out << "# label digest: FNV-1a of every SimResult number at %.17g "
-               "(see simDigest in stress_golden_table3.cc)\n";
+        out << header << "\n";
         for (const auto &[label, digest] : rendered)
             out << label << " " << digest << "\n";
         GTEST_SKIP() << "golden file regenerated: " << path;
@@ -251,18 +261,82 @@ TEST(GoldenTable3, SweepDigestsMatchGoldenFile)
             continue;
         }
         if (++drifted == 20)
-            FAIL() << "stopping after 20 drifted simulations";
+            FAIL() << "stopping after 20 drifted " << what;
     }
     for (const auto &[label, digest] : golden) {
         EXPECT_TRUE(rendered.count(label))
-            << label << ": golden line without a simulation";
+            << label << ": golden line without a match";
     }
     if (drifted > 0) {
-        ADD_FAILURE() << drifted << " of " << rendered.size()
-                      << " simulations drifted.  If the change is "
+        ADD_FAILURE() << drifted << " of " << rendered.size() << " "
+                      << what << " drifted.  If the change is "
                          "intentional, regenerate with "
                          "AAWS_UPDATE_GOLDEN=1 and commit the diff.";
     }
+}
+
+TEST(GoldenTable3, SweepDigestsMatchGoldenFile)
+{
+    std::map<std::string, std::string> rendered = renderSweepDigests();
+    ASSERT_EQ(rendered.size(), 616u);
+    expectDigestsMatchGolden(
+        AAWS_SWEEP_GOLDEN_FILE, rendered,
+        "# label digest: FNV-1a of every SimResult number at %.17g "
+        "(see simDigest in stress_golden_table3.cc)",
+        "simulations");
+}
+
+/**
+ * FNV-1a over a DAG's packed ops, span offsets and phases, each value
+ * fed as its little-endian bytes so the digest is host-independent.
+ */
+std::string
+dagDigest(const TaskDag &dag)
+{
+    uint64_t hash = 14695981039346656037ull;
+    auto feed = [&hash](uint64_t value, int bytes) {
+        for (int b = 0; b < bytes; ++b) {
+            hash ^= (value >> (8 * b)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    };
+    size_t tasks = dag.numTasks();
+    const uint32_t *spans = dag.opSpans();
+    const TaskOp *ops = dag.packedOps();
+    feed(tasks, 8);
+    for (size_t t = 0; t <= tasks; ++t)
+        feed(spans[t], 4);
+    for (uint32_t i = 0; i < spans[tasks]; ++i) {
+        feed(static_cast<uint8_t>(ops[i].kind), 1);
+        feed(ops[i].arg, 8);
+    }
+    feed(dag.phases().size(), 8);
+    for (const Phase &phase : dag.phases()) {
+        feed(phase.serial_work, 8);
+        feed(static_cast<uint32_t>(phase.root_task), 4);
+    }
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+TEST(GoldenTable3, DagDigestsMatchGoldenFile)
+{
+    std::map<std::string, std::string> rendered;
+    for (const auto &name : kernelNames()) {
+        for (uint64_t seed : {exp::kDefaultSeed, uint64_t{1}, uint64_t{2},
+                              uint64_t{3}, uint64_t{12345}}) {
+            rendered[name + "/seed=" + std::to_string(seed)] =
+                dagDigest(makeKernel(name, seed).dag);
+        }
+    }
+    ASSERT_EQ(rendered.size(), 110u);
+    expectDigestsMatchGolden(
+        AAWS_DAG_GOLDEN_FILE, rendered,
+        "# label digest: FNV-1a of each generated DAG's packed ops, spans "
+        "and phases (see dagDigest in stress_golden_table3.cc)",
+        "DAGs");
 }
 
 } // namespace

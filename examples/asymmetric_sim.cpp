@@ -25,10 +25,11 @@ makeWorkload()
 {
     TaskDag dag;
 
-    // Phase 1: a uniform parallel_for (high-parallel region).
-    uint32_t loop = buildUniformFor(dag, /*n=*/4096,
-                                    /*per_item_work=*/2000,
-                                    /*grain=*/64);
+    // Phase 1: a uniform parallel_for (high-parallel region) of 4096
+    // iterations of 2000 instructions each.
+    uint32_t loop = buildParallelFor(
+        dag, /*n=*/4096, [](int64_t) { return uint64_t{2000}; },
+        /*grain=*/64);
     dag.addPhase(/*serial_work=*/400'000, static_cast<int32_t>(loop));
 
     // Phase 2: eight tasks, one of them 8x larger (low-parallel tail).

@@ -6,37 +6,25 @@
 
 namespace aaws {
 
+namespace detail {
+
 namespace {
 
-/** Recursive helper: build the range task for items[lo, hi). */
+/** Recursive helper: build the range task for iterations [lo, hi). */
 uint32_t
-buildRange(TaskDag &dag, const std::vector<ForItem> &items, int64_t lo,
-           int64_t hi, int64_t grain, const DagCosts &costs)
+buildRange(TaskDag &dag, int64_t lo, int64_t hi, int64_t grain,
+           const DagCosts &costs, std::vector<LoopLeaf> &leaves)
 {
     uint32_t t = dag.addTask();
     if (hi - lo <= grain) {
-        // Accumulate contiguous per-iteration work locally and flush in
-        // one addWork per run: the op stream is identical (addWork
-        // coalesces adjacent work ops anyway) but the DAG is touched
-        // once per call boundary instead of once per iteration.
-        uint64_t acc = costs.leaf_setup;
-        for (int64_t i = lo; i < hi; ++i) {
-            acc += costs.per_iter + items[i].work;
-            if (items[i].call_task >= 0) {
-                dag.addWork(t, acc);
-                acc = 0;
-                dag.addCall(t,
-                            static_cast<uint32_t>(items[i].call_task));
-            }
-        }
-        dag.addWork(t, acc);
+        leaves.push_back({t, lo, hi});
         return t;
     }
     int64_t mid = lo + (hi - lo) / 2;
     dag.addWork(t, costs.split);
     // Right half is spawned (stealable); left half is a plain call.
-    uint32_t right = buildRange(dag, items, mid, hi, grain, costs);
-    uint32_t left = buildRange(dag, items, lo, mid, grain, costs);
+    uint32_t right = buildRange(dag, mid, hi, grain, costs, leaves);
+    uint32_t left = buildRange(dag, lo, mid, grain, costs, leaves);
     dag.addSpawn(t, right);
     dag.addCall(t, left);
     dag.addSync(t);
@@ -46,35 +34,40 @@ buildRange(TaskDag &dag, const std::vector<ForItem> &items, int64_t lo,
 } // namespace
 
 uint32_t
+buildLoopSkeleton(TaskDag &dag, int64_t n, int64_t grain,
+                  const DagCosts &costs, std::vector<LoopLeaf> &leaves)
+{
+    AAWS_ASSERT(n >= 1, "empty parallel_for");
+    AAWS_ASSERT(grain >= 1, "grain must be at least 1, got %lld",
+                static_cast<long long>(grain));
+    return buildRange(dag, 0, n, grain, costs, leaves);
+}
+
+} // namespace detail
+
+uint32_t
 buildParallelFor(TaskDag &dag, const std::vector<ForItem> &items,
                  int64_t grain, const DagCosts &costs)
 {
-    AAWS_ASSERT(!items.empty(), "empty parallel_for");
-    AAWS_ASSERT(grain >= 1, "grain must be at least 1, got %lld",
-                static_cast<long long>(grain));
-    return buildRange(dag, items, 0, static_cast<int64_t>(items.size()),
-                      grain, costs);
-}
-
-uint32_t
-buildParallelFor(TaskDag &dag, int64_t n,
-                 const std::function<uint64_t(int64_t)> &iter_work,
-                 int64_t grain, const DagCosts &costs)
-{
-    AAWS_ASSERT(n >= 1, "empty parallel_for");
-    std::vector<ForItem> items(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i)
-        items[i].work = iter_work(i);
-    return buildParallelFor(dag, items, grain, costs);
-}
-
-uint32_t
-buildUniformFor(TaskDag &dag, int64_t n, uint64_t per_item_work,
-                int64_t grain, const DagCosts &costs)
-{
-    return buildParallelFor(
-        dag, n, [per_item_work](int64_t) { return per_item_work; }, grain,
-        costs);
+    std::vector<detail::LoopLeaf> leaves;
+    uint32_t root = detail::buildLoopSkeleton(
+        dag, static_cast<int64_t>(items.size()), grain, costs, leaves);
+    for (const detail::LoopLeaf &leaf : leaves) {
+        // Each iteration that calls a nested task splits the leaf's
+        // body work around the call.
+        uint64_t acc = costs.leaf_setup;
+        for (int64_t i = leaf.lo; i < leaf.hi; ++i) {
+            acc += costs.per_iter + items[i].work;
+            if (items[i].call_task >= 0) {
+                dag.addWork(leaf.task, acc);
+                acc = 0;
+                dag.addCall(leaf.task,
+                            static_cast<uint32_t>(items[i].call_task));
+            }
+        }
+        dag.addWork(leaf.task, acc);
+    }
+    return root;
 }
 
 int64_t

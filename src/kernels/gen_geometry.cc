@@ -56,14 +56,11 @@ buildQuickhull(TaskDag &dag, const std::vector<Point2> &pts,
     // reduce over the chord, then a packing filter into the two new
     // sub-problems.  Both are nested parallel loops here.
     int64_t grain = std::max<int64_t>(32, m / 112);
-    std::vector<ForItem> reduce_items(m);
-    for (auto &item : reduce_items)
-        item.work = 58; // distance eval + running max
-    uint32_t reduce_root = buildParallelFor(dag, reduce_items, grain);
-    std::vector<ForItem> filter_items(m);
-    for (auto &item : filter_items)
-        item.work = 54; // two side tests + pack
-    uint32_t filter_root = buildParallelFor(dag, filter_items, grain);
+    // Per point: distance eval + running max, then two side tests + pack.
+    uint32_t reduce_root = buildParallelFor(
+        dag, m, [](int64_t) { return uint64_t{58}; }, grain);
+    uint32_t filter_root = buildParallelFor(
+        dag, m, [](int64_t) { return uint64_t{54}; }, grain);
     dag.addWork(t, 180);
     dag.addCall(t, reduce_root);
     dag.addCall(t, filter_root);
@@ -142,10 +139,8 @@ genHull(Rng &rng)
     TaskDag dag;
 
     // Phase 1: parallel min/max scan to find the initial chord.
-    std::vector<ForItem> scan(kN);
-    for (auto &item : scan)
-        item.work = 9;
-    uint32_t scan_root = buildParallelFor(dag, scan, kN / 24);
+    uint32_t scan_root = buildParallelFor(
+        dag, kN, [](int64_t) { return uint64_t{9}; }, kN / 24);
     dag.addPhase(/*serial_work=*/200000, static_cast<int32_t>(scan_root));
 
     // Phase 2: the quickhull recursion on both sides of the chord.
@@ -189,13 +184,14 @@ genKnn(Rng &rng)
     dag.addPhase(/*serial_work=*/400000,
                  static_cast<int32_t>(tree_root));
 
-    std::vector<ForItem> queries(kN);
-    for (auto &q : queries) {
-        // Traversal plus backtracking: ~1-3x the direct descent cost.
-        double backtrack = 1.0 + 2.0 * rng.uniform();
-        q.work = static_cast<uint64_t>(8000.0 * backtrack);
-    }
-    uint32_t query_root = buildParallelFor(dag, queries, /*grain=*/4);
+    uint32_t query_root = buildParallelFor(
+        dag, kN,
+        [&](int64_t) {
+            // Traversal plus backtracking: ~1-3x the direct descent cost.
+            double backtrack = 1.0 + 2.0 * rng.uniform();
+            return static_cast<uint64_t>(8000.0 * backtrack);
+        },
+        /*grain=*/4);
     dag.addPhase(/*serial_work=*/50000,
                  static_cast<int32_t>(query_root));
     return dag;
@@ -211,18 +207,17 @@ genNbody(Rng &rng)
     TaskDag dag;
     dag.addPhase(/*serial_work=*/800000, -1); // octree build + setup
 
-    std::vector<ForItem> forces(kN);
-    for (auto &f : forces) {
-        double skew = 0.8 + 0.4 * rng.uniform();
-        f.work = static_cast<uint64_t>(300000.0 * skew);
-    }
-    uint32_t force_root = buildParallelFor(dag, forces, /*grain=*/1);
+    uint32_t force_root = buildParallelFor(
+        dag, kN,
+        [&](int64_t) {
+            double skew = 0.8 + 0.4 * rng.uniform();
+            return static_cast<uint64_t>(300000.0 * skew);
+        },
+        /*grain=*/1);
     dag.addPhase(/*serial_work=*/30000, static_cast<int32_t>(force_root));
 
-    std::vector<ForItem> update(kN);
-    for (auto &u : update)
-        u.work = 2200;
-    uint32_t update_root = buildParallelFor(dag, update, /*grain=*/4);
+    uint32_t update_root = buildParallelFor(
+        dag, kN, [](int64_t) { return uint64_t{2200}; }, /*grain=*/4);
     dag.addPhase(/*serial_work=*/30000,
                  static_cast<int32_t>(update_root));
     return dag;

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/logging.h"
@@ -25,61 +24,80 @@ struct LocalGraph
  * PBBS randLocalGraph analog: every node draws `deg` neighbors uniformly
  * within a locality window, giving the high-diameter structure that makes
  * BFS run for many rounds.
+ *
+ * Built in two passes: draw every edge in node order, counting both
+ * endpoints' degrees; then fill the neighbor lists in draw order, so
+ * each node lists its neighbors in the order their edges were drawn.
  */
 LocalGraph
 makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
 {
-    std::vector<std::vector<int32_t>> adj(n);
+    LocalGraph g;
+    g.n = n;
+    g.offsets.assign(n + 1, 0);
+    std::vector<int32_t> far(n * deg);
     for (int64_t u = 0; u < n; ++u) {
+        int64_t lo = std::max<int64_t>(0, u - window);
+        int64_t hi = std::min<int64_t>(n - 1, u + window);
         for (int d = 0; d < deg; ++d) {
-            int64_t lo = std::max<int64_t>(0, u - window);
-            int64_t hi = std::min<int64_t>(n - 1, u + window);
             int64_t v = rng.range(lo, hi);
             if (v == u)
                 v = (u + 1) % n;
-            adj[u].push_back(static_cast<int32_t>(v));
-            adj[v].push_back(static_cast<int32_t>(u));
+            far[u * deg + d] = static_cast<int32_t>(v);
+            g.offsets[u + 1]++;
+            g.offsets[v + 1]++;
         }
     }
-    LocalGraph g;
-    g.n = n;
-    g.offsets.resize(n + 1);
-    g.offsets[0] = 0;
-    for (int64_t u = 0; u < n; ++u) {
-        g.offsets[u + 1] =
-            g.offsets[u] + static_cast<int32_t>(adj[u].size());
-    }
+    for (int64_t u = 0; u < n; ++u)
+        g.offsets[u + 1] += g.offsets[u];
     g.neighbors.resize(g.offsets[n]);
+    std::vector<int32_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
     for (int64_t u = 0; u < n; ++u) {
-        std::copy(adj[u].begin(), adj[u].end(),
-                  g.neighbors.begin() + g.offsets[u]);
+        for (int d = 0; d < deg; ++d) {
+            int32_t v = far[u * deg + d];
+            g.neighbors[cursor[u]++] = v;
+            g.neighbors[cursor[v]++] = static_cast<int32_t>(u);
+        }
     }
     return g;
 }
 
-/** Frontiers of a real BFS from node 0 (list of per-level node sets). */
-std::vector<std::vector<int32_t>>
+/**
+ * A real BFS from node 0: the visit order, cut into frontiers.  Level l
+ * is order[begin[l], begin[l + 1]).
+ */
+struct BfsLevels
+{
+    std::vector<int32_t> order;
+    std::vector<int64_t> begin;
+
+    int64_t numLevels() const { return static_cast<int64_t>(begin.size()) - 1; }
+};
+
+BfsLevels
 bfsLevels(const LocalGraph &g)
 {
+    BfsLevels bfs;
     std::vector<int8_t> visited(g.n, 0);
-    std::vector<std::vector<int32_t>> levels;
-    std::vector<int32_t> frontier{0};
+    bfs.order.reserve(g.n);
+    bfs.order.push_back(0);
     visited[0] = 1;
-    while (!frontier.empty()) {
-        levels.push_back(frontier);
-        std::vector<int32_t> next;
-        for (int32_t u : frontier) {
+    size_t head = 0;
+    while (head < bfs.order.size()) {
+        bfs.begin.push_back(static_cast<int64_t>(head));
+        for (size_t end = bfs.order.size(); head < end; ++head) {
+            int32_t u = bfs.order[head];
             for (int32_t i = g.offsets[u]; i < g.offsets[u + 1]; ++i) {
                 int32_t v = g.neighbors[i];
                 if (!visited[v]) {
                     visited[v] = 1;
-                    next.push_back(v);
+                    bfs.order.push_back(v);
                 }
             }
         }
-        frontier = std::move(next);
     }
-    return levels;
+    bfs.begin.push_back(static_cast<int64_t>(bfs.order.size()));
+    return bfs;
 }
 
 /** BFS cost constants (per frontier node / per edge, instructions). */
@@ -97,23 +115,25 @@ TaskDag
 buildBfs(Rng &rng, const LocalGraph &g, int sub_phases,
          const BfsCosts &costs, int64_t tasks_per_level, double jitter)
 {
-    auto levels = bfsLevels(g);
+    BfsLevels bfs = bfsLevels(g);
     TaskDag dag;
     dag.addPhase(/*serial_work=*/900000, -1); // graph load + init
-    for (const auto &level : levels) {
-        auto n = static_cast<int64_t>(level.size());
+    for (int64_t l = 0; l < bfs.numLevels(); ++l) {
+        const int32_t *level = bfs.order.data() + bfs.begin[l];
+        int64_t n = bfs.begin[l + 1] - bfs.begin[l];
         for (int sp = 0; sp < sub_phases; ++sp) {
-            std::vector<ForItem> items(n);
-            for (int64_t i = 0; i < n; ++i) {
-                int64_t deg = g.degree(level[i]);
-                double j = 1.0 + jitter * rng.uniform();
-                items[i].work = static_cast<uint64_t>(
-                    (costs.per_node + costs.per_edge * deg) * j);
-            }
             int64_t grain =
                 std::max<int64_t>(16, n / std::max<int64_t>(
                                           1, tasks_per_level / 2));
-            uint32_t root = buildParallelFor(dag, items, grain);
+            uint32_t root = buildParallelFor(
+                dag, n,
+                [&](int64_t i) {
+                    int64_t deg = g.degree(level[i]);
+                    double j = 1.0 + jitter * rng.uniform();
+                    return static_cast<uint64_t>(
+                        (costs.per_node + costs.per_edge * deg) * j);
+                },
+                grain);
             dag.addPhase(/*serial_work=*/2500,
                          static_cast<int32_t>(root));
         }
@@ -175,13 +195,11 @@ genMis(Rng &rng)
             selected[u] = is_min;
         }
         auto n = static_cast<int64_t>(remaining.size());
-        std::vector<ForItem> items(n);
-        for (int64_t i = 0; i < n; ++i) {
-            int64_t deg = g.degree(remaining[i]);
-            items[i].work = 16 + 5 * deg;
-        }
         int64_t grain = std::max<int64_t>(4, n / 350);
-        uint32_t root = buildParallelFor(dag, items, grain);
+        uint32_t root = buildParallelFor(
+            dag, n,
+            [&](int64_t i) { return 16 + 5 * g.degree(remaining[i]); },
+            grain);
         dag.addPhase(/*serial_work=*/4000, static_cast<int32_t>(root));
 
         std::vector<int32_t> next;
@@ -218,11 +236,10 @@ genSptree(Rng &rng)
     dag.addPhase(/*serial_work=*/400000, -1);
     int64_t remaining = kEdges;
     while (remaining > 600) {
-        std::vector<ForItem> items(remaining);
-        for (auto &item : items)
-            item.work = 28 + rng.below(12);
         int64_t grain = std::max<int64_t>(32, remaining / 22);
-        uint32_t root = buildParallelFor(dag, items, grain);
+        uint32_t root = buildParallelFor(
+            dag, remaining, [&](int64_t) { return 28 + rng.below(12); },
+            grain);
         dag.addPhase(/*serial_work=*/6000, static_cast<int32_t>(root));
         // Contraction keeps 45-55% of edges depending on the dataset.
         remaining = static_cast<int64_t>(

@@ -23,17 +23,18 @@ buildRadix2(Rng &rng, int64_t n, int passes, uint64_t count_per_item,
     TaskDag dag;
     dag.addPhase(/*serial_work=*/static_cast<uint64_t>(n) / 2, -1);
     for (int pass = 0; pass < passes; ++pass) {
-        uint32_t count_root = buildUniformFor(
-            dag, n, count_per_item, std::max<int64_t>(1, n / count_leaves));
+        uint32_t count_root = buildParallelFor(
+            dag, n, [=](int64_t) { return count_per_item; },
+            std::max<int64_t>(1, n / count_leaves));
         dag.addPhase(/*serial_work=*/9000,
                      static_cast<int32_t>(count_root));
-        std::vector<ForItem> scatter(n);
-        for (auto &item : scatter) {
-            double j = 1.0 + scatter_jitter * rng.uniform();
-            item.work = static_cast<uint64_t>(scatter_per_item * j);
-        }
         uint32_t scatter_root = buildParallelFor(
-            dag, scatter, std::max<int64_t>(1, n / scatter_leaves));
+            dag, n,
+            [&](int64_t) {
+                double j = 1.0 + scatter_jitter * rng.uniform();
+                return static_cast<uint64_t>(scatter_per_item * j);
+            },
+            std::max<int64_t>(1, n / scatter_leaves));
         dag.addPhase(/*serial_work=*/9000,
                      static_cast<int32_t>(scatter_root));
     }
@@ -51,19 +52,15 @@ genDict(Rng &rng)
     TaskDag dag;
     dag.addPhase(/*serial_work=*/800000, -1); // table allocation
 
-    std::vector<ForItem> insert(kN / 2);
-    for (auto &item : insert)
-        item.work = 37 + rng.below(16);
-    uint32_t insert_root =
-        buildParallelFor(dag, insert, /*grain=*/(kN / 2) / 50);
+    uint32_t insert_root = buildParallelFor(
+        dag, kN / 2, [&](int64_t) { return 37 + rng.below(16); },
+        /*grain=*/(kN / 2) / 50);
     dag.addPhase(/*serial_work=*/40000,
                  static_cast<int32_t>(insert_root));
 
-    std::vector<ForItem> find(kN / 2);
-    for (auto &item : find)
-        item.work = 30 + rng.below(12);
-    uint32_t find_root =
-        buildParallelFor(dag, find, /*grain=*/(kN / 2) / 50);
+    uint32_t find_root = buildParallelFor(
+        dag, kN / 2, [&](int64_t) { return 30 + rng.below(12); },
+        /*grain=*/(kN / 2) / 50);
     dag.addPhase(/*serial_work=*/40000, static_cast<int32_t>(find_root));
     return dag;
 }
@@ -95,22 +92,20 @@ genRdups(Rng &rng)
     TaskDag dag;
     dag.addPhase(/*serial_work=*/600000, -1);
 
-    std::vector<ForItem> insert(kN);
-    for (auto &item : insert) {
-        // Trigram keys repeat heavily: some inserts retry several times.
-        uint64_t retries = rng.chance(0.25) ? rng.below(4) : 0;
-        item.work = 100 + 30 * retries;
-    }
-    uint32_t insert_root =
-        buildParallelFor(dag, insert, /*grain=*/kN / 36);
+    uint32_t insert_root = buildParallelFor(
+        dag, kN,
+        [&](int64_t) {
+            // Trigram keys repeat heavily: some inserts retry several
+            // times.
+            uint64_t retries = rng.chance(0.25) ? rng.below(4) : 0;
+            return 100 + 30 * retries;
+        },
+        /*grain=*/kN / 36);
     dag.addPhase(/*serial_work=*/50000,
                  static_cast<int32_t>(insert_root));
 
-    std::vector<ForItem> compact(kN);
-    for (auto &item : compact)
-        item.work = 52;
-    uint32_t compact_root =
-        buildParallelFor(dag, compact, /*grain=*/kN / 36);
+    uint32_t compact_root = buildParallelFor(
+        dag, kN, [](int64_t) { return uint64_t{52}; }, /*grain=*/kN / 36);
     dag.addPhase(/*serial_work=*/50000,
                  static_cast<int32_t>(compact_root));
     return dag;
@@ -129,17 +124,13 @@ genSarray(Rng &rng)
         // Later rounds touch fewer unresolved suffixes.
         auto n = static_cast<int64_t>(
             kN * std::max(0.35, 1.0 - 0.04 * round));
-        std::vector<ForItem> rank(n);
-        for (auto &item : rank)
-            item.work = 9 + rng.below(4);
         int64_t grain = std::max<int64_t>(64, n / 18);
-        uint32_t rank_root = buildParallelFor(dag, rank, grain);
+        uint32_t rank_root = buildParallelFor(
+            dag, n, [&](int64_t) { return 9 + rng.below(4); }, grain);
         dag.addPhase(/*serial_work=*/20000,
                      static_cast<int32_t>(rank_root));
-        std::vector<ForItem> sort(n);
-        for (auto &item : sort)
-            item.work = 10 + rng.below(5);
-        uint32_t sort_root = buildParallelFor(dag, sort, grain);
+        uint32_t sort_root = buildParallelFor(
+            dag, n, [&](int64_t) { return 10 + rng.below(5); }, grain);
         dag.addPhase(/*serial_work=*/20000,
                      static_cast<int32_t>(sort_root));
     }
@@ -154,10 +145,9 @@ genBscholes(Rng &rng)
     constexpr int64_t kN = 1024;
     TaskDag dag;
     dag.addPhase(/*serial_work=*/500000, -1);
-    std::vector<ForItem> options(kN);
-    for (auto &item : options)
-        item.work = 37500 + rng.below(3000);
-    uint32_t root = buildParallelFor(dag, options, /*grain=*/32);
+    uint32_t root = buildParallelFor(
+        dag, kN, [&](int64_t) { return 37500 + rng.below(3000); },
+        /*grain=*/32);
     dag.addPhase(/*serial_work=*/60000, static_cast<int32_t>(root));
     return dag;
 }

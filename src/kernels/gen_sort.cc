@@ -164,10 +164,9 @@ genSampsort(Rng &rng)
     TaskDag dag;
 
     // Phase 1: classify each element (binary search over pivots).
-    std::vector<ForItem> classify(kN);
-    for (auto &item : classify)
-        item.work = 700 + rng.below(160);
-    uint32_t classify_root = buildParallelFor(dag, classify, /*grain=*/5);
+    uint32_t classify_root = buildParallelFor(
+        dag, kN, [&](int64_t) { return 700 + rng.below(160); },
+        /*grain=*/5);
     dag.addPhase(/*serial_work=*/200000,
                  static_cast<int32_t>(classify_root));
 
@@ -194,10 +193,8 @@ genSampsort(Rng &rng)
     dag.addPhase(/*serial_work=*/60000, static_cast<int32_t>(bucket_root));
 
     // Phase 3: copy back.
-    std::vector<ForItem> copy(kN);
-    for (auto &item : copy)
-        item.work = 520;
-    uint32_t copy_root = buildParallelFor(dag, copy, /*grain=*/5);
+    uint32_t copy_root = buildParallelFor(
+        dag, kN, [](int64_t) { return uint64_t{520}; }, /*grain=*/5);
     dag.addPhase(/*serial_work=*/40000, static_cast<int32_t>(copy_root));
     return dag;
 }

@@ -1,9 +1,5 @@
 #include "kernels/registry.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "common/logging.h"
 #include "common/rng.h"
 #include "kernels/generators.h"
@@ -62,14 +58,6 @@ makeKernel(const std::string &name, uint64_t seed)
             // the kernel safely shareable across concurrent simulations
             // (the experiment engine memoizes kernels per batch).
             kernel.dag.seal();
-#if defined(__GLIBC__)
-            // Generation churns through megabytes of short-lived small
-            // allocations.  Hand their pages back now: when the sealed
-            // arrays land above them, they would otherwise stay resident
-            // for the rest of the process and every later peak would
-            // stack on top of them.
-            malloc_trim(0);
-#endif
             return kernel;
         }
     }

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "kernels/dag_builders.h"
 #include "kernels/registry.h"
 
@@ -110,10 +115,17 @@ TEST(TaskDag, ValidateRejectsUnreachable)
     EXPECT_DEATH(dag.validate(), "unreachable");
 }
 
+/** A loop body of `work` instructions at every index. */
+auto
+uniformWork(uint64_t work)
+{
+    return [work](int64_t) { return work; };
+}
+
 TEST(Builders, ParallelForCoversAllIterations)
 {
     TaskDag dag;
-    uint32_t root = buildUniformFor(dag, 1000, 7, 100);
+    uint32_t root = buildParallelFor(dag, 1000, uniformWork(7), 100);
     dag.addPhase(0, static_cast<int32_t>(root));
     dag.validate();
     // 1000 iterations x 7 instructions appear in the leaves, plus
@@ -126,7 +138,7 @@ TEST(Builders, GrainBoundsLeafSize)
 {
     TaskDag dag;
     DagCosts costs;
-    uint32_t root = buildUniformFor(dag, 64, 1, 4, costs);
+    uint32_t root = buildParallelFor(dag, 64, uniformWork(1), 4, costs);
     dag.addPhase(0, static_cast<int32_t>(root));
     // 64 iterations, grain 4 => 16 leaves => 31 tasks.
     EXPECT_EQ(dag.numTasks(), 31u);
@@ -149,10 +161,72 @@ TEST(Builders, NestedCallTasksAreWired)
 TEST(Builders, SingleIterationDegeneratesToLeaf)
 {
     TaskDag dag;
-    uint32_t root = buildUniformFor(dag, 1, 42, 8);
+    uint32_t root = buildParallelFor(dag, 1, uniformWork(42), 8);
     dag.addPhase(0, static_cast<int32_t>(root));
     EXPECT_EQ(dag.numTasks(), 1u);
     dag.validate();
+}
+
+/** The (n, grain) shapes the builder-contract tests cover. */
+const std::pair<int64_t, int64_t> kLoopShapes[] = {
+    {1, 8}, {37, 5}, {64, 4}, {1000, 1}, {1000, 100}};
+
+TEST(Builders, WorkOfSeesEachIndexOnceInIncreasingOrder)
+{
+    for (auto [n, grain] : kLoopShapes) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " grain=" + std::to_string(grain));
+        TaskDag dag;
+        std::vector<int64_t> seen;
+        std::vector<size_t> tasks_at_call;
+        uint32_t root = buildParallelFor(
+            dag, n,
+            [&](int64_t i) {
+                seen.push_back(i);
+                tasks_at_call.push_back(dag.numTasks());
+                return uint64_t{1};
+            },
+            grain);
+        std::vector<int64_t> expected(n);
+        for (int64_t i = 0; i < n; ++i)
+            expected[i] = i;
+        EXPECT_EQ(seen, expected);
+        // Every task of the loop exists before the first call.
+        EXPECT_EQ(tasks_at_call,
+                  std::vector<size_t>(n, dag.numTasks()));
+        dag.addPhase(0, static_cast<int32_t>(root));
+        dag.validate();
+    }
+}
+
+TEST(Builders, CallableAndItemsFormsBuildIdenticalOps)
+{
+    for (auto [n, grain] : kLoopShapes) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " grain=" + std::to_string(grain));
+        Rng draw(static_cast<uint64_t>(n * 1000 + grain));
+        std::vector<ForItem> items(n);
+        for (auto &item : items)
+            item.work = draw.below(5000);
+        TaskDag by_items;
+        uint32_t items_root = buildParallelFor(by_items, items, grain);
+        TaskDag by_callable;
+        uint32_t callable_root = buildParallelFor(
+            by_callable, n, [&](int64_t i) { return items[i].work; },
+            grain);
+        EXPECT_EQ(items_root, callable_root);
+        ASSERT_EQ(by_items.numTasks(), by_callable.numTasks());
+        size_t tasks = by_items.numTasks();
+        for (size_t t = 0; t <= tasks; ++t)
+            ASSERT_EQ(by_items.opSpans()[t], by_callable.opSpans()[t])
+                << "task " << t;
+        for (uint32_t i = 0; i < by_items.opSpans()[tasks]; ++i) {
+            EXPECT_EQ(by_items.packedOps()[i].kind,
+                      by_callable.packedOps()[i].kind) << "op " << i;
+            EXPECT_EQ(by_items.packedOps()[i].arg,
+                      by_callable.packedOps()[i].arg) << "op " << i;
+        }
+    }
 }
 
 TEST(Registry, HasAll22Kernels)

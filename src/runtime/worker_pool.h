@@ -5,9 +5,11 @@
  * A library-based, child-stealing runtime in the spirit of Intel TBB:
  * per-worker Chase-Lev deques, policy-selected victims, and
  * blocking-style joins in which the waiting thread keeps executing local
- * and stolen tasks.  Deliberately lightweight: no exceptions across
- * tasks, no cancellation — the paper credits the same omissions for its
- * runtime's competitive single-socket performance (Table II).
+ * and stolen tasks.  Deliberately lightweight: no cancellation, and an
+ * exception crosses tasks only at a join (a fork's inline branch, a
+ * `TaskGroup` child at `wait()`); a bare `spawn`/`enqueue` task must not
+ * throw.  The paper credits the same omissions for its runtime's
+ * competitive single-socket performance (Table II).
  *
  * Everything but the deques comes from the shared body in
  * `runtime/backend.h`: worker threads, the activity hints and census,

@@ -22,6 +22,12 @@
  * events pop in (tick, seq) lexicographic order, where `seq` is the
  * caller-supplied monotone sequence number that breaks same-tick ties
  * deterministically (earlier schedule pops first).
+ *
+ * Every sift runs in one direction: an in-place reschedule compares the
+ * new key with the old one, and a removal compares the moved-in entry
+ * with the removed one.  The simulator dispatches in place (`retire`):
+ * the top event stays queued while its handler runs, so the common
+ * handler that re-arms its own slot sifts once from the root.
  */
 
 #ifndef AAWS_SIM_EVENT_QUEUE_H
@@ -63,10 +69,10 @@ class IndexedEventQueue
             p = static_cast<int32_t>(heap_.size());
             heap_.push_back(entry);
             siftUp(p, entry);
+        } else if (entry.key < heap_[p].key) {
+            siftUp(p, entry); // in-place reschedule, earlier
         } else {
-            // In-place reschedule: the new key may sort either way.
-            siftUp(p, entry);
-            siftDown(pos_[slot], heap_[pos_[slot]]);
+            siftDown(p, entry); // in-place reschedule, later
         }
     }
 
@@ -105,6 +111,25 @@ class IndexedEventQueue
         return slot;
     }
 
+    /** Sequence number of `slot`'s live event; the slot must be active. */
+    uint64_t seqOf(int slot) const { return heap_[pos_[slot]].key.seq; }
+
+    /**
+     * Dispatch in place: a caller may read the top event, handle it with
+     * the entry still queued, and then retire it.  Remove `slot`'s event
+     * if it still carries `seq`, that is, if the handler neither
+     * rescheduled nor cancelled the slot.  A handler that reschedules
+     * its own slot thus costs one sift from the root instead of a pop
+     * and a push.
+     */
+    void
+    retire(int slot, uint64_t seq)
+    {
+        int32_t p = pos_[slot];
+        if (p >= 0 && heap_[p].key.seq == seq)
+            removeAt(p);
+    }
+
   private:
     struct Key
     {
@@ -126,16 +151,19 @@ class IndexedEventQueue
     void
     removeAt(int32_t p)
     {
+        Key removed = heap_[p].key;
         pos_[heap_[p].slot] = -1;
         int32_t last = static_cast<int32_t>(heap_.size()) - 1;
-        if (p != last) {
-            Entry moved = heap_[last];
-            heap_.pop_back();
+        Entry moved = heap_[last];
+        heap_.pop_back();
+        if (p == last)
+            return;
+        // The hole's parent sorts before `removed` and its children
+        // after, so the moved entry can violate only one side.
+        if (moved.key < removed)
             siftUp(p, moved);
-            siftDown(pos_[moved.slot], heap_[pos_[moved.slot]]);
-        } else {
-            heap_.pop_back();
-        }
+        else
+            siftDown(p, moved);
     }
 
     // Hole-based insertion: `entry` is written once at its final

@@ -118,27 +118,32 @@ Machine::~Machine() = default;
 
 // --- frame pool ----------------------------------------------------------
 
-int32_t
+void
+Machine::addFrame()
+{
+    free_frames_.push_back(static_cast<int32_t>(frames_.size()));
+    frames_.emplace_back();
+}
+
+inline int32_t
 Machine::allocFrame(uint32_t task, int32_t parent_frame, int worker)
 {
-    int32_t f;
-    if (!free_frames_.empty()) {
-        f = free_frames_.back();
-        free_frames_.pop_back();
-    } else {
-        f = static_cast<int32_t>(frames_.size());
-        frames_.emplace_back();
-    }
+    if (free_frames_.empty())
+        addFrame();
+    int32_t f = free_frames_.back();
+    free_frames_.pop_back();
     Frame &frame = frames_[f];
     frame = Frame{};
     frame.task = task;
+    frame.op_next = dag_op_begin_[task];
+    frame.op_end = dag_op_begin_[task + 1];
     frame.parent_frame = parent_frame;
     frame.owner_worker = static_cast<int16_t>(worker);
     frame.live = true;
     return f;
 }
 
-void
+inline void
 Machine::freeFrame(int32_t f)
 {
     AAWS_ASSERT(frames_[f].live, "double free of frame %d", f);
@@ -187,7 +192,7 @@ Machine::rateFor(const Core &core) const
     panic("rateFor with no pending op");
 }
 
-void
+inline void
 Machine::schedule(int c, double delay_seconds)
 {
     Core &core = cores_[c];
@@ -366,6 +371,32 @@ Machine::checkStillFails(int c) const
                 "wakeParked()",
                 c, now() * 1e3);
 }
+
+void
+Machine::checkRetired(int slot, uint64_t seq) const
+{
+    bool armed = events_.active(slot);
+    AAWS_ASSERT(!armed || events_.seqOf(slot) > seq,
+                "slot %d's dispatched event (seq %llu) outlived its handler "
+                "at t=%.6f ms",
+                slot, static_cast<unsigned long long>(seq), now() * 1e3);
+    if (finished_)
+        return;
+    // A core that parked during its own dispatch keeps its op out of the
+    // queue; any other source is armed exactly while it has work pending.
+    bool wanted;
+    if (slot < num_cores_)
+        wanted = cores_[slot].pending != Pending::none &&
+                 (parked_ >> slot & 1) == 0;
+    else if (slot == controllerSlot())
+        wanted = controller_busy_;
+    else
+        wanted = cores_[slot - num_cores_].transitioning;
+    AAWS_ASSERT(armed == wanted,
+                "slot %d is %s after its handler at t=%.6f ms", slot,
+                armed ? "armed with nothing pending" : "pending but unarmed",
+                now() * 1e3);
+}
 #endif
 
 void
@@ -464,33 +495,32 @@ Machine::setActiveCount(int active)
     if (factor == contention_factor_)
         return;
     // The effective IPC of every in-flight instruction charge changes:
-    // bank progress at the old rate, then reschedule at the new one.
-    for (size_t c = 0; c < cores_.size(); ++c) {
-        Core &core = cores_[c];
-        if (core.pending == Pending::work ||
-            core.pending == Pending::mug_save) {
-            settle(static_cast<int>(c));
-        }
-    }
+    // bank progress at the core's cached old rate, then reschedule at
+    // the new one.  Cores go in index order, so their seqs do too.
     contention_factor_ = factor;
-    for (Core &core : cores_)
-        refreshRate(core);
     for (size_t c = 0; c < cores_.size(); ++c) {
         Core &core = cores_[c];
-        if (core.pending == Pending::work ||
-            core.pending == Pending::mug_save) {
-            schedule(static_cast<int>(c),
-                     core.remaining / rateFor(core));
-        }
+        bool charging = core.pending == Pending::work ||
+                        core.pending == Pending::mug_save;
+        if (charging)
+            settle(static_cast<int>(c));
+        refreshRate(core);
+        if (charging)
+            schedule(static_cast<int>(c), core.remaining / instrRate(core));
     }
 }
 
-void
+inline void
 Machine::setCoreState(int c, CoreState state)
 {
+    if (cores_[c].state != state)
+        changeCoreState(c, state);
+}
+
+void
+Machine::changeCoreState(int c, CoreState state)
+{
     Core &core = cores_[c];
-    if (core.state == state)
-        return;
     wakeParked();
     // Bank the elapsed interval under the outgoing state.
     double dt = ticksToSeconds(now_ - core.state_since);
@@ -523,7 +553,7 @@ Machine::setCoreState(int c, CoreState state)
 
 // --- scheduler actions ------------------------------------------------------
 
-void
+inline void
 Machine::beginWork(int c, double instrs, After after)
 {
     Core &core = cores_[c];
@@ -572,8 +602,7 @@ Machine::advanceWorker(int c)
     while (true) {
         if (w.stack.empty()) {
             if (!w.dq.empty()) {
-                SpawnedEntry entry = w.dq.back();
-                w.dq.pop_back();
+                SpawnedEntry entry = w.dq.popBack();
                 instrs += static_cast<double>(costs.task_begin_instrs);
                 w.stack.push_back(
                     allocFrame(entry.task, entry.parent_frame,
@@ -596,8 +625,7 @@ Machine::advanceWorker(int c)
                 frame.waiting = false;
                 // fall through to resume past the sync
             } else if (!w.dq.empty()) {
-                SpawnedEntry entry = w.dq.back();
-                w.dq.pop_back();
+                SpawnedEntry entry = w.dq.popBack();
                 instrs += static_cast<double>(costs.task_begin_instrs);
                 w.stack.push_back(
                     allocFrame(entry.task, entry.parent_frame,
@@ -613,8 +641,7 @@ Machine::advanceWorker(int c)
             }
         }
 
-        const uint32_t op_end = dag_op_begin_[frame.task + 1];
-        if (dag_op_begin_[frame.task] + frame.op_idx >= op_end) {
+        if (frame.op_next == frame.op_end) {
             // Task end: implicit sync with outstanding children.
             if (frame.outstanding > 0) {
                 frame.waiting = true;
@@ -638,8 +665,7 @@ Machine::advanceWorker(int c)
             continue;
         }
 
-        const TaskOp &op =
-            dag_ops_[dag_op_begin_[frame.task] + frame.op_idx++];
+        const TaskOp &op = dag_ops_[frame.op_next++];
         switch (op.kind) {
           case OpKind::work:
             instrs += static_cast<double>(op.arg);
@@ -649,7 +675,7 @@ Machine::advanceWorker(int c)
             instrs += static_cast<double>(costs.spawn_instrs);
             if (w.dq.empty())
                 wakeParked(); // a first victim for the thieves
-            w.dq.push_back({static_cast<uint32_t>(op.arg), fid});
+            w.dq.pushBack({static_cast<uint32_t>(op.arg), fid});
             frame.outstanding++;
             break;
           case OpKind::call:
@@ -666,7 +692,7 @@ Machine::advanceWorker(int c)
     }
 }
 
-void
+inline void
 Machine::completeTask(int c, int32_t fid)
 {
     Worker &w = workers_[cores_[c].worker];
@@ -680,7 +706,7 @@ Machine::completeTask(int c, int32_t fid)
         onChildJoined(parent);
 }
 
-void
+inline void
 Machine::onChildJoined(int32_t pf)
 {
     Frame &frame = frames_[pf];
@@ -718,8 +744,7 @@ Machine::onStealDone(int c)
 
     if (victim >= 0) {
         Worker &vw = workers_[victim];
-        core.steal_entry = vw.dq.front();
-        vw.dq.pop_front();
+        core.steal_entry = vw.dq.popFront();
         result_.steals++;
         core.pending = Pending::steal_fetch;
         core.remaining =
@@ -953,14 +978,21 @@ Machine::startNextPhase(int c)
         schedule(c, core.remaining / instrRate(core));
         return;
     }
-    if (phase.root_task >= 0) {
-        Worker &w = workers_[cores_[c].worker];
-        w.stack.push_back(allocFrame(
-            static_cast<uint32_t>(phase.root_task), -1, cores_[c].worker));
-        advanceWorker(c);
+    runPhaseRoot(c);
+}
+
+void
+Machine::runPhaseRoot(int c)
+{
+    const Phase &phase = dag_.phases()[phase_idx_ - 1];
+    if (phase.root_task < 0) {
+        startNextPhase(c); // no parallel part
         return;
     }
-    startNextPhase(c); // empty phase
+    Worker &w = workers_[cores_[c].worker];
+    w.stack.push_back(allocFrame(static_cast<uint32_t>(phase.root_task), -1,
+                                 cores_[c].worker));
+    advanceWorker(c);
 }
 
 void
@@ -1136,21 +1168,11 @@ Machine::dispatchEvent(int slot)
           case After::phase:
             phaseTransition(slot);
             break;
-          case After::phase_serial_done: {
+          case After::phase_serial_done:
             serial_core_ = -1;
             onHintsChanged();
-            const Phase &phase = dag_.phases()[phase_idx_ - 1];
-            if (phase.root_task >= 0) {
-                Worker &w = workers_[core.worker];
-                w.stack.push_back(
-                    allocFrame(static_cast<uint32_t>(phase.root_task),
-                               -1, core.worker));
-                advanceWorker(slot);
-            } else {
-                startNextPhase(slot);
-            }
+            runPhaseRoot(slot);
             break;
-          }
         }
         break;
       case Pending::steal:
@@ -1219,12 +1241,20 @@ Machine::run()
             skipParked(events_.topTick(), events_.topSeq());
         }
         Tick tick = events_.topTick();
-        int slot = events_.pop();
+        uint64_t seq = events_.topSeq();
+        int slot = events_.topSlot();
         AAWS_ASSERT(tick >= now_, "time went backwards");
         now_ = tick;
         if (++result_.sim_events > config_.max_events)
             dumpStateAndPanic();
+        // Dispatch in place: the event stays queued while its handler
+        // runs (every key the handler schedules sorts after it), so a
+        // handler that re-arms its own slot sifts once from the root.
         dispatchEvent(slot);
+        events_.retire(slot, seq);
+#ifdef AAWS_SANITIZER_BUILD
+        checkRetired(slot, seq);
+#endif
     }
     return finalize();
 }

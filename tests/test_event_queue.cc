@@ -2,7 +2,9 @@
  * @file
  * Tests of the indexed event queue against a reference model of the old
  * lazy-deletion priority queue: same (tick, seq) pop order, including
- * same-tick ties, in-place reschedules in both directions, and cancels.
+ * same-tick ties, in-place reschedules in both directions, cancels, and
+ * the simulator's dispatch-in-place protocol (read the top, handle it
+ * while it stays queued, retire it by seq).
  */
 
 #include <gtest/gtest.h>
@@ -234,6 +236,99 @@ TEST(EventQueue, RandomScheduleMatchesLazyDeletionModel)
         EXPECT_EQ(queue.pop(), expect_slot);
     }
     EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, RetireRemovesOnlyAnUntouchedDispatchedEvent)
+{
+    IndexedEventQueue queue(3);
+    uint64_t seq = 0;
+    queue.schedule(0, 10, seq++);
+    queue.schedule(1, 20, seq++);
+    queue.schedule(2, 30, seq++);
+
+    // Untouched by its handler: retired.
+    uint64_t top = queue.topSeq();
+    EXPECT_EQ(queue.topSlot(), 0);
+    queue.retire(0, top);
+    EXPECT_FALSE(queue.active(0));
+    EXPECT_EQ(queue.size(), 2u);
+
+    // Re-armed by its handler: the fresh event stays.
+    top = queue.topSeq();
+    EXPECT_EQ(queue.topSlot(), 1);
+    queue.schedule(1, 40, seq++);
+    queue.retire(1, top);
+    EXPECT_TRUE(queue.active(1));
+    EXPECT_EQ(queue.seqOf(1), seq - 1);
+
+    // Cancelled by its handler: nothing left to retire.
+    top = queue.topSeq();
+    EXPECT_EQ(queue.topSlot(), 2);
+    queue.cancel(2);
+    queue.retire(2, top);
+    EXPECT_EQ(queue.size(), 1u);
+    EXPECT_EQ(queue.pop(), 1);
+    EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueue, RandomDispatchInPlaceMatchesLazyDeletionModel)
+{
+    // The simulator's protocol: read the top event, run a "handler" with
+    // the entry still queued, then retire it by seq.  Handlers re-arm
+    // their own slot, move other slots' events earlier or later, and
+    // cancel, always at or after the dispatched tick and with fresh
+    // seqs.  The pop sequence must match the lazy-deletion model's.
+    constexpr int kSlots = 33;
+    constexpr int kEvents = 100000;
+    IndexedEventQueue queue(kSlots);
+    LazyDeletionModel model(kSlots);
+    uint64_t seq = 0;
+    uint64_t rng = 0x0FED'CBA9'8765'4321ull;
+    Tick now = 0;
+    auto schedule = [&](int slot, Tick tick) {
+        queue.schedule(slot, tick, seq);
+        model.schedule(slot, tick, seq);
+        ++seq;
+    };
+    for (int slot = 0; slot < kSlots; ++slot)
+        schedule(slot, 1 + nextRand(rng) % 8);
+
+    int own_reschedules = 0;
+    for (int i = 0; i < kEvents && !model.empty(); ++i) {
+        ASSERT_FALSE(queue.empty()) << "event " << i;
+        Tick expect_tick = 0;
+        int expect_slot = model.pop(expect_tick);
+        ASSERT_EQ(queue.topTick(), expect_tick) << "event " << i;
+        ASSERT_EQ(queue.topSlot(), expect_slot) << "event " << i;
+        const int slot = queue.topSlot();
+        const uint64_t top_seq = queue.topSeq();
+        now = expect_tick;
+
+        int actions = static_cast<int>(nextRand(rng) % 4);
+        for (int a = 0; a < actions; ++a) {
+            uint64_t roll = nextRand(rng) % 100;
+            int target = roll < 40 ? slot
+                                   : static_cast<int>(nextRand(rng) % kSlots);
+            if (roll < 85) {
+                // At the dispatched tick or later: a same-tick re-arm
+                // loses the tie to every older event at that tick.
+                schedule(target, now + nextRand(rng) % 8);
+                own_reschedules += target == slot;
+            } else {
+                queue.cancel(target);
+                model.cancel(target);
+            }
+        }
+        queue.retire(slot, top_seq);
+        ASSERT_TRUE(!queue.active(slot) || queue.seqOf(slot) > top_seq)
+            << "event " << i;
+        ASSERT_EQ(queue.empty(), model.empty()) << "event " << i;
+        if (queue.empty()) {
+            for (int s = 0; s < kSlots; ++s)
+                schedule(s, now + 1 + nextRand(rng) % 8);
+        }
+    }
+    EXPECT_GT(own_reschedules, kEvents / 4);
 }
 
 } // namespace

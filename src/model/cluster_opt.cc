@@ -63,8 +63,11 @@ ClusterOptimizer::voltageForMarginalCost(const ClusterParams &params,
         return lo;
     if (model_.marginalCost(params, hi) <= lambda)
         return hi;
+    // Stop at the fixed point, where the midpoint rounds to an endpoint.
     for (int iter = 0; iter < 60; ++iter) {
         double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            break;
         if (model_.marginalCost(params, mid) < lambda)
             lo = mid;
         else
@@ -122,6 +125,8 @@ ClusterOptimizer::solve(const ClusterActivity &activity,
             double hi = lambda_hi;
             for (int iter = 0; iter < 100; ++iter) {
                 double mid = 0.5 * (lo + hi);
+                if (mid == lo || mid == hi)
+                    break; // fixed point
                 voltagesFor(mid);
                 if (systemPower(activity, v) < p_target)
                     lo = mid;

@@ -82,11 +82,15 @@ class ClusterOptimizer
     double activeIps(const ClusterActivity &activity,
                      const std::vector<double> &v) const;
 
-  private:
-    /** Voltage where the cluster's marginal cost reaches lambda. */
+    /**
+     * Voltage where the cluster's marginal cost reaches lambda, clamped
+     * to [v_min, v_max].  The bisection stops at its fixed point, so the
+     * result is that of a fixed 60 halvings.
+     */
     double voltageForMarginalCost(const ClusterParams &params,
                                   double lambda) const;
 
+  private:
     const FirstOrderModel &model_;
     const CoreTopology &topology_;
 };

@@ -60,8 +60,12 @@ MarginalUtilityOptimizer::solveVoltageForPower(CoreType type, int n,
     if (n * model_.activePower(type, hi) <= budget)
         return hi;
     // activePower is strictly increasing in V over the search range.
+    // Once the midpoint rounds to an endpoint, every further halving is
+    // a no-op: each endpoint stays on its side of the test.
     for (int iter = 0; iter < 80; ++iter) {
         double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            break;
         if (n * model_.activePower(type, mid) < budget)
             lo = mid;
         else

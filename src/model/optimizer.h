@@ -82,15 +82,16 @@ class MarginalUtilityOptimizer
     double activeIps(const CoreActivity &activity, double v_big,
                      double v_little) const;
 
-  private:
     /**
      * Voltage at which `n` active cores of `type` consume `budget` power,
      * found by bisection on the monotonic activePower curve; returns a
-     * value clamped to [lo, hi].
+     * value clamped to [lo, hi].  The bisection stops at its fixed
+     * point, so the result is that of a fixed 80 halvings.
      */
     double solveVoltageForPower(CoreType type, int n, double budget,
                                 double lo, double hi) const;
 
+  private:
     const FirstOrderModel &model_;
 };
 

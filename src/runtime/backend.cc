@@ -2,10 +2,31 @@
 
 #include <chrono>
 #include <cstring>
+#include <exception>
 
 #include "common/logging.h"
 
 namespace aaws {
+
+namespace detail {
+
+void
+panicOnTaskException()
+{
+    int worker = RuntimeBackend::tls_worker_;
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        panic("uncaught exception in a spawned task on pool worker %d: %s",
+              worker, e.what());
+    } catch (...) {
+        panic("uncaught exception in a spawned task on pool worker %d: "
+              "not a std::exception",
+              worker);
+    }
+}
+
+} // namespace detail
 
 const char *
 backendName(BackendKind kind)

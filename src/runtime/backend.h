@@ -427,6 +427,8 @@ class RuntimeBackend : protected sched::SchedView
     }
 
   private:
+    friend void detail::panicOnTaskException();
+
     void workerLoop(int index);
 
     /** The pool the calling thread serves, and its index there. */

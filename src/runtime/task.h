@@ -9,7 +9,8 @@
  *
  *  - a heap task (`ClosureTask`, from spawn/enqueue and TaskGroup) is
  *    freed by whichever worker executes it, or deleted by the pool's
- *    drain if nobody ran it;
+ *    drain if nobody ran it.  An exception that escapes its closure
+ *    panics, naming the pool worker and the exception's what();
  *  - a frame job (`detail::FrameJob` in runtime/parallel_invoke.h)
  *    lives in the frame that forked it.  Its runner's last touch is
  *    the release store that tells that frame it is done; it is never
@@ -23,6 +24,7 @@
 #define AAWS_RUNTIME_TASK_H
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 
 namespace aaws {
@@ -40,6 +42,12 @@ struct RtTask
 
 namespace detail {
 
+/**
+ * Panic on the exception in flight (call from a handler only), naming
+ * the calling thread's pool worker index and the exception's what().
+ */
+[[noreturn]] void panicOnTaskException();
+
 /** Concrete closure task. */
 template <typename F>
 struct ClosureTask final : RtTask
@@ -49,9 +57,12 @@ struct ClosureTask final : RtTask
     explicit ClosureTask(F f) : fn(std::move(f))
     {
         invoke = [](RtTask *self) {
-            auto *task = static_cast<ClosureTask *>(self);
-            task->fn();
-            delete task;
+            std::unique_ptr<ClosureTask> task(static_cast<ClosureTask *>(self));
+            try {
+                task->fn();
+            } catch (...) {
+                panicOnTaskException();
+            }
         };
     }
 };

@@ -7,9 +7,11 @@
  * blocking-style joins in which the waiting thread keeps executing local
  * and stolen tasks.  Deliberately lightweight: no cancellation, and an
  * exception crosses tasks only at a join (a fork's inline branch, a
- * `TaskGroup` child at `wait()`); a bare `spawn`/`enqueue` task must not
- * throw.  The paper credits the same omissions for its runtime's
- * competitive single-socket performance (Table II).
+ * `TaskGroup` child at `wait()`).  An exception that escapes a bare
+ * `spawn`/`enqueue` task panics, naming the pool worker that ran it and
+ * the exception's what(); the task is freed on every exit.  The paper
+ * credits the same omissions for its runtime's competitive
+ * single-socket performance (Table II).
  *
  * Everything but the deques comes from the shared body in
  * `runtime/backend.h`: worker threads, the activity hints and census,

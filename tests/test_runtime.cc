@@ -581,6 +581,39 @@ INSTANTIATE_TEST_SUITE_P(Backends, TaskGroupThrow,
                              return std::string(backendName(info.param));
                          });
 
+/** A bare spawn/enqueue task that throws, on each backend. */
+class BareTaskThrow : public ::testing::TestWithParam<BackendKind>
+{
+};
+
+TEST_P(BareTaskThrow, PanicNamesTheWorkerAndTheException)
+{
+    // The pool's threads are running, so fork-and-exec the death child.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The master only sleeps, so worker 1 runs every task: the enqueued
+    // one from the injection queue, and the one it spawns from its own
+    // deque.
+    auto runThrower = [](BackendKind kind, bool spawned) {
+        auto pool = makePool(kind, 2);
+        auto boom = [] { throw std::runtime_error("bare task failed"); };
+        if (spawned)
+            pool->enqueue([&pool, boom] { pool->spawn(boom); });
+        else
+            pool->enqueue(boom);
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+    };
+    EXPECT_DEATH(runThrower(GetParam(), false),
+                 "pool worker 1: bare task failed");
+    EXPECT_DEATH(runThrower(GetParam(), true),
+                 "pool worker 1: bare task failed");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BareTaskThrow,
+                         ::testing::ValuesIn(kBackends),
+                         [](const ::testing::TestParamInfo<BackendKind> &info) {
+                             return std::string(backendName(info.param));
+                         });
+
 TEST(WorkerPool, WorkerThreadsStealFromTheMaster)
 {
     WorkerPool pool(4);

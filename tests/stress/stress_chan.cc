@@ -221,8 +221,9 @@ TEST(ChanStress, AllVariantsSurviveShaking)
             EXPECT_LE(pool.mugs(), pool.steals());
             EXPECT_LE(pool.steals(), pool.tasksReceived());
             EXPECT_LE(pool.lifelineGrants(), pool.lifelineHolds());
-            if (!policyConfigFor(variant).work_mugging)
+            if (!policyConfigFor(variant).work_mugging) {
                 EXPECT_EQ(pool.mugAttempts(), 0u);
+            }
         }
     }
 }

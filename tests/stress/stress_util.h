@@ -35,7 +35,8 @@ namespace stress {
  * the knobs to keep the matrix time-boxed).
  */
 inline int64_t
-envKnob(const char *name, int64_t plain_default, int64_t sanitizer_default)
+envKnob(const char *name, [[maybe_unused]] int64_t plain_default,
+        [[maybe_unused]] int64_t sanitizer_default)
 {
 #ifdef AAWS_SANITIZER_BUILD
     int64_t value = sanitizer_default;

@@ -203,9 +203,11 @@ TEST_F(ControllerFixture, SerialSprintWithSprintingRestsOthers)
     active[2] = true;
     auto v = ctrl.decide(active, /*serial_core=*/2);
     EXPECT_NEAR(v[2], 1.30, 1e-9);
-    for (int i = 0; i < 8; ++i)
-        if (i != 2)
+    for (int i = 0; i < 8; ++i) {
+        if (i != 2) {
             EXPECT_NEAR(v[i], 0.70, 1e-9);
+        }
+    }
 }
 
 TEST_F(ControllerFixture, NoSerialSprintIgnoresTheHint)

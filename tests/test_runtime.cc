@@ -695,7 +695,7 @@ TEST(Hooks, WorkersReactivateForWork)
                 // Enough work per task for activity to be observable.
                 volatile int x = 0;
                 for (int j = 0; j < 2000; ++j)
-                    x += j;
+                    x = x + j;
                 ran.fetch_add(1);
             });
         }
@@ -768,7 +768,7 @@ TEST(Hooks, StealSuccessReportsEveryCommittedSteal)
                 // for milliseconds before migrating it.
                 volatile int x = 0;
                 for (int j = 0; j < 20000; ++j)
-                    x += j;
+                    x = x + j;
                 ran.fetch_add(1);
             });
         }

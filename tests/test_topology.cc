@@ -227,8 +227,9 @@ TEST(ClusterOptimizerTest, MeetsTheBudgetAndNeverWastesIt)
     EXPECT_LE(point.power, target * (1.0 + 1e-6));
     // ...and an unclamped optimum exhausts it (resting slack is wasted
     // throughput under a strictly increasing ips(V)).
-    if (!point.clamped)
+    if (!point.clamped) {
         EXPECT_NEAR(point.power, target, target * 1e-6);
+    }
     EXPECT_GT(point.ips, 0.0);
     EXPECT_GT(point.speedup, 0.0);
 
@@ -291,10 +292,12 @@ TEST(ClusterOptimizerTest, CrossValidatesAgainstTheTwoTypeOptimizer)
             OperatingPoint b =
                 legacy_opt.solve(legacy_activity, target,
                                  /*feasible=*/true);
-            if (ba > 0)
+            if (ba > 0) {
                 EXPECT_NEAR(a.v[0], b.v_big, 2e-3);
-            if (la > 0)
+            }
+            if (la > 0) {
                 EXPECT_NEAR(a.v[1], b.v_little, 2e-3);
+            }
             EXPECT_NEAR(a.ips, b.ips, 1e-3 * b.ips + 1e-9);
         }
     }

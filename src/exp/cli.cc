@@ -39,16 +39,13 @@ printUsage(const char *prog)
         "  --cache-dir=D   cache directory "
         "(env AAWS_EXP_CACHE_DIR; default .aaws-cache)\n"
         "  --no-progress   suppress engine progress lines on stderr\n"
-        "  --time          print a sims/sec + events/sec line on stderr\n"
-        "  --bench-json=F  write a machine-readable perf record to F "
-        "(env AAWS_BENCH_JSON)\n"
         "  --results-json=F  write the aaws-results/v1 datapoint "
         "artifact to F (env AAWS_RESULTS_JSON)\n"
         "  --help          this message\n",
         prog);
 }
 
-/** argv[0] stripped to its basename: the bench name in perf records. */
+/** argv[0] stripped to its basename: the bench name in artifacts. */
 const char *
 progBasename(const char *prog)
 {
@@ -60,13 +57,6 @@ progBasename(const char *prog)
 }
 
 } // namespace
-
-const char *
-benchJsonEnv()
-{
-    const char *env = std::getenv("AAWS_BENCH_JSON");
-    return env && *env ? env : nullptr;
-}
 
 bool
 parseBackendSelection(const char *text, BackendSelection &out)
@@ -90,6 +80,7 @@ void
 BenchCli::parse(int argc, char **argv)
 {
     std::string results_json;
+    std::string bench_name;
     // Flags parse first; the environment fills in only the knobs no
     // flag set, so a flag always beats its env counterpart (the
     // --jobs/AAWS_EXP_JOBS contract, uniformly applied).
@@ -98,10 +89,9 @@ BenchCli::parse(int argc, char **argv)
     bool topology_given = false;
     bool no_cache_given = false;
     bool cache_dir_given = false;
-    bool bench_json_given = false;
     bool results_json_given = false;
     if (argc > 0)
-        engine.bench_name = progBasename(argv[0]);
+        bench_name = progBasename(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (const char *value = flagValue(arg, "--jobs")) {
@@ -141,16 +131,11 @@ BenchCli::parse(int argc, char **argv)
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             engine.use_cache = false;
             no_cache_given = true;
-        } else if (const char *value = flagValue(arg, "--bench-json")) {
-            engine.bench_json = value;
-            bench_json_given = true;
         } else if (const char *value = flagValue(arg, "--results-json")) {
             results_json = value;
             results_json_given = true;
         } else if (std::strcmp(arg, "--no-progress") == 0) {
             engine.progress = false;
-        } else if (std::strcmp(arg, "--time") == 0) {
-            engine.time_report = true;
         } else if (std::strcmp(arg, "--help") == 0) {
             printUsage(argv[0]);
             std::exit(0);
@@ -163,9 +148,6 @@ BenchCli::parse(int argc, char **argv)
     if (!filter_given)
         if (const char *env = std::getenv("AAWS_KERNEL_FILTER"))
             filter = env;
-    if (!bench_json_given)
-        if (const char *env = benchJsonEnv())
-            engine.bench_json = env;
     if (!results_json_given)
         if (const char *env = std::getenv("AAWS_RESULTS_JSON"))
             results_json = env;
@@ -202,15 +184,9 @@ BenchCli::parse(int argc, char **argv)
             engine.cache_dir = env;
     }
 
-    // A topology restriction narrows what a perf record measured, so
-    // the record is tagged and bench_compare.py refuses cross-shape
-    // diffs.
-    engine.topology_tag = topology;
-
     if (!results_json.empty())
-        results.open(results_json, engine.bench_name.empty()
-                                       ? "bench"
-                                       : engine.bench_name);
+        results.open(results_json,
+                     bench_name.empty() ? "bench" : bench_name);
 }
 
 bool

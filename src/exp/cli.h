@@ -14,9 +14,6 @@
  *                   (env AAWS_EXP_NO_CACHE)
  *   --cache-dir=D   cache directory (env AAWS_EXP_CACHE_DIR)
  *   --no-progress   suppress the engine's stderr progress lines
- *   --time          print a sims/sec + events/sec self-report line
- *   --bench-json=F  write a machine-readable perf record to F
- *                   (env AAWS_BENCH_JSON)
  *   --results-json=F  write the aaws-results/v1 datapoint artifact to F
  *                   (env AAWS_RESULTS_JSON; see exp/results.h)
  *   --help          print usage and exit
@@ -66,13 +63,6 @@ enum class BackendSelection
  * mirroring parseJobs.
  */
 bool parseBackendSelection(const char *text, BackendSelection &out);
-
-/**
- * Resolve the bench-JSON output path from AAWS_BENCH_JSON; nullptr when
- * it is unset or empty.  Callers apply this only when no --bench-json
- * flag was given (flag-beats-env).
- */
-const char *benchJsonEnv();
 
 /** Parsed common bench options. */
 struct BenchCli

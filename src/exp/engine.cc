@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/json.h"
 #include "common/logging.h"
 #include "exp/cache.h"
 #include "kernels/registry.h"
@@ -123,11 +122,13 @@ class ProgressReporter
                                  : 0.0;
         std::fprintf(stderr,
                      "[aaws-exp] batch complete: %llu runs, %llu hits, "
-                     "%llu misses (%.1f%% cached), %d jobs, %.1fs\n",
+                     "%llu misses (%.1f%% cached), %d jobs, %.3fs, "
+                     "%llu events\n",
                      static_cast<unsigned long long>(runs),
                      static_cast<unsigned long long>(stats.hits),
                      static_cast<unsigned long long>(stats.misses),
-                     cached, stats.jobs, stats.elapsed_seconds);
+                     cached, stats.jobs, stats.elapsed_seconds,
+                     static_cast<unsigned long long>(stats.sim_events));
     }
 
     Clock::time_point start() const { return start_; }
@@ -179,43 +180,6 @@ class KernelPool
 
     std::map<std::pair<std::string, uint64_t>, Slot> slots_;
 };
-
-/** One-line machine-readable perf record (see EXPERIMENTS.md schema). */
-void
-writeBenchJson(const std::string &path, const std::string &bench_name,
-               const std::string &topology_tag, const BatchStats &stats)
-{
-    double elapsed = stats.elapsed_seconds > 0.0 ? stats.elapsed_seconds
-                                                 : 1e-9;
-    std::string out = "{\"schema\":\"aaws-bench-sim/v1\",\"bench\":";
-    out += json::encodeString(bench_name);
-    if (!topology_tag.empty())
-        out += ",\"topology\":" + json::encodeString(topology_tag);
-    out += strfmt(",\"runs\":%llu,\"hits\":%llu,\"misses\":%llu,"
-                  "\"jobs\":%d",
-                  static_cast<unsigned long long>(stats.hits +
-                                                  stats.misses),
-                  static_cast<unsigned long long>(stats.hits),
-                  static_cast<unsigned long long>(stats.misses),
-                  stats.jobs);
-    out += ",\"elapsed_seconds\":" +
-           json::encodeDouble(stats.elapsed_seconds);
-    out += strfmt(",\"sim_events\":%llu",
-                  static_cast<unsigned long long>(stats.sim_events));
-    out += ",\"sims_per_second\":" +
-           json::encodeDouble(static_cast<double>(stats.misses) / elapsed);
-    out += ",\"events_per_second\":" +
-           json::encodeDouble(static_cast<double>(stats.sim_events) /
-                              elapsed);
-    out += "}\n";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot write bench perf record '%s'", path.c_str());
-        return;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-}
 
 } // namespace
 
@@ -282,24 +246,6 @@ runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
     stats.elapsed_seconds = secondsSince(progress.start());
     stats.sim_events = sim_events.load(std::memory_order_relaxed);
     progress.summary(stats);
-    if (options.time_report) {
-        double elapsed =
-            stats.elapsed_seconds > 0.0 ? stats.elapsed_seconds : 1e-9;
-        std::fprintf(stderr,
-                     "[aaws-exp] time: %.3fs wall, %.1f sims/s, "
-                     "%.3fM events/s (%llu events over %llu executed "
-                     "sims)\n",
-                     stats.elapsed_seconds,
-                     static_cast<double>(stats.misses) / elapsed,
-                     static_cast<double>(stats.sim_events) / elapsed / 1e6,
-                     static_cast<unsigned long long>(stats.sim_events),
-                     static_cast<unsigned long long>(stats.misses));
-    }
-    if (!options.bench_json.empty())
-        writeBenchJson(options.bench_json,
-                       options.bench_name.empty() ? "batch"
-                                                  : options.bench_name,
-                       options.topology_tag, stats);
     if (stats_out)
         *stats_out = stats;
     return results;

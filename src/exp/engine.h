@@ -11,7 +11,9 @@
  * simulation entirely.
  *
  * Observability: progress lines on stderr (done/total, hit/miss
- * counts, elapsed, ETA) plus a final batch summary.
+ * counts, elapsed, ETA) plus a final batch summary that also gives the
+ * elapsed time to the millisecond and the executed simulations' event
+ * count, so sims/s and events/s read off it.
  *
  * Environment:
  *   AAWS_EXP_JOBS       worker count when options.jobs == 0
@@ -44,20 +46,6 @@ struct EngineOptions
     std::string cache_dir;
     /** Progress/summary lines on stderr. */
     bool progress = true;
-    /** Print a sims/sec + events/sec self-report line on stderr. */
-    bool time_report = false;
-    /** When non-empty, write a BENCH_sim.json perf record to this path. */
-    std::string bench_json;
-    /** Bench name recorded in the BENCH_sim.json record. */
-    std::string bench_name;
-    /**
-     * Topology tag recorded in the bench-JSON record ("" = untagged,
-     * the default full sweep).  BenchCli sets it when a --topology
-     * restriction narrows the run, so tools/bench_compare.py can
-     * refuse to diff perf records measured on different machine
-     * shapes.
-     */
-    std::string topology_tag;
 };
 
 /** What a batch did (for tests, CI assertions, and callers' logging). */

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
 
 #include "common/json.h"
 #include "exp/cache.h"
@@ -306,16 +307,19 @@ TEST(BenchCli, ParseClampsNonPositiveJobsToAuto)
     }
 }
 
-TEST(BenchCli, ParseReadsPerfFlags)
+TEST(BenchCli, UnknownArgumentsAreFatal)
 {
-    const char *argv[] = {"some/dir/bench_name", "--time",
-                          "--bench-json=/tmp/perf.json"};
-    exp::BenchCli cli;
-    cli.parse(3, const_cast<char **>(argv));
-    EXPECT_TRUE(cli.engine.time_report);
-    EXPECT_EQ(cli.engine.bench_json, "/tmp/perf.json");
-    EXPECT_EQ(cli.engine.bench_name, "bench_name")
-        << "bench name is argv[0]'s basename";
+    // The retired perf switches are unknown like any other argument.
+    auto parse = [](const char *arg) {
+        const char *argv[] = {"bench", arg};
+        exp::BenchCli cli;
+        cli.parse(2, const_cast<char **>(argv));
+    };
+    EXPECT_EXIT(parse("--time"), ::testing::ExitedWithCode(1),
+                "unknown argument '--time'");
+    EXPECT_EXIT(parse("--bench-json=perf.json"),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--bench-json=perf.json'");
 }
 
 TEST(BenchCli, ParseBackendSelectionIsStrict)
@@ -503,28 +507,6 @@ TEST(BenchCli, FilterFlagBeatsEnvironment)
         EXPECT_EQ(cli.filter, "dict");
     }
     ASSERT_EQ(unsetenv("AAWS_KERNEL_FILTER"), 0);
-}
-
-TEST(BenchCli, BenchJsonEnvPrefersNeutralName)
-{
-    // AAWS_BENCH_JSON is the schema-neutral name every bench honors.
-    ASSERT_EQ(setenv("AAWS_BENCH_JSON", "/tmp/neutral.json", 1), 0);
-    EXPECT_STREQ(exp::benchJsonEnv(), "/tmp/neutral.json");
-    {
-        const char *argv[] = {"bench"};
-        exp::BenchCli cli;
-        cli.parse(1, const_cast<char **>(argv));
-        EXPECT_EQ(cli.engine.bench_json, "/tmp/neutral.json");
-    }
-    {
-        const char *argv[] = {"bench", "--bench-json=/tmp/flag.json"};
-        exp::BenchCli cli;
-        cli.parse(2, const_cast<char **>(argv));
-        EXPECT_EQ(cli.engine.bench_json, "/tmp/flag.json")
-            << "flag beats the env name";
-    }
-    ASSERT_EQ(unsetenv("AAWS_BENCH_JSON"), 0);
-    EXPECT_EQ(exp::benchJsonEnv(), nullptr);
 }
 
 TEST(Engine, ResolveJobsClampsToBatchSize)
@@ -772,35 +754,38 @@ TEST(Engine, BatchStatsCountSimEvents)
     EXPECT_EQ(warm.sim_events, 0u);
 }
 
-TEST(Engine, BenchJsonRecordIsWritten)
+TEST(Engine, SummaryLineReportsExecutedEvents)
 {
-    fs::path dir = scratchDir("engine_bench_json");
-    fs::path record = dir / "BENCH_sim.json";
+    fs::path dir = scratchDir("engine_summary");
     exp::EngineOptions options;
     options.jobs = 1;
-    options.use_cache = false;
-    options.progress = false;
-    options.bench_json = record.string();
-    options.bench_name = "unit";
-    exp::runBatch({sampleSpec()}, options);
+    options.cache_dir = dir.string();
+    std::vector<exp::RunSpec> specs = {sampleSpec()};
 
-    std::ifstream in(record);
-    ASSERT_TRUE(in.good()) << "record file must exist";
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    json::Value value;
-    ASSERT_TRUE(json::parse(text, value));
-    std::string name;
-    ASSERT_TRUE(value.find("bench")->getString(name));
-    EXPECT_EQ(name, "unit");
-    uint64_t runs = 0;
-    ASSERT_TRUE(value.find("runs")->getU64(runs));
-    EXPECT_EQ(runs, 1u);
-    ASSERT_NE(value.find("sims_per_second"), nullptr);
-    ASSERT_NE(value.find("events_per_second"), nullptr);
-    uint64_t events = 0;
-    ASSERT_TRUE(value.find("sim_events")->getU64(events));
-    EXPECT_GT(events, 0u);
+    // Runs the batch with progress on and returns the event count its
+    // summary line, the last line on stderr, reports.
+    auto summaryEvents = [&](exp::BatchStats &stats) -> uint64_t {
+        ::testing::internal::CaptureStderr();
+        exp::runBatch(specs, options, &stats);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        std::smatch match;
+        EXPECT_TRUE(std::regex_search(
+            err, match,
+            std::regex("\\[aaws-exp\\] batch complete: 1 runs, [01] hits, "
+                       "[01] misses \\([0-9.]+% cached\\), 1 jobs, "
+                       "[0-9]+\\.[0-9]{3}s, ([0-9]+) events\n$")))
+            << err;
+        return match.empty() ? ~uint64_t{0} : std::stoull(match[1]);
+    };
+
+    exp::BatchStats cold;
+    EXPECT_EQ(summaryEvents(cold), cold.sim_events);
+    EXPECT_GT(cold.sim_events, 0u);
+
+    // Warm: served from the cache, so nothing executed.
+    exp::BatchStats warm;
+    EXPECT_EQ(summaryEvents(warm), 0u);
+    EXPECT_EQ(warm.hits, 1u);
 }
 
 // --- Open-loop serving dimension ------------------------------------

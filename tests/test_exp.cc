@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <regex>
 
 #include "common/json.h"
 #include "exp/cache.h"
@@ -309,7 +308,8 @@ TEST(BenchCli, ParseClampsNonPositiveJobsToAuto)
 
 TEST(BenchCli, UnknownArgumentsAreFatal)
 {
-    // The retired perf switches are unknown like any other argument.
+    // Perf switches are not bench options: like any argument the CLI
+    // does not define, they are fatal.
     auto parse = [](const char *arg) {
         const char *argv[] = {"bench", arg};
         exp::BenchCli cli;
@@ -760,32 +760,33 @@ TEST(Engine, SummaryLineReportsExecutedEvents)
     exp::EngineOptions options;
     options.jobs = 1;
     options.cache_dir = dir.string();
-    std::vector<exp::RunSpec> specs = {sampleSpec()};
 
-    // Runs the batch with progress on and returns the event count its
-    // summary line, the last line on stderr, reports.
-    auto summaryEvents = [&](exp::BatchStats &stats) -> uint64_t {
+    // Runs the batch with progress on; returns its summary line.
+    auto summaryLine = [&](exp::BatchStats &stats) {
         ::testing::internal::CaptureStderr();
-        exp::runBatch(specs, options, &stats);
+        exp::runBatch({sampleSpec()}, options, &stats);
         std::string err = ::testing::internal::GetCapturedStderr();
-        std::smatch match;
-        EXPECT_TRUE(std::regex_search(
-            err, match,
-            std::regex("\\[aaws-exp\\] batch complete: 1 runs, [01] hits, "
-                       "[01] misses \\([0-9.]+% cached\\), 1 jobs, "
-                       "[0-9]+\\.[0-9]{3}s, ([0-9]+) events\n$")))
-            << err;
-        return match.empty() ? ~uint64_t{0} : std::stoull(match[1]);
+        size_t at = err.rfind("[aaws-exp] batch complete: ");
+        return at == std::string::npos ? err : err.substr(at);
+    };
+    // The line ends with the elapsed time to the millisecond and the
+    // executed simulations' event count.
+    auto tail = [](const exp::BatchStats &stats) {
+        return strfmt(" 1 jobs, %.3fs, %llu events\n", stats.elapsed_seconds,
+                      static_cast<unsigned long long>(stats.sim_events));
     };
 
     exp::BatchStats cold;
-    EXPECT_EQ(summaryEvents(cold), cold.sim_events);
+    std::string line = summaryLine(cold);
     EXPECT_GT(cold.sim_events, 0u);
+    EXPECT_TRUE(line.ends_with(tail(cold))) << line;
 
     // Warm: served from the cache, so nothing executed.
     exp::BatchStats warm;
-    EXPECT_EQ(summaryEvents(warm), 0u);
+    line = summaryLine(warm);
     EXPECT_EQ(warm.hits, 1u);
+    EXPECT_EQ(warm.sim_events, 0u);
+    EXPECT_TRUE(line.ends_with(tail(warm))) << line;
 }
 
 // --- Open-loop serving dimension ------------------------------------

@@ -216,6 +216,20 @@ class MpscChannel
         }
     }
 
+    /**
+     * Consumer only: is a message published at the head?  One acquire
+     * load of the head cell, inline, so a consumer polling an empty
+     * mailbox pays no call; true means the next tryRecv returns ok.
+     * close() does not change it: a buffered message keeps it true.
+     */
+    bool
+    ready() const
+    {
+        uint64_t pos = head_.load(std::memory_order_relaxed);
+        return cells_[pos & mask_].seq.load(std::memory_order_acquire) ==
+               pos + 1;
+    }
+
     /** Consumer only.  Drains published messages even after close(). */
     ChanStatus
     tryRecv(T &out)

@@ -38,9 +38,8 @@ ChannelPool::~ChannelPool()
     // Drain un-executed tasks: private queues, plus any TaskBatch still
     // sitting in a task channel (granted but never received).
     for (auto &w : workers_) {
-        for (RtTask *task : w->local)
-            delete task;
-        w->local.clear();
+        while (!w->local.empty())
+            delete w->local.popBack();
         TaskBatch batch;
         while (w->batches.tryRecv(batch) == ChanStatus::ok)
             for (int i = 0; i < batch.count; ++i)
@@ -62,7 +61,7 @@ ChannelPool::spawnTask(RtTask *task)
     }
     noteSpawn(self);
     WorkerState &w = *workers_[self];
-    w.local.push_back(task);
+    w.local.pushBack(task);
     w.publishSize();
     // Lifeline release: new work answers parked thieves directly (the
     // work-sharing half of the protocol).
@@ -83,16 +82,16 @@ ChannelPool::tryTakeTask()
     // Answer pending steal requests before looking for own work: the
     // mailbox is only ever drained here, so service latency is one
     // task execution, and thieves must never wait on a busy victim
-    // that found work every time.
-    serveRequests(self);
+    // that found work every time.  An empty mailbox costs one load.
+    if (w.requests.ready())
+        serveRequests(self);
     // Lifeline release also covers work that arrived without a spawn
     // (extras of a granted batch): parked thieves must never wait on a
     // holder that has tasks in hand.
     if (!w.held.empty() && !w.local.empty())
         releaseHeld(self);
     if (!w.local.empty()) {
-        RtTask *task = w.local.back();
-        w.local.pop_back();
+        RtTask *task = w.local.popBack();
         w.publishSize();
         noteFound(self, w.hint);
         return task;
@@ -112,7 +111,7 @@ ChannelPool::tryTakeTask()
                 static_cast<uint64_t>(batch.count),
                 std::memory_order_relaxed);
             for (int i = 1; i < batch.count; ++i)
-                w.local.push_back(batch.tasks[i]);
+                w.local.pushBack(batch.tasks[i]);
             w.publishSize();
             noteSteal(self, batch.victim, batch.mug);
             return batch.tasks[0];
@@ -196,10 +195,8 @@ ChannelPool::grant(int self, const StealRequest &req)
     batch.mug = req.mug;
     // Hand off the *oldest* tasks (the FIFO end a deque thief would
     // take): coolest in cache, biggest subtrees first.
-    for (int i = 0; i < give; ++i) {
-        batch.tasks[i] = w.local.front();
-        w.local.pop_front();
-    }
+    for (int i = 0; i < give; ++i)
+        batch.tasks[i] = w.local.popFront();
     w.publishSize();
     ChanStatus status = workers_[req.thief]->batches.trySend(batch);
     AAWS_ASSERT(status == ChanStatus::ok,

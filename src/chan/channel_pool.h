@@ -5,10 +5,12 @@
  *
  * Where `runtime::WorkerPool` lets thieves raid victim Chase-Lev deques
  * directly, here every worker owns a *private* task queue that only it
- * touches, plus two channels:
+ * touches — the simulator's ring deque (common/ring_deque.h): the owner
+ * pushes and pops the back, grants hand off the front — plus two
+ * channels:
  *
  *  - an MPSC steal-request mailbox other workers post StealRequest
- *    messages into, and
+ *    messages into, polled on every take (one load when empty), and
  *  - an SPSC task channel on which exactly one granted TaskBatch (or an
  *    explicit decline) travels back per request.
  *
@@ -42,12 +44,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "chan/channel.h"
 #include "chan/steal_request.h"
+#include "common/ring_deque.h"
 #include "runtime/backend.h"
 #include "runtime/task.h"
 
@@ -126,8 +128,8 @@ class ChannelPool : public RuntimeBackend
      */
     struct alignas(kCacheLine) WorkerState
     {
-        /** Private LIFO task queue: owner pops back, grants pop front. */
-        std::deque<RtTask *> local;
+        /** Private task queue: owner pops the back, grants the front. */
+        RingDeque<RtTask *> local;
         /** Task indicator: concurrent victim checks read this. */
         std::atomic<int64_t> indicator{0};
         /** Steal-request mailbox (any worker posts, owner drains). */

@@ -8,12 +8,16 @@
  * pbbslib's `pardo`: the forked callable travels as a small job that
  * lives in the forking frame, not on the heap.  The frame pushes it
  * through the backend's spawnTask, runs the other callable inline, and
- * then helps until the job is done — usually by popping it straight
- * back and running it inline.  The job's runner ends with one release
- * store of its done flag, so the owner's fork and join do no `new`, no
- * `delete` and no locked read-modify-write; shared state is touched
- * only when a thief took the job.  The three- and four-way forms and
- * parallelFor/parallelReduce (runtime/parallel_for.h) nest this fork.
+ * then joins it.  The join takes one task first.  When that is the job
+ * itself — the usual case — no other thread can reach it any more, so
+ * the owner calls the callable directly: no indirect call, no done
+ * flag, and no `new` or `delete` anywhere in the fork and join.
+ * Otherwise a thief took the job, or the inline callable left newer
+ * work above it (a bare spawn, an unjoined TaskGroup child); the owner
+ * runs what it took and helps until the job's runner, on whichever
+ * thread took it, has stored the done flag with release order.  The
+ * three- and four-way forms and parallelFor/parallelReduce
+ * (runtime/parallel_for.h) nest this fork.
  *
  * The join runs in the job's destructor, so it also runs when the
  * inline callable throws: the exception leaves the frame only after the
@@ -51,11 +55,20 @@ class FrameJob final : public RtTask
 
     ~FrameJob() override
     {
+        RtTask *task = pool_.tryTakeTask();
+        if (task == this) {
+            // Taken back from our own queue: no other thread can run it.
+            fn_();
+            return;
+        }
+        if (task)
+            task->invoke(task);
         pool_.helpUntil(
             [this] { return done_.load(std::memory_order_acquire); });
     }
 
   private:
+    /** The runner, for a job the join's first take did not return. */
     static void
     run(RtTask *self)
     {

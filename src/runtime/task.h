@@ -12,9 +12,11 @@
  *    drain if nobody ran it.  An exception that escapes its closure
  *    panics, naming the pool worker and the exception's what();
  *  - a frame job (`detail::FrameJob` in runtime/parallel_invoke.h)
- *    lives in the frame that forked it.  Its runner's last touch is
- *    the release store that tells that frame it is done; it is never
- *    freed, and the frame's join guarantees it never reaches a drain.
+ *    lives in the frame that forked it.  The frame's join usually takes
+ *    it straight back and calls it without `invoke`; a runner reached
+ *    through any other take ends with the release store that tells the
+ *    frame it is done.  It is never freed, and the join guarantees it
+ *    never reaches a drain.
  *
  * The cache-line size every backend pads its per-worker state to lives
  * here too, so a backend needs no deque header to use it.

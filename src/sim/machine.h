@@ -60,6 +60,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/ring_deque.h"
 #include "dvfs/controller.h"
 #include "dvfs/regulator.h"
 #include "energy/accountant.h"
@@ -110,55 +111,6 @@ struct SkippedThief
  * attempts would have rescheduled them with.
  */
 void orderByLastAttempt(SkippedThief *thieves, int n);
-
-/**
- * A simulated worker's deque: a power-of-two ring over one vector.  The
- * owner pushes and pops at the back (the tail), thieves take from the
- * front (the head), and a full ring doubles.  `T` is a small trivially
- * copyable entry.  A ring starts at 64 entries, which few simulated
- * deques outgrow.
- */
-template <class T>
-class RingDeque
-{
-  public:
-    bool empty() const { return head_ == tail_; }
-    size_t size() const { return tail_ - head_; }
-
-    void
-    pushBack(const T &entry)
-    {
-        if (size() == buf_.size())
-            grow();
-        buf_[tail_++ & mask_] = entry;
-    }
-
-    /** Remove and return the newest entry; the deque must not be empty. */
-    T popBack() { return buf_[--tail_ & mask_]; }
-
-    /** Remove and return the oldest entry; the deque must not be empty. */
-    T popFront() { return buf_[head_++ & mask_]; }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<T> bigger(buf_.empty() ? 64 : 2 * buf_.size());
-        for (uint32_t i = head_; i != tail_; ++i)
-            bigger[i - head_] = buf_[i & mask_];
-        tail_ -= head_;
-        head_ = 0;
-        mask_ = static_cast<uint32_t>(bigger.size() - 1);
-        buf_ = std::move(bigger);
-    }
-
-    std::vector<T> buf_;
-    // Free-running indices: an entry sits at index & mask_, and the
-    // unsigned difference tail_ - head_ is the size even after wrapping.
-    uint32_t head_ = 0;
-    uint32_t tail_ = 0;
-    uint32_t mask_ = 0;
-};
 
 } // namespace detail
 
@@ -294,7 +246,7 @@ class Machine final
     /** Logical worker: survives mugging (cores swap workers). */
     struct Worker
     {
-        detail::RingDeque<SpawnedEntry> dq; ///< back = tail (owner side).
+        RingDeque<SpawnedEntry> dq; ///< back = tail (owner side).
         std::vector<int32_t> stack;  ///< Frame ids; back = top.
         /** Instructions left of a WORK op preempted by a mug (-1: none). */
         double resume_instrs = -1.0;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests of the channel primitives (SPSC/MPSC rings: capacity,
- * FIFO order, wraparound, close semantics) and of the ChannelPool
- * backend: fork-join correctness through the RuntimeBackend seam, all
- * five AAWS variants on the message-passing scheduler, mugging as a
- * steal-request message, steal-one/steal-half/adaptive granularity,
- * lifeline accounting, the foreign-thread enqueue path, and the
- * backend factory + strict BackendKind parsing.
+ * FIFO order, wraparound, close semantics, the mailbox's readiness
+ * check) and of the ChannelPool backend: fork-join correctness through
+ * the RuntimeBackend seam, all five AAWS variants on the
+ * message-passing scheduler, mugging as a steal-request message,
+ * steal-one/steal-half/adaptive granularity, lifeline accounting, the
+ * foreign-thread enqueue path, the destructor's drain, and the backend
+ * factory + strict BackendKind parsing.
  *
  * Genuine multi-thread hammering lives in tests/stress/stress_chan.cc;
  * these tests keep workloads small enough for the sanitizer legs.
@@ -127,6 +128,28 @@ TEST(MpscChannel, CloseDrainsThenReports)
     int value = -1;
     EXPECT_EQ(chan.tryRecv(value), ChanStatus::ok);
     EXPECT_EQ(value, 7);
+    EXPECT_EQ(chan.tryRecv(value), ChanStatus::closed);
+}
+
+TEST(MpscChannel, ReadyMeansTheNextRecvSucceeds)
+{
+    MpscChannel<int> chan(4);
+    EXPECT_FALSE(chan.ready());
+    int value = -1;
+    // Several laps, so the head cell's sequence number wraps too.
+    for (int i = 0; i < 12; ++i) {
+        ASSERT_EQ(chan.trySend(i), ChanStatus::ok);
+        EXPECT_TRUE(chan.ready()) << "message " << i;
+        ASSERT_EQ(chan.tryRecv(value), ChanStatus::ok);
+        EXPECT_FALSE(chan.ready()) << "message " << i;
+    }
+    // Closing keeps a buffered message visible until it is drained.
+    ASSERT_EQ(chan.trySend(7), ChanStatus::ok);
+    chan.close();
+    EXPECT_TRUE(chan.ready());
+    EXPECT_EQ(chan.tryRecv(value), ChanStatus::ok);
+    EXPECT_EQ(value, 7);
+    EXPECT_FALSE(chan.ready());
     EXPECT_EQ(chan.tryRecv(value), ChanStatus::closed);
 }
 
@@ -314,6 +337,18 @@ TEST(ChannelPool, DestructionWithUnexecutedTasksDoesNotLeak)
     // Spawned-but-never-executed tasks (including any granted batch in
     // flight) are drained and freed by the destructor; asan is the
     // oracle here.
+    {
+        // The master's spawns fill its private queue past the 64
+        // entries the ring starts at; with no other worker, nothing
+        // runs them before the drain.
+        std::atomic<int> ran{0};
+        {
+            ChannelPool pool(1);
+            for (int i = 0; i < 200; ++i)
+                pool.spawn([&ran] { ran.fetch_add(1); });
+        }
+        EXPECT_EQ(ran.load(), 0);
+    }
     ChannelPool pool(2);
     for (int i = 0; i < 64; ++i)
         pool.enqueue([] {});

@@ -4,8 +4,8 @@
  * semantics (sequential and under real thief contention), the worker
  * pool, TaskGroup joins (children that throw included),
  * parallel_for/reduce/invoke correctness, the frame-resident fork (its
- * join under an exception, its allocation-free owner path,
- * foreign-thread callers), the Table II comparison
+ * join under an exception, its allocation-free owner path, a join that
+ * first meets newer work, foreign-thread callers), the Table II comparison
  * schedulers, and the body both native backends share (worker identity,
  * the activity-hint protocol and its hooks), which runs on each backend
  * in turn.
@@ -505,6 +505,30 @@ class Watchdog
     /** Last, so it starts after the members it reads. */
     std::thread thread_;
 };
+
+TEST_P(FrameFork, JoinRunsWorkLeftAboveItsJob)
+{
+    // The inline branch spawns a heap closure it never joins, so the
+    // join's first take is that closure, not the job.  The join must
+    // run both, each exactly once.
+    Watchdog watchdog("a fork whose inline branch left a spawn above it");
+    for (int threads : {1, 4}) {
+        auto pool = makePool(GetParam(), threads);
+        for (int rep = 0; rep < 200; ++rep) {
+            std::atomic<int> spawned{0};
+            std::atomic<int> forked{0};
+            parallelInvoke(
+                *pool,
+                [&] { pool->spawn([&spawned] { spawned.fetch_add(1); }); },
+                [&forked] { forked.fetch_add(1); });
+            EXPECT_EQ(forked.load(), 1) << threads << " workers, rep " << rep;
+            // A thief may still hold the closure: help until it has run,
+            // so no drain ever frees it unrun.
+            pool->helpUntil([&spawned] { return spawned.load() > 0; });
+            EXPECT_EQ(spawned.load(), 1) << threads << " workers, rep " << rep;
+        }
+    }
+}
 
 /** TaskGroup children that throw, on each backend. */
 class TaskGroupThrow : public ::testing::TestWithParam<BackendKind>

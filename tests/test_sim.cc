@@ -17,6 +17,7 @@
 
 #include "aaws/experiment.h"
 #include "aaws/variant.h"
+#include "common/ring_deque.h"
 #include "exp/run_spec.h"
 #include "sim/machine.h"
 #include "sim/stats_writer.h"
@@ -788,11 +789,11 @@ TEST(SimTrace, RecordsAreTimeOrdered)
     EXPECT_LE(prev, result.trace.end());
 }
 
-// --- the simulated workers' ring deque -------------------------------------
+// --- the ring deque (simulated workers, channel-pool queues) ---------------
 
 /** Pop both ends of a ring and its std::deque model until both are empty. */
 void
-expectDrainMatches(detail::RingDeque<int> &ring, std::deque<int> &model,
+expectDrainMatches(RingDeque<int> &ring, std::deque<int> &model,
                    bool front_first)
 {
     ASSERT_EQ(ring.size(), model.size());
@@ -813,7 +814,7 @@ TEST(RingDeque, WrapsAroundWithoutGrowing)
 {
     // Head steals advance the ring's start, so steady push/steal traffic
     // with a few entries in flight wraps its first buffer many times.
-    detail::RingDeque<int> ring;
+    RingDeque<int> ring;
     std::deque<int> model;
     for (int i = 0; i < 1000; ++i) {
         ring.pushBack(i);
@@ -833,7 +834,7 @@ TEST(RingDeque, GrowsWhileWrapped)
     // and refill past capacity: the next doubling happens with the
     // entries wrapped, and its copy must unwrap them in head-to-tail
     // order.
-    detail::RingDeque<int> ring;
+    RingDeque<int> ring;
     std::deque<int> model;
     for (int i = 0; i < 100; ++i) {
         ring.pushBack(i);
@@ -853,7 +854,7 @@ TEST(RingDeque, GrowsWhileWrapped)
 TEST(RingDeque, HeadStealsInterleaveWithTailPops)
 {
     // A random owner/thief mix against std::deque, the deque it replaced.
-    detail::RingDeque<int> ring;
+    RingDeque<int> ring;
     std::deque<int> model;
     std::mt19937 gen(42);
     for (int i = 0; i < 100000; ++i) {

@@ -21,8 +21,8 @@ main(int argc, char **argv)
     std::printf("=== Figure 2: pareto frontier, 4B4L all busy "
                 "(alpha=3, beta=2) ===\n\n");
     FirstOrderModel model;
-    CoreActivity busy{4, 4, 0, 0};
-    ParetoSweep sweep = paretoSweep(model, busy, 12);
+    ParetoSweep sweep =
+        paretoSweep(model, makeTopology("4b4l", model.params()), 12);
 
     std::printf("v_big,v_little,perf,efficiency,power,pareto\n");
     for (const auto &s : sweep.samples) {

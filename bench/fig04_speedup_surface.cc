@@ -44,11 +44,10 @@ main(int argc, char **argv)
     exp::BenchCli cli;
     cli.parse(argc, argv);
     ModelParams base;
-    CoreActivity busy{4, 4, 0, 0};
     constexpr int kAlphaSteps = 8;
     constexpr int kBetaSteps = 6;
-    auto cells = speedupSurface(base, busy, 1.0, 5.0, kAlphaSteps, 1.0,
-                                4.0, kBetaSteps);
+    auto cells = speedupSurface(base, makeTopology("4b4l", base), 1.0, 5.0,
+                                kAlphaSteps, 1.0, 4.0, kBetaSteps);
 
     // The designer point (alpha=3, beta=2) anchors the paper's "~1.10x
     // feasible speedup" claim; export it for repro_check.

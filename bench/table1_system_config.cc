@@ -77,7 +77,7 @@ main(int argc, char **argv)
         std::printf("%-14d", ba);
         for (int la = 0; la <= 4; ++la) {
             const DvfsTableEntry &e = table.atCounts({ba, la});
-            std::printf("  (%.2f, %.2f) ", e.vBig(), e.vLittle());
+            std::printf("  (%.2f, %.2f) ", e.v[0], e.v[1]);
         }
         std::printf("\n");
     }

@@ -48,7 +48,7 @@ main(int argc, char **argv)
         Kernel kernel = makeKernel(name);
         const PaperKernelStats &s = kernel.stats;
 
-        double serial_io = serialSeconds(kernel, CoreType::little);
+        double serial_io = serialSeconds(kernel, 'l');
         double t_1b7l = results[idx++].sim.exec_seconds;
         double t_4b4l = results[idx++].sim.exec_seconds;
 

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "dvfs/lookup_table.h"
+#include "model/cluster_opt.h"
 
 using namespace aaws;
 
@@ -37,7 +37,8 @@ main(int argc, char **argv)
     }
 
     FirstOrderModel model(params);
-    MarginalUtilityOptimizer opt(model);
+    CoreTopology machine = CoreTopology::bigLittle(n_big, n_little, params);
+    ClusterOptimizer opt(model, machine);
     std::printf("machine: %dB%dL, alpha=%.2f beta=%.2f, V in "
                 "[%.2f, %.2f]\n\n", n_big, n_little, params.alpha,
                 params.beta, params.v_min, params.v_max);
@@ -48,14 +49,15 @@ main(int argc, char **argv)
         for (int la = 0; la <= n_little; ++la) {
             if (ba == 0 && la == 0)
                 continue;
-            CoreActivity act{ba, la, n_big - ba, n_little - la};
+            ClusterActivity act{{ba, la}, {n_big - ba, n_little - la}};
             double target = opt.targetPower(act);
-            OperatingPoint o = opt.solve(act, target, false);
-            OperatingPoint f = opt.solve(act, target, true);
+            ClusterOperatingPoint o =
+                opt.solveTwoCluster(act, target, /*feasible=*/false);
+            ClusterOperatingPoint f =
+                opt.solveTwoCluster(act, target, /*feasible=*/true);
             std::printf("  (%d,%d)     (%5.2f, %5.2f, %5.2fx)   "
-                        "(%5.2f, %5.2f, %5.2fx)\n", ba, la, o.v_big,
-                        o.v_little, o.speedup, f.v_big, f.v_little,
-                        f.speedup);
+                        "(%5.2f, %5.2f, %5.2fx)\n", ba, la, o.v[0],
+                        o.v[1], o.speedup, f.v[0], f.v[1], f.speedup);
         }
     }
     std::printf("\n'x' columns are throughput gains over running the "

@@ -4,23 +4,18 @@
 
 namespace aaws {
 
-MachineConfig
-configFor(const Kernel &kernel, Variant variant, bool collect_trace)
-{
-    MachineConfig config;
-    // Per-application core behaviour (Table III columns).
-    config.app_params.alpha = kernel.stats.alpha;
-    config.app_params.beta = kernel.stats.beta;
-    config.app_params.ipc_little = kernel.stats.ipcLittle();
-    config.mpki = kernel.stats.mpki;
-    // The lookup table keeps the designer's system-wide estimates
-    // (ModelParams defaults: alpha = 3, beta = 2).
-    config.policy = policyConfigFor(variant);
-    config.collect_trace = collect_trace;
-    return config;
-}
-
 namespace {
+
+/** The kernel's own model parameters (Table III columns). */
+ModelParams
+kernelParams(const Kernel &kernel)
+{
+    ModelParams params;
+    params.alpha = kernel.stats.alpha;
+    params.beta = kernel.stats.beta;
+    params.ipc_little = kernel.stats.ipcLittle();
+    return params;
+}
 
 /** Serial instruction count: total work minus the parallel overhead. */
 double
@@ -31,15 +26,26 @@ serialInstructions(const Kernel &kernel)
 
 } // namespace
 
-double
-serialSeconds(const Kernel &kernel, CoreType type)
+MachineConfig
+configFor(const Kernel &kernel, Variant variant, bool collect_trace)
 {
-    ModelParams params;
-    params.alpha = kernel.stats.alpha;
-    params.beta = kernel.stats.beta;
-    params.ipc_little = kernel.stats.ipcLittle();
+    MachineConfig config;
+    // Per-application core behaviour.
+    config.app_params = kernelParams(kernel);
+    config.mpki = kernel.stats.mpki;
+    // The lookup table keeps the designer's system-wide estimates
+    // (ModelParams defaults: alpha = 3, beta = 2).
+    config.policy = policyConfigFor(variant);
+    config.collect_trace = collect_trace;
+    return config;
+}
+
+double
+serialSeconds(const Kernel &kernel, char kind)
+{
+    ModelParams params = kernelParams(kernel);
     FirstOrderModel model(params);
-    double ips = model.ips(type, params.v_nom);
+    double ips = model.ips(clusterParamsFor(kind, params), params.v_nom);
     AAWS_ASSERT(ips > 0.0, "non-positive serial throughput");
     return serialInstructions(kernel) / ips;
 }
@@ -59,15 +65,13 @@ efficiencyGain(const SimResult &base, const SimResult &opt)
 }
 
 double
-serialEnergy(const Kernel &kernel, CoreType type)
+serialEnergy(const Kernel &kernel, char kind)
 {
-    ModelParams params;
-    params.alpha = kernel.stats.alpha;
-    params.beta = kernel.stats.beta;
-    params.ipc_little = kernel.stats.ipcLittle();
+    ModelParams params = kernelParams(kernel);
     FirstOrderModel model(params);
-    return model.activePower(type, params.v_nom) *
-           serialSeconds(kernel, type);
+    return model.activePower(clusterParamsFor(kind, params),
+                             params.v_nom) *
+           serialSeconds(kernel, kind);
 }
 
 } // namespace aaws

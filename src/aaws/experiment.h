@@ -46,14 +46,15 @@ MachineConfig configFor(const Kernel &kernel, Variant variant,
 
 /**
  * Simulate the optimized *serial* version on a single core of the given
- * type (for Table III's serial baselines): all work executes back to
- * back on one core at nominal voltage, with a 0.92 discount for the
+ * cluster kind ('b', 'm' or 'l', under the kernel's Table III
+ * parameters; for Table III's serial baselines): all work executes back
+ * to back on one core at nominal voltage, with a 0.92 discount for the
  * parallel version's task-management instructions.
  */
-double serialSeconds(const Kernel &kernel, CoreType type);
+double serialSeconds(const Kernel &kernel, char kind);
 
 /** Serial energy of the same run (for the alpha/ERatio column). */
-double serialEnergy(const Kernel &kernel, CoreType type);
+double serialEnergy(const Kernel &kernel, char kind);
 
 /** Speedup of `opt` over `base` (ratio of execution times). */
 double speedupOver(const SimResult &base, const SimResult &opt);

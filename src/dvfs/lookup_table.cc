@@ -16,10 +16,7 @@ DvfsLookupTable::DvfsLookupTable(const FirstOrderModel &model,
 void
 DvfsLookupTable::generate(const FirstOrderModel &model)
 {
-    if (topology_.isBigLittle(model.params())) {
-        generateBigLittle(model);
-        return;
-    }
+    const bool big_little = topology_.isBigLittle(model.params());
     ClusterOptimizer opt(model, topology_);
     const int n = topology_.numClusters();
     const double v_nom = model.params().v_nom;
@@ -41,43 +38,14 @@ DvfsLookupTable::generate(const FirstOrderModel &model)
             entry.speedup = 1.0;
             continue;
         }
+        double target = opt.targetPower(act);
         ClusterOperatingPoint point =
-            opt.solve(act, opt.targetPower(act));
+            big_little ? opt.solveTwoCluster(act, target, /*feasible=*/true)
+                       : opt.solve(act, target);
         entry.v.resize(n);
         for (int k = 0; k < n; ++k)
             entry.v[k] = act.active[k] > 0 ? point.v[k] : v_nom;
         entry.speedup = point.speedup;
-    }
-}
-
-void
-DvfsLookupTable::generateBigLittle(const FirstOrderModel &model)
-{
-    const int n_big = topology_.cluster(0).count;
-    const int n_little = topology_.cluster(1).count;
-    MarginalUtilityOptimizer opt(model);
-    double v_nom = model.params().v_nom;
-    entries_.resize((n_big + 1) * (n_little + 1));
-    for (int ba = 0; ba <= n_big; ++ba) {
-        for (int la = 0; la <= n_little; ++la) {
-            DvfsTableEntry &entry =
-                entries_[ba * (n_little + 1) + la];
-            if (ba == 0 && la == 0) {
-                // Nothing active: voltages are unused; keep nominal.
-                entry = DvfsTableEntry::bigLittle(v_nom, v_nom, 1.0);
-                continue;
-            }
-            CoreActivity act;
-            act.n_big_active = ba;
-            act.n_little_active = la;
-            act.n_big_waiting = n_big - ba;
-            act.n_little_waiting = n_little - la;
-            OperatingPoint point =
-                opt.solve(act, opt.targetPower(act), /*feasible=*/true);
-            entry.v = {ba > 0 ? point.v_big : v_nom,
-                       la > 0 ? point.v_little : v_nom};
-            entry.speedup = point.speedup;
-        }
     }
 }
 

@@ -10,13 +10,13 @@
  * topology's mixed-radix censusIndex() (fastest cluster most
  * significant).
  *
- * Entries are generated offline from a marginal-utility optimizer
- * using a single system-wide parameter estimate; waiting cores rest at
- * v_min and the power target is the all-nominal system power (Eq. 6).
- * The paper's big/little topologies (CoreTopology::isBigLittle) use the
- * two-type MarginalUtilityOptimizer, the paper's Fig. 3/5 method;
- * everything else uses the N-cluster equi-marginal solver
- * (model/cluster_opt.h).  Table generation is
+ * Entries are generated offline from the marginal-utility optimizer
+ * (model/cluster_opt.h) using a single system-wide parameter estimate;
+ * waiting cores rest at v_min and the power target is the all-nominal
+ * system power (Eq. 6).  One loop visits every census cell.  The
+ * paper's big/little topologies (CoreTopology::isBigLittle) take the
+ * two-cluster search, the paper's Fig. 3/5 method; everything else
+ * takes the equi-marginal search.  Table generation is
  * DVFS-domain-agnostic: a per_cluster shared rail constrains how the
  * controller *applies* voltages (dvfs/controller.h), not which
  * operating points the designer tabulates.
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "model/cluster_opt.h"
-#include "model/optimizer.h"
 #include "model/topology.h"
 
 namespace aaws {
@@ -40,20 +39,6 @@ struct DvfsTableEntry
     std::vector<double> v;
     /** Model-predicted speedup of the entry. */
     double speedup = 1.0;
-
-    /** Two-cluster conveniences for big/little call sites. */
-    double vBig() const { return v.front(); }
-    double vLittle() const { return v.back(); }
-
-    /** Build a two-cluster entry (tests, adaptive refinement). */
-    static DvfsTableEntry
-    bigLittle(double v_big, double v_little, double speedup = 1.0)
-    {
-        DvfsTableEntry entry;
-        entry.v = {v_big, v_little};
-        entry.speedup = speedup;
-        return entry;
-    }
 };
 
 /** The full per-census voltage table for one machine topology. */
@@ -99,7 +84,6 @@ class DvfsLookupTable
 
   private:
     void generate(const FirstOrderModel &model);
-    void generateBigLittle(const FirstOrderModel &model);
 
     CoreTopology topology_;
     std::vector<DvfsTableEntry> entries_;

@@ -20,23 +20,6 @@ EnergyAccountant::EnergyAccountant(const FirstOrderModel &model,
     last_time_.assign(n, 0.0);
 }
 
-EnergyAccountant::EnergyAccountant(const FirstOrderModel &model,
-                                   std::vector<CoreType> core_types)
-    : model_(model)
-{
-    ClusterParams big = clusterParamsFor('b', model.params());
-    ClusterParams little = clusterParamsFor('l', model.params());
-    core_params_.reserve(core_types.size());
-    for (CoreType type : core_types)
-        core_params_.push_back(type == CoreType::big ? big : little);
-    size_t n = core_params_.size();
-    AAWS_ASSERT(n > 0, "no cores to account for");
-    energy_.resize(n);
-    state_.assign(n, PowerState::off);
-    voltage_.assign(n, model_.params().v_nom);
-    last_time_.assign(n, 0.0);
-}
-
 void
 EnergyAccountant::charge(int core, double until)
 {

@@ -132,11 +132,10 @@ instrMixFor(const std::string &kernel)
 }
 
 double
-energyPerInstrPj(const EventEnergyTable &table, CoreType type,
-                 const InstrMix &mix)
+energyPerInstrPj(const EventEnergyTable &table, const InstrMix &mix)
 {
     mix.validate();
-    auto event = [&](EnergyEvent e) { return table.energyPj(type, e); };
+    auto event = [&](EnergyEvent e) { return table.energyPj(e); };
 
     // Every instruction: fetch, pipeline control, and (big only, where
     // the table is non-zero) rename/ROB/branch-predictor bookkeeping.
@@ -162,10 +161,10 @@ energyPerInstrPj(const EventEnergyTable &table, CoreType type,
 }
 
 double
-componentAlpha(const EventEnergyTable &table, const InstrMix &mix)
+componentAlpha(const EventEnergyTable &big, const EventEnergyTable &little,
+               const InstrMix &mix)
 {
-    return energyPerInstrPj(table, CoreType::big, mix) /
-           energyPerInstrPj(table, CoreType::little, mix);
+    return energyPerInstrPj(big, mix) / energyPerInstrPj(little, mix);
 }
 
 } // namespace aaws

@@ -52,17 +52,17 @@ struct InstrMix
 const InstrMix &instrMixFor(const std::string &kernel);
 
 /**
- * Average energy per instruction in picojoules at nominal voltage for
- * `type`, composing the per-event energies with the mix.
+ * Average energy per instruction in picojoules at nominal voltage on
+ * the table's core, composing the per-event energies with the mix.
  */
-double energyPerInstrPj(const EventEnergyTable &table, CoreType type,
-                        const InstrMix &mix);
+double energyPerInstrPj(const EventEnergyTable &table, const InstrMix &mix);
 
 /**
  * The big/little energy-per-instruction ratio the component model
  * implies for this mix -- an independently derived alpha.
  */
-double componentAlpha(const EventEnergyTable &table, const InstrMix &mix);
+double componentAlpha(const EventEnergyTable &big,
+                      const EventEnergyTable &little, const InstrMix &mix);
 
 } // namespace aaws
 

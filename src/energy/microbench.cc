@@ -25,13 +25,15 @@ energyEventName(EnergyEvent event)
     return kEventNames[idx];
 }
 
-EventEnergyTable::EventEnergyTable()
+EventEnergyTable
+EventEnergyTable::littleCore()
 {
-    // Little core: per-event energies (pJ at 1.0 V) representative of a
-    // 65 nm LP single-issue in-order scalar core with 16 KB L1s, in the
-    // spirit of the paper's placed-and-routed measurements.
+    // Per-event energies (pJ at 1.0 V) representative of a 65 nm LP
+    // single-issue in-order scalar core with 16 KB L1s, in the spirit of
+    // the paper's placed-and-routed measurements.
+    EventEnergyTable table;
     auto set_l = [&](EnergyEvent e, double pj) {
-        little_[static_cast<int>(e)] = pj;
+        table.pj_[static_cast<int>(e)] = pj;
     };
     set_l(EnergyEvent::icache_access, 8.0);
     set_l(EnergyEvent::dcache_access, 10.0);
@@ -49,12 +51,18 @@ EventEnergyTable::EventEnergyTable()
     set_l(EnergyEvent::rename_dispatch, 0.0);
     set_l(EnergyEvent::rob_lsq, 0.0);
     set_l(EnergyEvent::bpred, 0.0);
+    return table;
+}
 
-    // Big core: shared components scaled by port/associativity factors
-    // (the paper normalizes McPAT components against the shared ALU and
-    // register file), plus out-of-order-only structures.
+EventEnergyTable
+EventEnergyTable::bigCore()
+{
+    // Shared components scaled by port/associativity factors (the paper
+    // normalizes McPAT components against the shared ALU and register
+    // file), plus out-of-order-only structures.
+    EventEnergyTable table;
     auto set_b = [&](EnergyEvent e, double pj) {
-        big_[static_cast<int>(e)] = pj;
+        table.pj_[static_cast<int>(e)] = pj;
     };
     set_b(EnergyEvent::icache_access, 9.5);   // wider fetch
     set_b(EnergyEvent::dcache_access, 13.0);  // 2-way, LSQ-facing
@@ -71,14 +79,15 @@ EventEnergyTable::EventEnergyTable()
     set_b(EnergyEvent::rename_dispatch, 11.0);
     set_b(EnergyEvent::rob_lsq, 9.0);
     set_b(EnergyEvent::bpred, 4.0);
+    return table;
 }
 
 double
-EventEnergyTable::energyPj(CoreType type, EnergyEvent event) const
+EventEnergyTable::energyPj(EnergyEvent event) const
 {
     int idx = static_cast<int>(event);
     AAWS_ASSERT(idx >= 0 && idx < kNumEvents, "bad event %d", idx);
-    return type == CoreType::big ? big_[idx] : little_[idx];
+    return pj_[idx];
 }
 
 double
@@ -155,27 +164,24 @@ makeMicrobenchSuite()
 }
 
 double
-microbenchEnergyPj(const EventEnergyTable &table, CoreType type,
-                   const Microbench &mb)
+microbenchEnergyPj(const EventEnergyTable &table, const Microbench &mb)
 {
     double pj = 0.0;
-    for (int i = 0; i < kNumEvents; ++i) {
-        pj += mb.counts[i] *
-              table.energyPj(type, static_cast<EnergyEvent>(i));
-    }
+    for (int i = 0; i < kNumEvents; ++i)
+        pj += mb.counts[i] * table.energyPj(static_cast<EnergyEvent>(i));
     return pj;
 }
 
 double
-deriveAlpha(const EventEnergyTable &table,
+deriveAlpha(const EventEnergyTable &big, const EventEnergyTable &little,
             const std::vector<Microbench> &suite)
 {
     AAWS_ASSERT(!suite.empty(), "empty microbenchmark suite");
     double total_big = 0.0;
     double total_little = 0.0;
     for (const auto &mb : suite) {
-        total_big += microbenchEnergyPj(table, CoreType::big, mb);
-        total_little += microbenchEnergyPj(table, CoreType::little, mb);
+        total_big += microbenchEnergyPj(big, mb);
+        total_little += microbenchEnergyPj(little, mb);
     }
     return total_big / total_little;
 }

@@ -7,11 +7,12 @@
  * run on a placed-and-routed RTL implementation of the little core, then
  * normalizes McPAT component models for the big core against shared
  * components (integer ALU, register file).  We reproduce the *method*
- * with a component-level event-energy table: per-event energies for the
- * little core chosen to be representative of a 65 nm LP in-order scalar
- * core, big-core events scaled by microarchitectural factors, and a
- * microbenchmark driver that composes event counts per instruction into
- * energy-per-instruction estimates.  The derived big/little
+ * with component-level event-energy tables, one per core design:
+ * per-event energies for the little core chosen to be representative of
+ * a 65 nm LP in-order scalar core, big-core events scaled by
+ * microarchitectural factors, and a microbenchmark driver that composes
+ * event counts per instruction into energy-per-instruction estimates
+ * for one design at a time.  The derived big/little
  * energy-per-instruction ratio is the model's alpha and is cross-checked
  * against the first-order model in tests.
  */
@@ -21,8 +22,6 @@
 
 #include <string>
 #include <vector>
-
-#include "model/params.h"
 
 namespace aaws {
 
@@ -51,23 +50,31 @@ enum class EnergyEvent
 const char *energyEventName(EnergyEvent event);
 
 /**
- * Per-event energies in picojoules at nominal voltage for both core types.
+ * Per-event energies in picojoules at nominal voltage for one core
+ * design.
  */
 class EventEnergyTable
 {
   public:
-    /** Build the default 65 nm LP-flavored table. */
-    EventEnergyTable();
+    /** The 65 nm LP single-issue in-order little core. */
+    static EventEnergyTable littleCore();
 
-    /** Energy in pJ of one occurrence of `event` on `type`. */
-    double energyPj(CoreType type, EnergyEvent event) const;
+    /**
+     * The out-of-order big core: the shared components scaled up, plus
+     * rename, ROB/LSQ and branch-predictor events.
+     */
+    static EventEnergyTable bigCore();
+
+    /** Energy in pJ of one occurrence of `event`. */
+    double energyPj(EnergyEvent event) const;
 
     /** Scale a nominal-voltage energy to supply voltage v (E ~ V^2). */
     static double scaleToVoltage(double pj_nominal, double v, double v_nom);
 
   private:
-    double little_[static_cast<int>(EnergyEvent::num_events)];
-    double big_[static_cast<int>(EnergyEvent::num_events)];
+    EventEnergyTable() = default;
+
+    double pj_[static_cast<int>(EnergyEvent::num_events)] = {};
 };
 
 /** Event counts per instruction for one microbenchmark kernel. */
@@ -84,15 +91,16 @@ struct Microbench
  */
 std::vector<Microbench> makeMicrobenchSuite();
 
-/** Energy per instruction (pJ) of a microbenchmark on a core type. */
-double microbenchEnergyPj(const EventEnergyTable &table, CoreType type,
+/** Energy per instruction (pJ) of a microbenchmark on the table's core. */
+double microbenchEnergyPj(const EventEnergyTable &table,
                           const Microbench &mb);
 
 /**
  * Average energy-per-instruction ratio big/little over the whole suite,
  * i.e. the alpha this component model implies.
  */
-double deriveAlpha(const EventEnergyTable &table,
+double deriveAlpha(const EventEnergyTable &big,
+                   const EventEnergyTable &little,
                    const std::vector<Microbench> &suite);
 
 } // namespace aaws

@@ -1,27 +1,35 @@
 /**
  * @file
- * N-cluster marginal-utility voltage solver.
+ * Marginal-utility voltage optimizer (Section II-B), for any
+ * CoreTopology.
  *
- * Generalizes MarginalUtilityOptimizer (model/optimizer.h) from two
- * core types to any CoreTopology: find the per-cluster supply voltages
- * that maximize aggregate active-core throughput under a total-power
- * budget, with waiting cores resting at v_min.
+ * Finds the per-cluster supply voltages that maximize the aggregate
+ * throughput of the active cores under a total-power budget (the Eq. 6
+ * all-nominal target by default), with waiting cores resting at v_min.
+ * At the unclamped optimum the marginal cost dP/dIPS of every active
+ * core is equal (Eq. 7, the Law of Equi-Marginal Utility).  Two
+ * searches reach it:
  *
- * Instead of the two-type grid-plus-golden-section search, the solver
- * applies the Law of Equi-Marginal Utility (Eq. 7) directly: at the
- * constrained optimum every active cluster whose voltage is not clamped
- * to [v_min, v_max] runs at the same marginal cost lambda = dP/dIPS.
- * marginalCost() is strictly increasing in V over the feasible range
- * (its stationary point -k2/(3 k1) ~ 0.18 V lies far below v_min), so
- * for a given lambda each cluster's voltage is a clamped monotone
- * inversion, total power is monotone in lambda, and one outer bisection
- * on lambda meets the budget.
+ *  - solveTwoCluster(): the paper's search on a two-cluster machine, a
+ *    coarse grid over the first cluster's voltage plus golden-section
+ *    refinement, with the second cluster's voltage following from the
+ *    residual budget.  It can search past [v_min, v_max] (the paper's
+ *    "optimal" points) or within it ("feasible").  The big/little DVFS
+ *    tables and Figs. 2-5 come from it.
  *
- * The paper's big/little DVFS tables do NOT use this solver —
- * lookup-table generation runs the two-type MarginalUtilityOptimizer on
- * them (CoreTopology::isBigLittle, dvfs/lookup_table.cc).  Tests
- * cross-validate the two solvers on two-cluster inputs to a tight
- * tolerance.
+ *  - solve(): any number of clusters, applying Eq. 7 directly.  Every
+ *    active cluster whose voltage is not clamped to [v_min, v_max] runs
+ *    at the same marginal cost lambda.  marginalCost() is strictly
+ *    increasing in V over the feasible range (its stationary point
+ *    -k2/(3 k1) ~ 0.18 V lies far below v_min), so for a given lambda
+ *    each cluster's voltage is a clamped monotone inversion, total
+ *    power is monotone in lambda, and one outer bisection on lambda
+ *    meets the budget.
+ *
+ * The lookup table picks the search by CoreTopology::isBigLittle
+ * (dvfs/lookup_table.cc).  Tests cross-validate the two searches on
+ * two-cluster inputs to a tight tolerance; they are not bit-identical,
+ * and the tables pin each one's bits.
  */
 
 #ifndef AAWS_MODEL_CLUSTER_OPT_H
@@ -41,10 +49,10 @@ struct ClusterActivity
     std::vector<int> waiting;
 };
 
-/** Result of an N-cluster voltage optimization. */
+/** Result of a voltage optimization. */
 struct ClusterOperatingPoint
 {
-    /** Supply voltage of every active core, per cluster. */
+    /** Supply voltage of every active core, per cluster (0 if none). */
     std::vector<double> v;
     /** Aggregate throughput of the active cores (model IPS units). */
     double ips = 0.0;
@@ -69,10 +77,22 @@ class ClusterOptimizer
 
     /**
      * Best feasible per-cluster voltages for the activity pattern under
-     * `p_target` total power; voltages clamp to [v_min, v_max].
+     * `p_target` total power, by the equi-marginal search; voltages
+     * clamp to [v_min, v_max].
      */
     ClusterOperatingPoint solve(const ClusterActivity &activity,
                                 double p_target) const;
+
+    /**
+     * Best voltages of a two-cluster topology by the paper's
+     * grid-plus-golden-section search.  When `feasible` is true,
+     * voltages are constrained to [v_min, v_max] (the paper's
+     * "feasible" points); otherwise the unconstrained optimum is
+     * returned (the "optimal" points, which may exceed v_max).
+     */
+    ClusterOperatingPoint solveTwoCluster(const ClusterActivity &activity,
+                                          double p_target,
+                                          bool feasible) const;
 
     /** Total system power for explicit per-cluster voltages. */
     double systemPower(const ClusterActivity &activity,
@@ -89,6 +109,16 @@ class ClusterOptimizer
      */
     double voltageForMarginalCost(const ClusterParams &params,
                                   double lambda) const;
+
+    /**
+     * Voltage at which `n` active cores of the class consume `budget`
+     * power, found by bisection on the monotonic activePower curve;
+     * returns a value clamped to [lo, hi].  The bisection stops at its
+     * fixed point, so the result is that of a fixed 80 halvings.
+     */
+    double solveVoltageForPower(const ClusterParams &params, int n,
+                                double budget, double lo,
+                                double hi) const;
 
   private:
     const FirstOrderModel &model_;

@@ -4,12 +4,6 @@
 
 namespace aaws {
 
-const char *
-coreTypeName(CoreType type)
-{
-    return type == CoreType::big ? "big" : "little";
-}
-
 FirstOrderModel::FirstOrderModel(const ModelParams &params)
     : params_(params)
 {
@@ -18,65 +12,11 @@ FirstOrderModel::FirstOrderModel(const ModelParams &params)
                 "lambda=%f out of [0,1)", params_.lambda);
     // lambda = V_N * I_leak / (P_dyn_nom + V_N * I_leak)
     //   =>  I_leak = lambda / (1 - lambda) * P_dyn_nom / V_N
-    double p_dyn_big_nom = params_.energyCoeff(CoreType::big) *
-                           params_.ipc(CoreType::big) * params_.fNom() *
+    ClusterParams big = clusterParamsFor('b', params_);
+    double p_dyn_big_nom = big.energy_coeff * big.ipc * params_.fNom() *
                            params_.v_nom * params_.v_nom;
     leak_big_ = params_.lambda / (1.0 - params_.lambda) * p_dyn_big_nom /
                 params_.v_nom;
-    leak_little_ = params_.gamma * leak_big_;
-}
-
-double
-FirstOrderModel::ips(CoreType type, double v) const
-{
-    return params_.ipc(type) * freq(v);
-}
-
-double
-FirstOrderModel::leakCurrent(CoreType type) const
-{
-    return type == CoreType::big ? leak_big_ : leak_little_;
-}
-
-double
-FirstOrderModel::activePower(CoreType type, double v) const
-{
-    double dyn = params_.energyCoeff(type) * params_.ipc(type) * freq(v) *
-                 v * v;
-    return dyn + v * leakCurrent(type);
-}
-
-double
-FirstOrderModel::waitingPower(CoreType type, double v) const
-{
-    double dyn = params_.waiting_activity * params_.energyCoeff(type) *
-                 params_.ipc(type) * freq(v) * v * v;
-    return dyn + v * leakCurrent(type);
-}
-
-double
-FirstOrderModel::nominalPower(CoreType type) const
-{
-    return activePower(type, params_.v_nom);
-}
-
-double
-FirstOrderModel::powerTarget(int n_big, int n_little) const
-{
-    return n_big * nominalPower(CoreType::big) +
-           n_little * nominalPower(CoreType::little);
-}
-
-double
-FirstOrderModel::marginalCost(CoreType type, double v) const
-{
-    // dP/dV = a * IPC * d(f*V^2)/dV + I_leak
-    //       = a * IPC * (3*k1*V^2 + 2*k2*V) + I_leak
-    double dp_dv = params_.energyCoeff(type) * params_.ipc(type) *
-                   (3.0 * params_.k1 * v * v + 2.0 * params_.k2 * v) +
-                   leakCurrent(type);
-    double dips_dv = params_.ipc(type) * params_.k1;
-    return dp_dv / dips_dv;
 }
 
 double
@@ -115,6 +55,8 @@ FirstOrderModel::nominalPower(const ClusterParams &cp) const
 double
 FirstOrderModel::marginalCost(const ClusterParams &cp, double v) const
 {
+    // dP/dV = a * IPC * d(f*V^2)/dV + I_leak
+    //       = a * IPC * (3*k1*V^2 + 2*k2*V) + I_leak
     double dp_dv = cp.energy_coeff * cp.ipc *
                    (3.0 * params_.k1 * v * v + 2.0 * params_.k2 * v) +
                    leakCurrent(cp);

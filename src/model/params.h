@@ -15,18 +15,15 @@
 
 namespace aaws {
 
-/** Core microarchitecture class in a statically asymmetric system. */
-enum class CoreType { little, big };
-
-/** Human-readable name for a core type ("little" / "big"). */
-const char *coreTypeName(CoreType type);
-
 /**
  * First-order model parameters (Section II-A).
  *
  * Throughput and power use abstract units: IPC of the little core is 1.0
  * and the little core's dynamic energy scale alpha_little is 1.0, so all
  * results are meaningful as ratios (the only way the paper uses them).
+ * The model evaluates a core class as a ClusterParams; the big and
+ * little classes these fields describe are clusterParamsFor('b') and
+ * clusterParamsFor('l') (model/topology.h).
  */
 struct ModelParams
 {
@@ -62,20 +59,6 @@ struct ModelParams
 
     /** Nominal frequency f(v_nom) in Hz (333 MHz with paper constants). */
     double fNom() const { return k1 * v_nom + k2; }
-
-    /** IPC of the given core type. */
-    double
-    ipc(CoreType type) const
-    {
-        return type == CoreType::big ? beta * ipc_little : ipc_little;
-    }
-
-    /** Dynamic energy coefficient (alpha_B or alpha_L) of the type. */
-    double
-    energyCoeff(CoreType type) const
-    {
-        return type == CoreType::big ? alpha * alpha_little : alpha_little;
-    }
 };
 
 } // namespace aaws

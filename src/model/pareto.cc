@@ -7,19 +7,23 @@
 namespace aaws {
 
 ParetoSweep
-paretoSweep(const FirstOrderModel &model, const CoreActivity &activity,
+paretoSweep(const FirstOrderModel &model, const CoreTopology &topology,
             int steps)
 {
     AAWS_ASSERT(steps >= 2, "need at least a 2x2 grid");
-    AAWS_ASSERT(activity.n_big_waiting == 0 &&
-                activity.n_little_waiting == 0,
-                "Figure 2 sweep assumes a fully busy system");
+    AAWS_ASSERT(topology.numClusters() == 2,
+                "Figure 2 sweeps a two-cluster machine");
 
     const ModelParams &p = model.params();
-    MarginalUtilityOptimizer opt(model);
+    ClusterOptimizer opt(model, topology);
+    // Fully busy: with no waiting core, the power sum is the two active
+    // clusters' terms in either order.
+    ClusterActivity busy{{topology.cluster(0).count,
+                          topology.cluster(1).count},
+                         {0, 0}};
 
-    double ips_nom = opt.activeIps(activity, p.v_nom, p.v_nom);
-    double power_nom = opt.systemPower(activity, p.v_nom, p.v_nom);
+    double ips_nom = opt.activeIps(busy, {p.v_nom, p.v_nom});
+    double power_nom = opt.systemPower(busy, {p.v_nom, p.v_nom});
 
     ParetoSweep sweep;
     for (int i = 0; i <= steps; ++i) {
@@ -29,8 +33,8 @@ paretoSweep(const FirstOrderModel &model, const CoreActivity &activity,
             ParetoSample s;
             s.v_big = v_b;
             s.v_little = v_l;
-            double ips = opt.activeIps(activity, v_b, v_l);
-            double power = opt.systemPower(activity, v_b, v_l);
+            double ips = opt.activeIps(busy, {v_b, v_l});
+            double power = opt.systemPower(busy, {v_b, v_l});
             s.perf = ips / ips_nom;
             s.efficiency = (ips / power) / (ips_nom / power_nom);
             s.power = power / power_nom;

@@ -2,11 +2,11 @@
  * @file
  * Energy-efficiency vs. performance sweep over (V_B, V_L) pairs (Fig. 2).
  *
- * For a fully busy system, sweeps both per-type voltages over the feasible
- * range and reports performance (aggregate IPS) and energy efficiency
- * (IPS per watt, i.e. work per joule) normalized to the nominal
- * (v_nom, v_nom) system, along with the pareto frontier and the best
- * isopower point.
+ * For a fully busy two-cluster system, sweeps both clusters' voltages
+ * over the feasible range and reports performance (aggregate IPS) and
+ * energy efficiency (IPS per watt, i.e. work per joule) normalized to
+ * the nominal (v_nom, v_nom) system, along with the pareto frontier and
+ * the best isopower point.
  */
 
 #ifndef AAWS_MODEL_PARETO_H
@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "model/optimizer.h"
+#include "model/cluster_opt.h"
 
 namespace aaws {
 
@@ -45,11 +45,11 @@ struct ParetoSweep
  * Run the Figure 2 sweep.
  *
  * @param model    First-order model (alpha/beta etc. inside).
- * @param activity Core counts; all cores are treated as active.
+ * @param topology Two-cluster machine (big first); every core is active.
  * @param steps    Grid resolution per axis.
  */
 ParetoSweep paretoSweep(const FirstOrderModel &model,
-                        const CoreActivity &activity, int steps = 25);
+                        const CoreTopology &topology, int steps = 25);
 
 } // namespace aaws
 

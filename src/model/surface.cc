@@ -5,11 +5,16 @@
 namespace aaws {
 
 std::vector<SurfaceCell>
-speedupSurface(const ModelParams &base, const CoreActivity &activity,
+speedupSurface(const ModelParams &base, const CoreTopology &topology,
                double alpha_lo, double alpha_hi, int alpha_steps,
                double beta_lo, double beta_hi, int beta_steps)
 {
     AAWS_ASSERT(alpha_steps >= 1 && beta_steps >= 1, "bad step counts");
+    AAWS_ASSERT(topology.numClusters() == 2,
+                "Figure 4 sweeps a two-cluster machine");
+    ClusterActivity busy{{topology.cluster(0).count,
+                          topology.cluster(1).count},
+                         {0, 0}};
     std::vector<SurfaceCell> cells;
     cells.reserve((alpha_steps + 1) * (beta_steps + 1));
     for (int i = 0; i <= alpha_steps; ++i) {
@@ -20,15 +25,18 @@ speedupSurface(const ModelParams &base, const CoreActivity &activity,
             p.alpha = alpha;
             p.beta = beta;
             FirstOrderModel model(p);
-            MarginalUtilityOptimizer opt(model);
-            double target = opt.targetPower(activity);
+            CoreTopology shape = topology.retargeted(p);
+            ClusterOptimizer opt(model, shape);
+            double target = opt.targetPower(busy);
             SurfaceCell cell;
             cell.alpha = alpha;
             cell.beta = beta;
             cell.optimal_speedup =
-                opt.solve(activity, target, /*feasible=*/false).speedup;
+                opt.solveTwoCluster(busy, target, /*feasible=*/false)
+                    .speedup;
             cell.feasible_speedup =
-                opt.solve(activity, target, /*feasible=*/true).speedup;
+                opt.solveTwoCluster(busy, target, /*feasible=*/true)
+                    .speedup;
             cells.push_back(cell);
         }
     }

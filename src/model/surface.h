@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "model/optimizer.h"
+#include "model/cluster_opt.h"
 
 namespace aaws {
 
@@ -32,10 +32,11 @@ struct SurfaceCell
  * Sweep alpha and beta over inclusive ranges with the given step counts.
  *
  * @param base     Baseline parameters (alpha/beta fields are overwritten).
- * @param activity All-active core counts (e.g. 4B4L busy).
+ * @param topology Two-cluster machine (e.g. 4B4L), every core active;
+ *                 its class parameters are re-derived at each cell.
  */
 std::vector<SurfaceCell>
-speedupSurface(const ModelParams &base, const CoreActivity &activity,
+speedupSurface(const ModelParams &base, const CoreTopology &topology,
                double alpha_lo, double alpha_hi, int alpha_steps,
                double beta_lo, double beta_hi, int beta_steps);
 

@@ -16,15 +16,15 @@ dvfsDomainName(DvfsDomain domain)
 ClusterParams
 clusterParamsFor(char kind, const ModelParams &mp)
 {
-    // 'b' and 'l' evaluate the exact expressions the two-class
-    // accessors use, so the paper's machines match the two-class model
-    // bit for bit; 'm' is the geometric mean of the two classes in
-    // every dimension.
+    // 'b' and 'l' are Section II's two classes: big runs beta times the
+    // little IPC at alpha times its energy coefficient and leaks the
+    // calibrated big-core current, little leaks gamma of it; 'm' is the
+    // geometric mean of the two classes in every dimension.
     ClusterParams params;
     switch (kind) {
     case 'b':
-        params.ipc = mp.ipc(CoreType::big);
-        params.energy_coeff = mp.energyCoeff(CoreType::big);
+        params.ipc = mp.beta * mp.ipc_little;
+        params.energy_coeff = mp.alpha * mp.alpha_little;
         params.leak_ratio = 1.0;
         break;
     case 'm':
@@ -33,8 +33,8 @@ clusterParamsFor(char kind, const ModelParams &mp)
         params.leak_ratio = std::sqrt(mp.gamma);
         break;
     case 'l':
-        params.ipc = mp.ipc(CoreType::little);
-        params.energy_coeff = mp.energyCoeff(CoreType::little);
+        params.ipc = mp.ipc_little;
+        params.energy_coeff = mp.alpha_little;
         params.leak_ratio = mp.gamma;
         break;
     default:

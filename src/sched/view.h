@@ -15,8 +15,8 @@
  * (model/topology.h), ordered fastest to slowest: cluster 0 is the
  * fastest ("big") class, numClusters()-1 the slowest.  The paper's
  * big/little machine is simply the two-cluster special case; policies
- * ask "is there a faster cluster with slack?" instead of branching on
- * CoreType.
+ * ask "is there a faster cluster with slack?", whatever the number of
+ * classes.
  *
  * The view distinguishes *workers* (logical deque owners) from *cores*
  * (physical execution contexts) because work-mugging swaps the two in

@@ -278,11 +278,9 @@ runNativeService(const NativeServeOptions &options)
 
     int n_big = std::clamp(options.n_big, 0, options.threads);
     FirstOrderModel model;
-    std::vector<CoreType> core_types;
-    for (int w = 0; w < options.threads; ++w)
-        core_types.push_back(w < n_big ? CoreType::big
-                                       : CoreType::little);
-    EnergyAccountant accountant(model, core_types);
+    EnergyAccountant accountant(
+        model, CoreTopology::bigLittle(n_big, options.threads - n_big,
+                                       model.params()));
     EnergyHooks energy_hooks(accountant, model.params(), options.threads,
                              options.hooks);
 

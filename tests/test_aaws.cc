@@ -160,16 +160,16 @@ TEST(Experiment, PresetsNameThePaperMachines)
 TEST(Experiment, SerialBaselinesFollowBeta)
 {
     Kernel kernel = makeKernel("mis");
-    double t_little = serialSeconds(kernel, CoreType::little);
-    double t_big = serialSeconds(kernel, CoreType::big);
+    double t_little = serialSeconds(kernel, 'l');
+    double t_big = serialSeconds(kernel, 'b');
     EXPECT_NEAR(t_little / t_big, kernel.stats.beta, 1e-9);
 }
 
 TEST(Experiment, SerialEnergyRatioApproximatesAlpha)
 {
     Kernel kernel = makeKernel("mis");
-    double e_little = serialEnergy(kernel, CoreType::little);
-    double e_big = serialEnergy(kernel, CoreType::big);
+    double e_little = serialEnergy(kernel, 'l');
+    double e_big = serialEnergy(kernel, 'b');
     // ERatio = alpha up to the leakage correction.
     EXPECT_NEAR(e_big / e_little, kernel.stats.alpha,
                 0.15 * kernel.stats.alpha);
@@ -187,7 +187,7 @@ TEST(Experiment, RunKernelProducesPositiveMetrics)
 TEST(Experiment, ParallelBeatsSerialOnBothSystems)
 {
     Kernel kernel = makeKernel("mis");
-    double serial_io = serialSeconds(kernel, CoreType::little);
+    double serial_io = serialSeconds(kernel, 'l');
     for (const char *topology : {"4b4l", "1b7l"}) {
         SimResult result = simulate(kernel, Variant::base, topology);
         EXPECT_GT(serial_io / result.exec_seconds, 2.0) << topology;
@@ -265,7 +265,7 @@ TEST(MachineConfig, TableOverrideIsUsed)
     DvfsLookupTable flat(designer,
                          makeTopology(config.topology, config.table_params));
     for (int cell = 0; cell < flat.size(); ++cell)
-        flat.setEntryAt(cell, DvfsTableEntry::bigLittle(1.0, 1.0, 1.0));
+        flat.setEntryAt(cell, DvfsTableEntry{{1.0, 1.0}, 1.0});
     config.table_override = &flat;
     // Sprinting still rests waiters at v_min, but active cores stay
     // nominal: the run must be slower than with the real table.

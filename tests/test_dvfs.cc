@@ -59,16 +59,16 @@ TEST_F(TableFixture, TwentyFiveEntriesFor4B4L)
 TEST_F(TableFixture, AllActiveEntryMatchesHpFeasiblePoint)
 {
     const DvfsTableEntry &entry = table_.atCounts({4, 4});
-    EXPECT_NEAR(entry.vBig(), 0.93, 0.03);
-    EXPECT_NEAR(entry.vLittle(), 1.30, 1e-6);
+    EXPECT_NEAR(entry.v[0], 0.93, 0.03);
+    EXPECT_NEAR(entry.v[1], 1.30, 1e-6);
     EXPECT_NEAR(entry.speedup, 1.10, 0.02);
 }
 
 TEST_F(TableFixture, HalfActiveEntryMatchesLpFeasiblePoint)
 {
     const DvfsTableEntry &entry = table_.atCounts({2, 2});
-    EXPECT_NEAR(entry.vBig(), 1.16, 0.03);
-    EXPECT_NEAR(entry.vLittle(), 1.30, 1e-6);
+    EXPECT_NEAR(entry.v[0], 1.16, 0.03);
+    EXPECT_NEAR(entry.v[1], 1.30, 1e-6);
 }
 
 TEST_F(TableFixture, VoltagesStayWithinFeasibleRange)
@@ -77,10 +77,10 @@ TEST_F(TableFixture, VoltagesStayWithinFeasibleRange)
     for (int ba = 0; ba <= 4; ++ba) {
         for (int la = 0; la <= 4; ++la) {
             const DvfsTableEntry &e = table_.atCounts({ba, la});
-            EXPECT_GE(e.vBig(), p.v_min - 1e-9);
-            EXPECT_LE(e.vBig(), p.v_max + 1e-9);
-            EXPECT_GE(e.vLittle(), p.v_min - 1e-9);
-            EXPECT_LE(e.vLittle(), p.v_max + 1e-9);
+            EXPECT_GE(e.v[0], p.v_min - 1e-9);
+            EXPECT_LE(e.v[0], p.v_max + 1e-9);
+            EXPECT_GE(e.v[1], p.v_min - 1e-9);
+            EXPECT_LE(e.v[1], p.v_max + 1e-9);
         }
     }
 }
@@ -92,7 +92,7 @@ TEST_F(TableFixture, FewerActiveCoresSprintHarder)
     for (int la : {0, 4}) {
         double v_prev = 10.0;
         for (int ba = 1; ba <= 4; ++ba) {
-            double v = table_.atCounts({ba, la}).vBig();
+            double v = table_.atCounts({ba, la}).v[0];
             EXPECT_LE(v, v_prev + 1e-9) << "ba=" << ba << " la=" << la;
             v_prev = v;
         }
@@ -101,7 +101,7 @@ TEST_F(TableFixture, FewerActiveCoresSprintHarder)
 
 TEST_F(TableFixture, SingleActiveBigSprintsToMax)
 {
-    EXPECT_NEAR(table_.atCounts({1, 0}).vBig(), model_.params().v_max, 1e-6);
+    EXPECT_NEAR(table_.atCounts({1, 0}).v[0], model_.params().v_max, 1e-6);
 }
 
 TEST_F(TableFixture, SetEntryRejectsOutOfRange)
@@ -115,9 +115,9 @@ TEST_F(TableFixture, SetEntryOverwrites)
 {
     DvfsLookupTable table(model_, makeTopology("4b4l", model_.params()));
     table.setEntryAt(table.topology().censusIndex({2, 3}),
-                     DvfsTableEntry::bigLittle(1.11, 0.99, 1.2));
-    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).vBig(), 1.11);
-    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).vLittle(), 0.99);
+                     DvfsTableEntry{{1.11, 0.99}, 1.2});
+    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).v[0], 1.11);
+    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).v[1], 0.99);
 }
 
 TEST(Table, Shape1B7L)

@@ -18,85 +18,88 @@ class AccountantFixture : public ::testing::Test
 {
   protected:
     FirstOrderModel model_;
-    std::vector<CoreType> types_{CoreType::big, CoreType::little};
+    /** Core 0 is big, core 1 little. */
+    CoreTopology machine_ = CoreTopology::bigLittle(1, 1, model_.params());
+    const ClusterParams &big_ = machine_.cluster(0).params;
+    const ClusterParams &little_ = machine_.cluster(1).params;
 };
 
 TEST_F(AccountantFixture, ActiveIntervalIntegratesExactly)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.finish(2.0);
     EXPECT_NEAR(acct.coreEnergy(0).active,
-                2.0 * model_.activePower(CoreType::big, 1.0), 1e-9);
+                2.0 * model_.activePower(big_, 1.0), 1e-9);
     EXPECT_DOUBLE_EQ(acct.coreEnergy(0).waiting, 0.0);
 }
 
 TEST_F(AccountantFixture, WaitingIntervalUsesWaitingPower)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(1, 0.0, PowerState::waiting, 0.7);
     acct.finish(3.0);
     EXPECT_NEAR(acct.coreEnergy(1).waiting,
-                3.0 * model_.waitingPower(CoreType::little, 0.7), 1e-9);
+                3.0 * model_.waitingPower(little_, 0.7), 1e-9);
 }
 
 TEST_F(AccountantFixture, OffIntervalsCostNothing)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.finish(5.0);
     EXPECT_DOUBLE_EQ(acct.totalEnergy(), 0.0);
 }
 
 TEST_F(AccountantFixture, VoltageChangeSplitsTheInterval)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(0, 1.0, PowerState::active, 1.3);
     acct.finish(2.0);
-    double expected = model_.activePower(CoreType::big, 1.0) +
-                      model_.activePower(CoreType::big, 1.3);
+    double expected = model_.activePower(big_, 1.0) +
+                      model_.activePower(big_, 1.3);
     EXPECT_NEAR(acct.coreEnergy(0).total(), expected, 1e-9);
 }
 
 TEST_F(AccountantFixture, MixedStatesAccumulateSeparately)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(0, 1.0, PowerState::waiting, 1.0);
     acct.finish(2.5);
     EXPECT_NEAR(acct.coreEnergy(0).active,
-                model_.activePower(CoreType::big, 1.0), 1e-9);
+                model_.activePower(big_, 1.0), 1e-9);
     EXPECT_NEAR(acct.coreEnergy(0).waiting,
-                1.5 * model_.waitingPower(CoreType::big, 1.0), 1e-9);
+                1.5 * model_.waitingPower(big_, 1.0), 1e-9);
 }
 
 TEST_F(AccountantFixture, AveragePowerIsEnergyOverTime)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 0.0, PowerState::active, 1.0);
     acct.setState(1, 0.0, PowerState::active, 1.0);
     acct.finish(4.0);
     EXPECT_NEAR(acct.averagePower(),
-                model_.activePower(CoreType::big, 1.0) +
-                    model_.activePower(CoreType::little, 1.0),
+                model_.activePower(big_, 1.0) +
+                    model_.activePower(little_, 1.0),
                 1e-9);
 }
 
 TEST_F(AccountantFixture, WaitingEnergyAggregatesAcrossCores)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 0.0, PowerState::waiting, 1.0);
     acct.setState(1, 0.0, PowerState::waiting, 1.0);
     acct.finish(1.0);
     EXPECT_NEAR(acct.waitingEnergy(),
-                model_.waitingPower(CoreType::big, 1.0) +
-                    model_.waitingPower(CoreType::little, 1.0),
+                model_.waitingPower(big_, 1.0) +
+                    model_.waitingPower(little_, 1.0),
                 1e-9);
 }
 
 TEST_F(AccountantFixture, TimeGoingBackwardsPanics)
 {
-    EnergyAccountant acct(model_, types_);
+    EnergyAccountant acct(model_, machine_);
     acct.setState(0, 1.0, PowerState::active, 1.0);
     EXPECT_DEATH(acct.setState(0, 0.5, PowerState::active, 1.0),
                  "backwards");
@@ -110,10 +113,11 @@ TEST(Microbench, SuiteCoversInstructionClasses)
 
 TEST(Microbench, BigCoreCostsMorePerInstruction)
 {
-    EventEnergyTable table;
+    EventEnergyTable big = EventEnergyTable::bigCore();
+    EventEnergyTable little = EventEnergyTable::littleCore();
     for (const auto &mb : makeMicrobenchSuite()) {
-        EXPECT_GT(microbenchEnergyPj(table, CoreType::big, mb),
-                  microbenchEnergyPj(table, CoreType::little, mb))
+        EXPECT_GT(microbenchEnergyPj(big, mb),
+                  microbenchEnergyPj(little, mb))
             << mb.name;
     }
 }
@@ -122,31 +126,28 @@ TEST(Microbench, DerivedAlphaNearPaperEstimate)
 {
     // The component model should independently reproduce the alpha ~ 3
     // energy ratio the first-order model assumes.
-    EventEnergyTable table;
-    double alpha = deriveAlpha(table, makeMicrobenchSuite());
+    double alpha = deriveAlpha(EventEnergyTable::bigCore(),
+                               EventEnergyTable::littleCore(),
+                               makeMicrobenchSuite());
     EXPECT_GT(alpha, 2.3);
     EXPECT_LT(alpha, 3.7);
 }
 
 TEST(Microbench, DivIsTheMostExpensiveIntOp)
 {
-    EventEnergyTable table;
-    EXPECT_GT(table.energyPj(CoreType::little, EnergyEvent::int_div),
-              table.energyPj(CoreType::little, EnergyEvent::int_mul));
-    EXPECT_GT(table.energyPj(CoreType::little, EnergyEvent::int_mul),
-              table.energyPj(CoreType::little, EnergyEvent::int_alu));
+    EventEnergyTable table = EventEnergyTable::littleCore();
+    EXPECT_GT(table.energyPj(EnergyEvent::int_div),
+              table.energyPj(EnergyEvent::int_mul));
+    EXPECT_GT(table.energyPj(EnergyEvent::int_mul),
+              table.energyPj(EnergyEvent::int_alu));
 }
 
 TEST(Microbench, LittleCoreHasNoOoOStructures)
 {
-    EventEnergyTable table;
-    EXPECT_DOUBLE_EQ(
-        table.energyPj(CoreType::little, EnergyEvent::rename_dispatch),
-        0.0);
-    EXPECT_DOUBLE_EQ(table.energyPj(CoreType::little, EnergyEvent::rob_lsq),
-                     0.0);
-    EXPECT_DOUBLE_EQ(table.energyPj(CoreType::little, EnergyEvent::bpred),
-                     0.0);
+    EventEnergyTable table = EventEnergyTable::littleCore();
+    EXPECT_DOUBLE_EQ(table.energyPj(EnergyEvent::rename_dispatch), 0.0);
+    EXPECT_DOUBLE_EQ(table.energyPj(EnergyEvent::rob_lsq), 0.0);
+    EXPECT_DOUBLE_EQ(table.energyPj(EnergyEvent::bpred), 0.0);
 }
 
 TEST(Microbench, VoltageScalingIsQuadratic)
@@ -179,9 +180,10 @@ TEST(InstrMix, UnknownKernelIsFatal)
 
 TEST(InstrMix, ComponentAlphaInPlausibleBand)
 {
-    EventEnergyTable table;
+    EventEnergyTable big = EventEnergyTable::bigCore();
+    EventEnergyTable little = EventEnergyTable::littleCore();
     for (const auto &row : table3()) {
-        double alpha = componentAlpha(table, instrMixFor(row.name));
+        double alpha = componentAlpha(big, little, instrMixFor(row.name));
         EXPECT_GT(alpha, 1.8) << row.name;
         EXPECT_LT(alpha, 4.5) << row.name;
         // Agreement with the Table III ERatio within ~40%.
@@ -191,11 +193,9 @@ TEST(InstrMix, ComponentAlphaInPlausibleBand)
 
 TEST(InstrMix, FpHeavyMixesCostMorePerInstruction)
 {
-    EventEnergyTable table;
-    double fp = energyPerInstrPj(table, CoreType::little,
-                                 instrMixFor("nbody"));
-    double branchy = energyPerInstrPj(table, CoreType::little,
-                                      instrMixFor("ksack"));
+    EventEnergyTable table = EventEnergyTable::littleCore();
+    double fp = energyPerInstrPj(table, instrMixFor("nbody"));
+    double branchy = energyPerInstrPj(table, instrMixFor("ksack"));
     EXPECT_GT(fp, branchy);
 }
 
@@ -204,9 +204,10 @@ TEST(InstrMix, BigOverheadDilutesWithExpensiveInstructions)
     // The big core's fixed OoO bookkeeping is a constant adder, so
     // mixes with expensive little-core instructions (FP) imply a lower
     // alpha than cheap branchy mixes.
-    EventEnergyTable table;
-    double alpha_fp = componentAlpha(table, instrMixFor("nbody"));
-    double alpha_branch = componentAlpha(table, instrMixFor("ksack"));
+    EventEnergyTable big = EventEnergyTable::bigCore();
+    EventEnergyTable little = EventEnergyTable::littleCore();
+    double alpha_fp = componentAlpha(big, little, instrMixFor("nbody"));
+    double alpha_branch = componentAlpha(big, little, instrMixFor("ksack"));
     EXPECT_LT(alpha_fp, alpha_branch);
 }
 

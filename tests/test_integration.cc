@@ -136,7 +136,7 @@ TEST(Integration, ParallelSpeedupsAreRespectable)
     // Table III: 4B4L-vs-serial-IO speedups range ~5x-17x.
     for (const auto &name : subset()) {
         Kernel kernel = makeKernel(name);
-        double serial_io = serialSeconds(kernel, CoreType::little);
+        double serial_io = serialSeconds(kernel, 'l');
         double t = run(kernel, Variant::base).sim.exec_seconds;
         EXPECT_GT(serial_io / t, 3.0) << name;
         EXPECT_LT(serial_io / t, 20.0) << name;

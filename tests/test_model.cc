@@ -16,17 +16,21 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "energy/accountant.h"
-#include "model/first_order.h"
-#include "model/optimizer.h"
 #include <cmath>
 
+#include "common/rng.h"
+#include "energy/accountant.h"
+#include "model/cluster_opt.h"
+#include "model/first_order.h"
 #include "model/pareto.h"
 #include "model/surface.h"
 
 namespace aaws {
 namespace {
+
+/** Section II's big and little classes under the default parameters. */
+const ClusterParams kBig = clusterParamsFor('b', ModelParams{});
+const ClusterParams kLittle = clusterParamsFor('l', ModelParams{});
 
 TEST(VfModel, NominalFrequencyIs333MHz)
 {
@@ -53,13 +57,11 @@ TEST(VfModel, FrequencyIncreasesWithVoltage)
 TEST(FirstOrder, BigCoreFasterAndHungrier)
 {
     FirstOrderModel model;
-    EXPECT_NEAR(model.ips(CoreType::big, 1.0) /
-                    model.ips(CoreType::little, 1.0),
-                2.0, 1e-12); // beta
-    double e_big = model.activePower(CoreType::big, 1.0) /
-                   model.ips(CoreType::big, 1.0);
-    double e_little = model.activePower(CoreType::little, 1.0) /
-                      model.ips(CoreType::little, 1.0);
+    EXPECT_NEAR(model.ips(kBig, 1.0) / model.ips(kLittle, 1.0), 2.0,
+                1e-12); // beta
+    double e_big = model.activePower(kBig, 1.0) / model.ips(kBig, 1.0);
+    double e_little =
+        model.activePower(kLittle, 1.0) / model.ips(kLittle, 1.0);
     // Energy per instruction ratio approximates alpha = 3 (leakage
     // shifts it slightly).
     EXPECT_NEAR(e_big / e_little, 3.0, 0.4);
@@ -67,40 +69,45 @@ TEST(FirstOrder, BigCoreFasterAndHungrier)
 
 TEST(FirstOrder, LeakageCalibration)
 {
+    // Section II's definitions, written out from ModelParams: a big
+    // core's dynamic power at nominal is alpha*alpha_L * beta*IPC_L *
+    // f_N * V_N^2, its leakage takes lambda of its total nominal power,
+    // and a little core leaks gamma of the big core's current.
     FirstOrderModel model;
     const ModelParams &p = model.params();
+    double big_dyn_nom = p.alpha * p.alpha_little * p.beta * p.ipc_little *
+                         p.fNom() * p.v_nom * p.v_nom;
+    double big_leak = p.lambda / (1.0 - p.lambda) * big_dyn_nom / p.v_nom;
+    EXPECT_NEAR(model.leakCurrent(kBig), big_leak, 1e-12 * big_leak);
+    EXPECT_NEAR(model.leakCurrent(kLittle), p.gamma * big_leak,
+                1e-12 * big_leak);
     // Big-core leakage power at nominal is lambda of total power.
-    double leak_power = p.v_nom * model.leakCurrent(CoreType::big);
-    double total = model.nominalPower(CoreType::big);
+    double leak_power = p.v_nom * model.leakCurrent(kBig);
+    double total = model.nominalPower(kBig);
     EXPECT_NEAR(leak_power / total, p.lambda, 1e-9);
-    // Little leakage current is gamma of big.
-    EXPECT_NEAR(model.leakCurrent(CoreType::little) /
-                    model.leakCurrent(CoreType::big),
-                p.gamma, 1e-12);
 }
 
 TEST(FirstOrder, WaitingPowerBelowActive)
 {
     FirstOrderModel model;
     for (double v : {0.7, 1.0, 1.3}) {
-        EXPECT_LT(model.waitingPower(CoreType::big, v),
-                  model.activePower(CoreType::big, v));
-        EXPECT_LT(model.waitingPower(CoreType::little, v),
-                  model.activePower(CoreType::little, v));
+        EXPECT_LT(model.waitingPower(kBig, v), model.activePower(kBig, v));
+        EXPECT_LT(model.waitingPower(kLittle, v),
+                  model.activePower(kLittle, v));
     }
 }
 
 TEST(FirstOrder, MarginalCostMatchesFiniteDifference)
 {
     FirstOrderModel model;
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    for (const ClusterParams &cp : {kBig, kLittle}) {
         for (double v : {0.8, 1.0, 1.2}) {
             double h = 1e-6;
-            double dp = model.activePower(type, v + h) -
-                        model.activePower(type, v - h);
-            double dips = model.ips(type, v + h) - model.ips(type, v - h);
-            EXPECT_NEAR(model.marginalCost(type, v), dp / dips,
-                        1e-4 * model.marginalCost(type, v));
+            double dp =
+                model.activePower(cp, v + h) - model.activePower(cp, v - h);
+            double dips = model.ips(cp, v + h) - model.ips(cp, v - h);
+            EXPECT_NEAR(model.marginalCost(cp, v), dp / dips,
+                        1e-4 * model.marginalCost(cp, v));
         }
     }
 }
@@ -108,26 +115,40 @@ TEST(FirstOrder, MarginalCostMatchesFiniteDifference)
 TEST(FirstOrder, PowerTargetIsEq6)
 {
     FirstOrderModel model;
-    double expected = 4 * model.nominalPower(CoreType::big) +
-                      4 * model.nominalPower(CoreType::little);
-    EXPECT_DOUBLE_EQ(model.powerTarget(4, 4), expected);
+    CoreTopology machine = makeTopology("4b4l", model.params());
+    ClusterOptimizer opt(model, machine);
+    double expected =
+        4 * model.nominalPower(kBig) + 4 * model.nominalPower(kLittle);
+    // Eq. 6 counts every core, active or waiting.
+    EXPECT_DOUBLE_EQ(opt.targetPower({{4, 4}, {0, 0}}), expected);
+    EXPECT_DOUBLE_EQ(opt.targetPower({{1, 2}, {3, 2}}), expected);
 }
 
 // --- Eq. 4 property tests --------------------------------------------------
 
 TEST(Eq4Power, MatchesClosedFormDecomposition)
 {
-    // Eq. 4 verbatim: P(V) = alpha_T * IPC_T * f(V) * V^2  +  V * I_leak.
+    // Eq. 4 verbatim: P(V) = alpha_T * IPC_T * f(V) * V^2  +  V * I_leak,
+    // with each class's coefficients written out from ModelParams.
     FirstOrderModel model;
     const ModelParams &p = model.params();
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    const struct
+    {
+        const char *name;
+        const ClusterParams &cp;
+        double energy_coeff;
+        double ipc;
+    } classes[] = {
+        {"big", kBig, p.alpha * p.alpha_little, p.beta * p.ipc_little},
+        {"little", kLittle, p.alpha_little, p.ipc_little},
+    };
+    for (const auto &c : classes) {
         for (double v = p.v_min; v <= p.v_max + 1e-9; v += 0.05) {
-            double dynamic =
-                p.energyCoeff(type) * p.ipc(type) * model.freq(v) * v * v;
-            double leak = v * model.leakCurrent(type);
-            EXPECT_NEAR(model.activePower(type, v), dynamic + leak,
+            double dynamic = c.energy_coeff * c.ipc * model.freq(v) * v * v;
+            double leak = v * model.leakCurrent(c.cp);
+            EXPECT_NEAR(model.activePower(c.cp, v), dynamic + leak,
                         1e-12 * (dynamic + leak))
-                << coreTypeName(type) << " at " << v << " V";
+                << c.name << " at " << v << " V";
         }
     }
 }
@@ -136,23 +157,24 @@ TEST(Eq4Power, StrictlyMonotoneInVoltage)
 {
     // Over the feasible DVFS range both Eq. 4 power forms and the Eq. 2
     // throughput are strictly increasing in V: higher supply always buys
-    // speed and always costs power, on both core types.
+    // speed and always costs power, on both core classes.
     FirstOrderModel model;
     const ModelParams &p = model.params();
     const int steps = 200;
     double dv = (p.v_max - p.v_min) / steps;
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    for (char kind : {'b', 'l'}) {
+        ClusterParams cp = clusterParamsFor(kind, p);
+        const char *name = clusterKindName(kind);
         for (int i = 0; i < steps; ++i) {
             double v = p.v_min + i * dv;
             double next = v + dv;
-            EXPECT_LT(model.activePower(type, v),
-                      model.activePower(type, next))
-                << coreTypeName(type) << " activePower at " << v;
-            EXPECT_LT(model.waitingPower(type, v),
-                      model.waitingPower(type, next))
-                << coreTypeName(type) << " waitingPower at " << v;
-            EXPECT_LT(model.ips(type, v), model.ips(type, next))
-                << coreTypeName(type) << " ips at " << v;
+            EXPECT_LT(model.activePower(cp, v), model.activePower(cp, next))
+                << name << " activePower at " << v;
+            EXPECT_LT(model.waitingPower(cp, v),
+                      model.waitingPower(cp, next))
+                << name << " waitingPower at " << v;
+            EXPECT_LT(model.ips(cp, v), model.ips(cp, next))
+                << name << " ips at " << v;
         }
     }
 }
@@ -170,31 +192,29 @@ TEST(Eq4Power, BigPowerIsHomogeneousInAlpha)
         ModelParams scaled_params = base;
         scaled_params.alpha = base.alpha * scale;
         FirstOrderModel scaled(scaled_params);
+        ClusterParams scaled_big = clusterParamsFor('b', scaled_params);
         for (double v : {0.7, 0.85, 1.0, 1.15, 1.3}) {
-            double want =
-                scale * reference.activePower(CoreType::big, v);
-            EXPECT_NEAR(scaled.activePower(CoreType::big, v), want,
+            double want = scale * reference.activePower(kBig, v);
+            EXPECT_NEAR(scaled.activePower(scaled_big, v), want,
                         1e-12 * want)
                 << "alpha x" << scale << " at " << v << " V";
-            EXPECT_NEAR(scaled.waitingPower(CoreType::big, v),
-                        scale * reference.waitingPower(CoreType::big, v),
+            EXPECT_NEAR(scaled.waitingPower(scaled_big, v),
+                        scale * reference.waitingPower(kBig, v),
                         1e-12 * want);
             // alpha is an energy parameter: it must not change speed.
-            EXPECT_DOUBLE_EQ(scaled.ips(CoreType::big, v),
-                             reference.ips(CoreType::big, v));
+            EXPECT_DOUBLE_EQ(scaled.ips(scaled_big, v),
+                             reference.ips(kBig, v));
             // The little core's *dynamic* power never sees alpha; its
             // leakage current is gamma-coupled to the big core's, so it
             // scales along with alpha.
-            double little_dyn =
-                reference.activePower(CoreType::little, v) -
-                v * reference.leakCurrent(CoreType::little);
+            double little_dyn = reference.activePower(kLittle, v) -
+                                v * reference.leakCurrent(kLittle);
             double little_want =
-                little_dyn +
-                scale * v * reference.leakCurrent(CoreType::little);
-            EXPECT_NEAR(scaled.activePower(CoreType::little, v),
-                        little_want, 1e-12 * little_want);
-            EXPECT_DOUBLE_EQ(scaled.ips(CoreType::little, v),
-                             reference.ips(CoreType::little, v));
+                little_dyn + scale * v * reference.leakCurrent(kLittle);
+            EXPECT_NEAR(scaled.activePower(kLittle, v), little_want,
+                        1e-12 * little_want);
+            EXPECT_DOUBLE_EQ(scaled.ips(kLittle, v),
+                             reference.ips(kLittle, v));
         }
     }
 }
@@ -205,18 +225,19 @@ TEST(Eq4Power, AccountantAgreesOnConstantPowerTrace)
     // charged exactly P * T: the accountant is a timeline integrator
     // over Eq. 4, with no hidden discretization.
     FirstOrderModel model;
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    for (const char *shape : {"1b", "1l"}) {
+        CoreTopology machine = makeTopology(shape, model.params());
+        const ClusterParams &cp = machine.cluster(0).params;
         for (double v : {0.7, 1.0, 1.3}) {
-            EnergyAccountant acc(model, {type});
+            EnergyAccountant acc(model, machine);
             acc.setState(0, 0.0, PowerState::active, v);
             acc.finish(2.5);
-            double want = model.activePower(type, v) * 2.5;
+            double want = model.activePower(cp, v) * 2.5;
             EXPECT_NEAR(acc.totalEnergy(), want, 1e-12 * want)
-                << coreTypeName(type) << " at " << v << " V";
+                << shape << " at " << v << " V";
             EXPECT_DOUBLE_EQ(acc.waitingEnergy(), 0.0);
-            EXPECT_NEAR(acc.averagePower(),
-                        model.activePower(type, v),
-                        1e-12 * model.activePower(type, v));
+            EXPECT_NEAR(acc.averagePower(), model.activePower(cp, v),
+                        1e-12 * model.activePower(cp, v));
         }
     }
 }
@@ -228,8 +249,7 @@ TEST(Eq4Power, AccountantAgreesOnPiecewiseConstantTrace)
     // started, and the splits land in the right buckets.
     FirstOrderModel model;
     const ModelParams &p = model.params();
-    EnergyAccountant acc(model,
-                         {CoreType::big, CoreType::little});
+    EnergyAccountant acc(model, makeTopology("1b1l", p));
 
     acc.setState(0, 0.0, PowerState::active, p.v_nom);
     acc.setState(0, 1.0, PowerState::waiting, p.v_min);
@@ -239,13 +259,10 @@ TEST(Eq4Power, AccountantAgreesOnPiecewiseConstantTrace)
     acc.setState(1, 0.5, PowerState::active, p.v_max);
     acc.finish(2.0);
 
-    double big_active = model.activePower(CoreType::big, p.v_nom) * 1.0;
-    double big_waiting =
-        model.waitingPower(CoreType::big, p.v_min) * 0.75;
-    double little_waiting =
-        model.waitingPower(CoreType::little, p.v_min) * 0.5;
-    double little_active =
-        model.activePower(CoreType::little, p.v_max) * 1.5;
+    double big_active = model.activePower(kBig, p.v_nom) * 1.0;
+    double big_waiting = model.waitingPower(kBig, p.v_min) * 0.75;
+    double little_waiting = model.waitingPower(kLittle, p.v_min) * 0.5;
+    double little_active = model.activePower(kLittle, p.v_max) * 1.5;
 
     const CoreEnergy &big = acc.coreEnergy(0);
     EXPECT_NEAR(big.active, big_active, 1e-12 * big_active);
@@ -262,79 +279,89 @@ TEST(Eq4Power, AccountantAgreesOnPiecewiseConstantTrace)
     EXPECT_NEAR(acc.averagePower(), total / 2.0, 1e-12 * total);
 }
 
+/** The two-cluster search on the paper's 4B4L machine. */
 class OptimizerFixture : public ::testing::Test
 {
   protected:
+    /** Eq. 6's target of the whole machine. */
+    double
+    fullTarget() const
+    {
+        return opt_.targetPower({{4, 4}, {0, 0}});
+    }
+
     FirstOrderModel model_;
-    MarginalUtilityOptimizer opt_{model_};
+    CoreTopology machine_ = makeTopology("4b4l", model_.params());
+    ClusterOptimizer opt_{model_, machine_};
 };
 
 TEST_F(OptimizerFixture, HpOptimalMatchesPaper)
 {
-    CoreActivity hp{4, 4, 0, 0};
-    OperatingPoint point =
-        opt_.solve(hp, opt_.targetPower(hp), /*feasible=*/false);
-    EXPECT_NEAR(point.v_big, 0.86, 0.05);
-    EXPECT_NEAR(point.v_little, 1.44, 0.08);
+    ClusterActivity hp{{4, 4}, {0, 0}};
+    ClusterOperatingPoint point =
+        opt_.solveTwoCluster(hp, opt_.targetPower(hp), /*feasible=*/false);
+    EXPECT_NEAR(point.v[0], 0.86, 0.05);
+    EXPECT_NEAR(point.v[1], 1.44, 0.08);
     EXPECT_NEAR(point.speedup, 1.12, 0.02);
     // Law of Equi-Marginal Utility holds at the unconstrained optimum.
-    EXPECT_NEAR(model_.marginalCost(CoreType::big, point.v_big),
-                model_.marginalCost(CoreType::little, point.v_little),
-                0.02 * model_.marginalCost(CoreType::big, point.v_big));
+    EXPECT_NEAR(model_.marginalCost(kBig, point.v[0]),
+                model_.marginalCost(kLittle, point.v[1]),
+                0.02 * model_.marginalCost(kBig, point.v[0]));
 }
 
 TEST_F(OptimizerFixture, HpFeasibleMatchesPaper)
 {
-    CoreActivity hp{4, 4, 0, 0};
-    OperatingPoint point =
-        opt_.solve(hp, opt_.targetPower(hp), /*feasible=*/true);
-    EXPECT_NEAR(point.v_big, 0.93, 0.03);
-    EXPECT_NEAR(point.v_little, 1.30, 1e-6); // clamped at V_max
+    ClusterActivity hp{{4, 4}, {0, 0}};
+    ClusterOperatingPoint point =
+        opt_.solveTwoCluster(hp, opt_.targetPower(hp), /*feasible=*/true);
+    EXPECT_NEAR(point.v[0], 0.93, 0.03);
+    EXPECT_NEAR(point.v[1], 1.30, 1e-6); // clamped at V_max
     EXPECT_NEAR(point.speedup, 1.10, 0.02);
     EXPECT_TRUE(point.clamped);
 }
 
 TEST_F(OptimizerFixture, LpOptimalMatchesPaper)
 {
-    CoreActivity lp{2, 2, 2, 2};
-    double target = opt_.targetPower(CoreActivity{4, 4, 0, 0});
-    OperatingPoint point = opt_.solve(lp, target, /*feasible=*/false);
-    EXPECT_NEAR(point.v_big, 1.02, 0.05);
-    EXPECT_NEAR(point.v_little, 1.70, 0.08);
+    ClusterActivity lp{{2, 2}, {2, 2}};
+    ClusterOperatingPoint point =
+        opt_.solveTwoCluster(lp, fullTarget(), /*feasible=*/false);
+    EXPECT_NEAR(point.v[0], 1.02, 0.05);
+    EXPECT_NEAR(point.v[1], 1.70, 0.08);
     EXPECT_NEAR(point.speedup, 1.55, 0.02);
 }
 
 TEST_F(OptimizerFixture, LpFeasibleMatchesPaper)
 {
-    CoreActivity lp{2, 2, 2, 2};
-    double target = opt_.targetPower(CoreActivity{4, 4, 0, 0});
-    OperatingPoint point = opt_.solve(lp, target, /*feasible=*/true);
-    EXPECT_NEAR(point.v_big, 1.16, 0.03);
-    EXPECT_NEAR(point.v_little, 1.30, 1e-6);
+    ClusterActivity lp{{2, 2}, {2, 2}};
+    ClusterOperatingPoint point =
+        opt_.solveTwoCluster(lp, fullTarget(), /*feasible=*/true);
+    EXPECT_NEAR(point.v[0], 1.16, 0.03);
+    EXPECT_NEAR(point.v[1], 1.30, 1e-6);
     EXPECT_NEAR(point.speedup, 1.45, 0.02);
 }
 
 TEST_F(OptimizerFixture, SingleTaskOnLittleMatchesPaper)
 {
-    CoreActivity act{0, 1, 4, 3};
-    double target = opt_.targetPower(CoreActivity{4, 4, 0, 0});
-    OperatingPoint optimal = opt_.solve(act, target, /*feasible=*/false);
-    EXPECT_NEAR(optimal.v_little, 2.59, 0.12);
-    OperatingPoint feasible = opt_.solve(act, target, /*feasible=*/true);
-    EXPECT_NEAR(feasible.v_little, 1.30, 1e-6);
+    ClusterActivity act{{0, 1}, {4, 3}};
+    ClusterOperatingPoint optimal =
+        opt_.solveTwoCluster(act, fullTarget(), /*feasible=*/false);
+    EXPECT_NEAR(optimal.v[1], 2.59, 0.12);
+    ClusterOperatingPoint feasible =
+        opt_.solveTwoCluster(act, fullTarget(), /*feasible=*/true);
+    EXPECT_NEAR(feasible.v[1], 1.30, 1e-6);
     // f(1.3)/f(1.0): the paper rounds 1.66 down to "1.6x".
     EXPECT_NEAR(feasible.speedup, 1.66, 0.02);
 }
 
 TEST_F(OptimizerFixture, SingleTaskOnBigMatchesPaper)
 {
-    CoreActivity act{1, 0, 3, 4};
-    double target = opt_.targetPower(CoreActivity{4, 4, 0, 0});
-    OperatingPoint optimal = opt_.solve(act, target, /*feasible=*/false);
-    EXPECT_NEAR(optimal.v_big, 1.51, 0.05);
-    OperatingPoint feasible = opt_.solve(act, target, /*feasible=*/true);
-    double vs_little_nominal =
-        feasible.ips / model_.ips(CoreType::little, 1.0);
+    ClusterActivity act{{1, 0}, {3, 4}};
+    ClusterOperatingPoint optimal =
+        opt_.solveTwoCluster(act, fullTarget(), /*feasible=*/false);
+    EXPECT_NEAR(optimal.v[0], 1.51, 0.05);
+    ClusterOperatingPoint feasible =
+        opt_.solveTwoCluster(act, fullTarget(), /*feasible=*/true);
+    double vs_little_nominal = feasible.ips / model_.ips(kLittle, 1.0);
     EXPECT_NEAR(vs_little_nominal, 3.3, 0.05);
 }
 
@@ -344,9 +371,10 @@ TEST_F(OptimizerFixture, SolutionRespectsPowerBudget)
         for (int la = 0; la <= 4; ++la) {
             if (ba == 0 && la == 0)
                 continue;
-            CoreActivity act{ba, la, 4 - ba, 4 - la};
+            ClusterActivity act{{ba, la}, {4 - ba, 4 - la}};
             double target = opt_.targetPower(act);
-            OperatingPoint point = opt_.solve(act, target, true);
+            ClusterOperatingPoint point =
+                opt_.solveTwoCluster(act, target, true);
             EXPECT_LE(point.power, target * (1.0 + 1e-6))
                 << "ba=" << ba << " la=" << la;
         }
@@ -355,48 +383,49 @@ TEST_F(OptimizerFixture, SolutionRespectsPowerBudget)
 
 TEST_F(OptimizerFixture, OptimumBeatsNeighbors)
 {
-    // Property: perturbing the feasible solution along the isopower
+    // Property: perturbing the optimal solution along the isopower
     // constraint never improves throughput.
-    CoreActivity hp{4, 4, 0, 0};
+    ClusterActivity hp{{4, 4}, {0, 0}};
     double target = opt_.targetPower(hp);
-    OperatingPoint point = opt_.solve(hp, target, false);
+    ClusterOperatingPoint point = opt_.solveTwoCluster(hp, target, false);
     for (double dv : {-0.02, -0.005, 0.005, 0.02}) {
-        double v_big = point.v_big + dv;
+        double v_big = point.v[0] + dv;
         // Re-solve v_little for the same power.
         double lo = 0.56, hi = 8.0;
         for (int i = 0; i < 60; ++i) {
             double mid = 0.5 * (lo + hi);
-            if (opt_.systemPower(hp, v_big, mid) < target)
+            if (opt_.systemPower(hp, {v_big, mid}) < target)
                 lo = mid;
             else
                 hi = mid;
         }
         double v_little = 0.5 * (lo + hi);
-        EXPECT_LE(opt_.activeIps(hp, v_big, v_little),
+        EXPECT_LE(opt_.activeIps(hp, {v_big, v_little}),
                   point.ips * (1.0 + 1e-6));
     }
 }
 
 TEST_F(OptimizerFixture, NoActiveCoresGivesZero)
 {
-    CoreActivity act{0, 0, 4, 4};
-    OperatingPoint point =
-        opt_.solve(act, opt_.targetPower(act), true);
+    ClusterActivity act{{0, 0}, {4, 4}};
+    ClusterOperatingPoint point =
+        opt_.solveTwoCluster(act, opt_.targetPower(act), true);
     EXPECT_EQ(point.ips, 0.0);
 }
 
 /** Reference: solveVoltageForPower with all 80 halvings run. */
 double
-fixedCountVoltageForPower(const FirstOrderModel &model, CoreType type, int n,
-                          double budget, double lo, double hi)
+fixedCountVoltageForPower(const FirstOrderModel &model,
+                          const ClusterParams &cp, int n, double budget,
+                          double lo, double hi)
 {
-    if (n * model.activePower(type, lo) >= budget)
+    if (n * model.activePower(cp, lo) >= budget)
         return lo;
-    if (n * model.activePower(type, hi) <= budget)
+    if (n * model.activePower(cp, hi) <= budget)
         return hi;
     for (int iter = 0; iter < 80; ++iter) {
         double mid = 0.5 * (lo + hi);
-        if (n * model.activePower(type, mid) < budget)
+        if (n * model.activePower(cp, mid) < budget)
             lo = mid;
         else
             hi = mid;
@@ -412,16 +441,16 @@ TEST_F(OptimizerFixture, VoltageForPowerMatchesTheFixedCountBisection)
     Rng rng(7);
     const double ranges[][2] = {{p.v_min, p.v_max},
                                 {model_.voltageFloor(), 8.0}};
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    for (const ClusterParams &cp : {kBig, kLittle}) {
         for (const auto &range : ranges) {
             for (int n = 1; n <= 4; ++n) {
-                double p_lo = n * model_.activePower(type, range[0]);
-                double p_hi = n * model_.activePower(type, range[1]);
+                double p_lo = n * model_.activePower(cp, range[0]);
+                double p_hi = n * model_.activePower(cp, range[1]);
                 for (int i = 0; i < 500; ++i) {
                     double budget = rng.uniform(0.5 * p_lo, 1.5 * p_hi);
-                    EXPECT_EQ(opt_.solveVoltageForPower(type, n, budget,
+                    EXPECT_EQ(opt_.solveVoltageForPower(cp, n, budget,
                                                         range[0], range[1]),
-                              fixedCountVoltageForPower(model_, type, n,
+                              fixedCountVoltageForPower(model_, cp, n,
                                                         budget, range[0],
                                                         range[1]))
                         << "n=" << n << " budget=" << budget;
@@ -434,8 +463,8 @@ TEST_F(OptimizerFixture, VoltageForPowerMatchesTheFixedCountBisection)
 TEST(Pareto, UpperRightQuadrantExists)
 {
     FirstOrderModel model;
-    CoreActivity busy{4, 4, 0, 0};
-    ParetoSweep sweep = paretoSweep(model, busy, 12);
+    ParetoSweep sweep =
+        paretoSweep(model, makeTopology("4b4l", model.params()), 12);
     // The paper's key observation: points with BOTH better performance
     // and better energy efficiency than nominal exist.
     bool upper_right = false;
@@ -447,8 +476,8 @@ TEST(Pareto, UpperRightQuadrantExists)
 TEST(Pareto, BestIsopowerBeatsNominal)
 {
     FirstOrderModel model;
-    CoreActivity busy{4, 4, 0, 0};
-    ParetoSweep sweep = paretoSweep(model, busy, 24);
+    ParetoSweep sweep =
+        paretoSweep(model, makeTopology("4b4l", model.params()), 24);
     EXPECT_GT(sweep.best_isopower.perf, 1.05);
     EXPECT_LE(sweep.best_isopower.power, 1.0 + 1e-9);
     // Matches the feasible HP operating point within grid resolution.
@@ -458,8 +487,8 @@ TEST(Pareto, BestIsopowerBeatsNominal)
 TEST(Pareto, FrontierIsNonDominated)
 {
     FirstOrderModel model;
-    CoreActivity busy{2, 2, 0, 0};
-    ParetoSweep sweep = paretoSweep(model, busy, 10);
+    ParetoSweep sweep =
+        paretoSweep(model, makeTopology("2b2l", model.params()), 10);
     for (const auto &s : sweep.samples) {
         if (!s.pareto_optimal)
             continue;
@@ -477,8 +506,8 @@ TEST(Pareto, IsopowerSamplesLieOnTheDiagonal)
     // performance, so samples near power = 1 sit near eff = perf --
     // the diagonal isopower line of Figure 2.
     FirstOrderModel model;
-    CoreActivity busy{4, 4, 0, 0};
-    ParetoSweep sweep = paretoSweep(model, busy, 30);
+    ParetoSweep sweep =
+        paretoSweep(model, makeTopology("4b4l", model.params()), 30);
     int checked = 0;
     for (const auto &s : sweep.samples) {
         if (std::abs(s.power - 1.0) < 0.01) {
@@ -494,7 +523,7 @@ TEST(Surface, SpeedupGrowsWithAlphaOverBeta)
     // Figure 4: marginal-utility benefit is largest when alpha/beta is
     // large (expensive big core, modest speedup).
     ModelParams base;
-    CoreActivity busy{4, 4, 0, 0};
+    CoreTopology busy = makeTopology("4b4l", base);
     auto cells = speedupSurface(base, busy, 2.0, 4.0, 2, 2.0, 2.0, 1);
     // cells: alpha in {2,3,4} x beta in {2,2}; dedupe beta by stride.
     ASSERT_EQ(cells.size(), 6u);
@@ -504,7 +533,7 @@ TEST(Surface, SpeedupGrowsWithAlphaOverBeta)
 TEST(Surface, FeasibleNeverExceedsOptimal)
 {
     ModelParams base;
-    CoreActivity busy{4, 4, 0, 0};
+    CoreTopology busy = makeTopology("4b4l", base);
     auto cells = speedupSurface(base, busy, 1.0, 5.0, 4, 1.0, 4.0, 3);
     for (const auto &cell : cells) {
         EXPECT_LE(cell.feasible_speedup,
@@ -518,7 +547,7 @@ TEST(Surface, HomogeneousSystemGainsNothing)
     // With alpha = beta = 1 the "big" cores are identical to little
     // cores: the Law of Equi-Marginal Utility says run all at V_N.
     ModelParams base;
-    CoreActivity busy{4, 4, 0, 0};
+    CoreTopology busy = makeTopology("4b4l", base);
     auto cells = speedupSurface(base, busy, 1.0, 1.0, 1, 1.0, 1.0, 1);
     for (const auto &cell : cells)
         EXPECT_NEAR(cell.optimal_speedup, 1.0, 1e-3);

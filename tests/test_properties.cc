@@ -12,41 +12,48 @@
 
 #include "aaws/experiment.h"
 #include "exp/run_spec.h"
-#include "model/optimizer.h"
+#include "model/cluster_opt.h"
 
 namespace aaws {
 namespace {
 
 // --- optimizer properties over the (alpha, beta) plane -------------------
 
+/** The two-cluster search on 4B4L at one (alpha, beta) point. */
 class OptimizerSweep
     : public ::testing::TestWithParam<std::tuple<double, double>>
 {
+  protected:
+    static ModelParams
+    paramsAt(const std::tuple<double, double> &alpha_beta)
+    {
+        ModelParams params;
+        params.alpha = std::get<0>(alpha_beta);
+        params.beta = std::get<1>(alpha_beta);
+        return params;
+    }
+
+    ModelParams params_ = paramsAt(GetParam());
+    FirstOrderModel model_{params_};
+    CoreTopology machine_ = CoreTopology::bigLittle(4, 4, params_);
+    ClusterOptimizer opt_{model_, machine_};
 };
 
 TEST_P(OptimizerSweep, FeasibleRespectsBudgetAndBounds)
 {
-    auto [alpha, beta] = GetParam();
-    ModelParams params;
-    params.alpha = alpha;
-    params.beta = beta;
-    FirstOrderModel model(params);
-    MarginalUtilityOptimizer opt(model);
     for (int ba = 0; ba <= 4; ++ba) {
         for (int la = 0; la <= 4; ++la) {
             if (ba == 0 && la == 0)
                 continue;
-            CoreActivity act{ba, la, 4 - ba, 4 - la};
-            double target = opt.targetPower(act);
-            OperatingPoint f = opt.solve(act, target, true);
+            ClusterActivity act{{ba, la}, {4 - ba, 4 - la}};
+            double target = opt_.targetPower(act);
+            ClusterOperatingPoint f = opt_.solveTwoCluster(act, target, true);
             EXPECT_LE(f.power, target * (1 + 1e-6));
-            if (ba > 0) {
-                EXPECT_GE(f.v_big, params.v_min - 1e-9);
-                EXPECT_LE(f.v_big, params.v_max + 1e-9);
-            }
-            if (la > 0) {
-                EXPECT_GE(f.v_little, params.v_min - 1e-9);
-                EXPECT_LE(f.v_little, params.v_max + 1e-9);
+            for (int k = 0; k < 2; ++k) {
+                if (act.active[k] == 0)
+                    continue;
+                EXPECT_GE(f.v[k], params_.v_min - 1e-9);
+                EXPECT_LE(f.v[k], params_.v_max + 1e-9);
             }
         }
     }
@@ -54,32 +61,22 @@ TEST_P(OptimizerSweep, FeasibleRespectsBudgetAndBounds)
 
 TEST_P(OptimizerSweep, FeasibleNeverBeatsOptimal)
 {
-    auto [alpha, beta] = GetParam();
-    ModelParams params;
-    params.alpha = alpha;
-    params.beta = beta;
-    FirstOrderModel model(params);
-    MarginalUtilityOptimizer opt(model);
-    CoreActivity act{4, 4, 0, 0};
-    double target = opt.targetPower(act);
-    OperatingPoint optimal = opt.solve(act, target, false);
-    OperatingPoint feasible = opt.solve(act, target, true);
+    ClusterActivity act{{4, 4}, {0, 0}};
+    double target = opt_.targetPower(act);
+    ClusterOperatingPoint optimal = opt_.solveTwoCluster(act, target, false);
+    ClusterOperatingPoint feasible = opt_.solveTwoCluster(act, target, true);
     EXPECT_LE(feasible.ips, optimal.ips * (1 + 1e-6));
     EXPECT_GE(feasible.speedup, 1.0 - 1e-6); // V_N is always feasible
 }
 
 TEST_P(OptimizerSweep, EquiMarginalAtInteriorOptimum)
 {
-    auto [alpha, beta] = GetParam();
-    ModelParams params;
-    params.alpha = alpha;
-    params.beta = beta;
-    FirstOrderModel model(params);
-    MarginalUtilityOptimizer opt(model);
-    CoreActivity act{4, 4, 0, 0};
-    OperatingPoint o = opt.solve(act, opt.targetPower(act), false);
-    double mc_big = model.marginalCost(CoreType::big, o.v_big);
-    double mc_little = model.marginalCost(CoreType::little, o.v_little);
+    ClusterActivity act{{4, 4}, {0, 0}};
+    ClusterOperatingPoint o =
+        opt_.solveTwoCluster(act, opt_.targetPower(act), false);
+    double mc_big = model_.marginalCost(machine_.cluster(0).params, o.v[0]);
+    double mc_little =
+        model_.marginalCost(machine_.cluster(1).params, o.v[1]);
     EXPECT_NEAR(mc_big / mc_little, 1.0, 0.03);
 }
 
@@ -110,14 +107,15 @@ TEST_P(Eq4Sweep, PowerAndThroughputMonotoneInVoltage)
     FirstOrderModel model(params);
     const int steps = 60;
     double dv = (params.v_max - params.v_min) / steps;
-    for (CoreType type : {CoreType::big, CoreType::little}) {
+    for (char kind : {'b', 'l'}) {
+        ClusterParams cp = clusterParamsFor(kind, params);
         for (int i = 0; i < steps; ++i) {
             double v = params.v_min + i * dv;
-            EXPECT_LT(model.activePower(type, v),
-                      model.activePower(type, v + dv));
-            EXPECT_LT(model.waitingPower(type, v),
-                      model.waitingPower(type, v + dv));
-            EXPECT_LT(model.ips(type, v), model.ips(type, v + dv));
+            EXPECT_LT(model.activePower(cp, v),
+                      model.activePower(cp, v + dv));
+            EXPECT_LT(model.waitingPower(cp, v),
+                      model.waitingPower(cp, v + dv));
+            EXPECT_LT(model.ips(cp, v), model.ips(cp, v + dv));
         }
     }
 }
@@ -135,19 +133,20 @@ TEST_P(Eq4Sweep, BigPowerScalesLinearlyWithAlpha)
     ModelParams doubled_params = params;
     doubled_params.alpha = 2.0 * alpha;
     FirstOrderModel two(doubled_params);
+    ClusterParams big_one = clusterParamsFor('b', params);
+    ClusterParams big_two = clusterParamsFor('b', doubled_params);
+    ClusterParams little = clusterParamsFor('l', params);
     for (double v : {0.7, 1.0, 1.3}) {
-        double want = 2.0 * one.activePower(CoreType::big, v);
-        EXPECT_NEAR(two.activePower(CoreType::big, v), want,
-                    1e-12 * want);
-        EXPECT_DOUBLE_EQ(two.ips(CoreType::big, v),
-                         one.ips(CoreType::big, v));
+        double want = 2.0 * one.activePower(big_one, v);
+        EXPECT_NEAR(two.activePower(big_two, v), want, 1e-12 * want);
+        EXPECT_DOUBLE_EQ(two.ips(big_two, v), one.ips(big_one, v));
         // Little dynamic power ignores alpha; little leakage doubles
         // with it through the gamma coupling to big-core leakage.
-        double little_dyn = one.activePower(CoreType::little, v) -
-                            v * one.leakCurrent(CoreType::little);
+        double little_dyn =
+            one.activePower(little, v) - v * one.leakCurrent(little);
         double little_want =
-            little_dyn + 2.0 * v * one.leakCurrent(CoreType::little);
-        EXPECT_NEAR(two.activePower(CoreType::little, v), little_want,
+            little_dyn + 2.0 * v * one.leakCurrent(little);
+        EXPECT_NEAR(two.activePower(little, v), little_want,
                     1e-12 * little_want);
     }
 }
@@ -288,8 +287,9 @@ TEST_P(KernelInvariants, ExecTimeBoundedByWorkAndSpanLaws)
     SimResult r = run(kernel, Variant::base);
     MachineConfig config = configFor(kernel, Variant::base);
     FirstOrderModel model(config.app_params);
-    double ips_little = model.ips(CoreType::little, 1.0);
-    double ips_big = model.ips(CoreType::big, 1.0);
+    double ips_little =
+        model.ips(clusterParamsFor('l', config.app_params), 1.0);
+    double ips_big = model.ips(clusterParamsFor('b', config.app_params), 1.0);
     double ideal = 4 * ips_big + 4 * ips_little;
     double work = static_cast<double>(r.instructions);
     EXPECT_GE(r.exec_seconds, work / ideal * 0.999) << "below T1/P bound";

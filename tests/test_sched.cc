@@ -651,9 +651,9 @@ TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
     PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
     // All hint bits boot active, so work-pacing applies the full cell.
     const DvfsTableEntry &entry = table_.atCounts({1, 3});
-    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.vBig());
+    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.v[0]);
     for (int w = 1; w < 4; ++w)
-        EXPECT_DOUBLE_EQ(gov.decision(w).voltage, entry.vLittle());
+        EXPECT_DOUBLE_EQ(gov.decision(w).voltage, entry.v[1]);
     EXPECT_EQ(gov.activeWorkers(), 4);
 }
 
@@ -674,14 +674,14 @@ TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
     const DvfsTableEntry &entry = table_.atCounts({1, 2});
     EXPECT_DOUBLE_EQ(gov.decision(2).voltage, mp_.v_min);
     EXPECT_EQ(gov.decision(2).intent, sched::VoltageIntent::rest);
-    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.vBig());
-    EXPECT_DOUBLE_EQ(gov.decision(1).voltage, entry.vLittle());
+    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.v[0]);
+    EXPECT_DOUBLE_EQ(gov.decision(1).voltage, entry.v[1]);
     EXPECT_GT(gov.restIntents(), 0u);
     EXPECT_GT(gov.sprintIntents(), 0u);
     // The worker coming back re-decides: all-active pacing again.
     gov.onWorkerActive(2);
     const DvfsTableEntry &full = table_.atCounts({1, 3});
-    EXPECT_DOUBLE_EQ(gov.decision(2).voltage, full.vLittle());
+    EXPECT_DOUBLE_EQ(gov.decision(2).voltage, full.v[1]);
 }
 
 TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)

@@ -71,7 +71,8 @@ double
 bigIps(const MachineConfig &config)
 {
     FirstOrderModel model(config.app_params);
-    return model.ips(CoreType::big, config.app_params.v_nom);
+    return model.ips(clusterParamsFor('b', config.app_params),
+                     config.app_params.v_nom);
 }
 
 TEST(SimSerial, ExactTimeAtNominal)
@@ -92,11 +93,13 @@ TEST(SimSerial, ExactEnergyAtNominal)
     TaskDag dag = serialDag(1'000'000);
     SimResult result = Machine(config, dag).run();
     FirstOrderModel model(config.app_params);
+    ClusterParams big = clusterParamsFor('b', config.app_params);
+    ClusterParams little = clusterParamsFor('l', config.app_params);
     double t = result.exec_seconds;
     double expected =
-        t * model.activePower(CoreType::big, 1.0) +        // core 0
-        t * 3.0 * model.waitingPower(CoreType::big, 1.0) + // idle bigs
-        t * 4.0 * model.waitingPower(CoreType::little, 1.0);
+        t * model.activePower(big, 1.0) +        // core 0
+        t * 3.0 * model.waitingPower(big, 1.0) + // idle bigs
+        t * 4.0 * model.waitingPower(little, 1.0);
     EXPECT_NEAR(result.energy, expected, expected * 1e-6);
     EXPECT_NEAR(result.avg_power, expected / t, expected / t * 1e-6);
 }
@@ -582,7 +585,8 @@ TEST(SimEdge, LittleOnlyMachineRunsSerialOnLittle)
     TaskDag dag = serialDag(666'000);
     SimResult result = Machine(config, dag).run();
     FirstOrderModel model(config.app_params);
-    double expected = 666'000 / model.ips(CoreType::little, 1.0);
+    double expected =
+        666'000 / model.ips(clusterParamsFor('l', config.app_params), 1.0);
     EXPECT_NEAR(result.exec_seconds, expected, expected * 1e-6);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * N-cluster CoreTopology tests: the preset grammar, census indexing and
  * incremental maintenance, the equi-marginal cluster solver (including
- * its cross-validation against the two-type optimizer), the
+ * its cross-validation against the two-cluster search), the
  * per_cluster shared-rail collapse in the DVFS controller, and the
  * controller's census contract.
  */
@@ -18,7 +18,6 @@
 #include "dvfs/controller.h"
 #include "dvfs/lookup_table.h"
 #include "model/cluster_opt.h"
-#include "model/optimizer.h"
 #include "model/topology.h"
 #include "sched/census.h"
 #include "sched/policy_stack.h"
@@ -98,12 +97,12 @@ TEST(TopologyParse, PresetsMatchTheLegacyAdapters)
     ModelParams mp;
     // The presets and the native pools' bigLittle() split must agree
     // not just numerically but bit-for-bit: isBigLittle() is what
-    // routes DVFS-table generation through the two-type optimizer.
+    // routes DVFS-table generation through the two-cluster search.
     EXPECT_TRUE(makeTopology("4b4l", mp).isBigLittle(mp));
     EXPECT_TRUE(makeTopology("1b7l", mp).isBigLittle(mp));
     EXPECT_TRUE(CoreTopology::bigLittle(4, 4, mp).isBigLittle(mp));
     // Shared rails, extra clusters, or retargeted parameters all leave
-    // the two-type solver.
+    // the two-cluster search.
     EXPECT_FALSE(makeTopology("4b4l:pc", mp).isBigLittle(mp));
     EXPECT_FALSE(makeTopology("2b2m4l", mp).isBigLittle(mp));
     EXPECT_FALSE(makeTopology("8l", mp).isBigLittle(mp));
@@ -259,16 +258,15 @@ TEST(ClusterOptimizerTest, SprintsTheLoneActiveCluster)
 
 TEST(ClusterOptimizerTest, CrossValidatesAgainstTheTwoTypeOptimizer)
 {
-    // On two-cluster inputs the equi-marginal solver and the original
-    // grid-plus-golden-section optimizer chase the same optimum; they
-    // must agree to solver tolerance on every 4B4L census cell (the
-    // paper's machines keep the two-type solver for their tables, so
-    // this is a consistency check, not a bit-identity requirement).
+    // On two-cluster inputs the equi-marginal search and the paper's
+    // grid-plus-golden-section search chase the same optimum; they must
+    // agree to solver tolerance on every 4B4L census cell (the paper's
+    // machines keep the two-cluster search for their tables, so this is
+    // a consistency check, not a bit-identity requirement).
     ModelParams mp;
     FirstOrderModel model(mp);
     CoreTopology topo = CoreTopology::bigLittle(4, 4, mp);
-    ClusterOptimizer cluster_opt(model, topo);
-    MarginalUtilityOptimizer legacy_opt(model);
+    ClusterOptimizer opt(model, topo);
 
     for (int ba = 0; ba <= 4; ++ba) {
         for (int la = 0; la <= 4; ++la) {
@@ -279,24 +277,15 @@ TEST(ClusterOptimizerTest, CrossValidatesAgainstTheTwoTypeOptimizer)
             ClusterActivity activity;
             activity.active = {ba, la};
             activity.waiting = {4 - ba, 4 - la};
-            CoreActivity legacy_activity;
-            legacy_activity.n_big_active = ba;
-            legacy_activity.n_little_active = la;
-            legacy_activity.n_big_waiting = 4 - ba;
-            legacy_activity.n_little_waiting = 4 - la;
 
-            double target = cluster_opt.targetPower(activity);
-            EXPECT_NEAR(target, legacy_opt.targetPower(legacy_activity),
-                        1e-9);
-            ClusterOperatingPoint a = cluster_opt.solve(activity, target);
-            OperatingPoint b =
-                legacy_opt.solve(legacy_activity, target,
-                                 /*feasible=*/true);
-            if (ba > 0) {
-                EXPECT_NEAR(a.v[0], b.v_big, 2e-3);
-            }
-            if (la > 0) {
-                EXPECT_NEAR(a.v[1], b.v_little, 2e-3);
+            double target = opt.targetPower(activity);
+            ClusterOperatingPoint a = opt.solve(activity, target);
+            ClusterOperatingPoint b =
+                opt.solveTwoCluster(activity, target, /*feasible=*/true);
+            for (int k = 0; k < 2; ++k) {
+                if (activity.active[k] > 0) {
+                    EXPECT_NEAR(a.v[k], b.v[k], 2e-3) << "cluster " << k;
+                }
             }
             EXPECT_NEAR(a.ips, b.ips, 1e-3 * b.ips + 1e-9);
         }
@@ -428,8 +417,8 @@ TEST(TopologyController, SharedRailRunsAtTheClusterMax)
     policy.work_pacing = true;
     policy.work_sprinting = true;
 
-    // Both shapes are non-legacy, so both tables come from the same
-    // N-cluster solver and the rail granularity is the only
+    // Neither shape is big/little, so both tables come from the same
+    // equi-marginal search and the rail granularity is the only
     // difference between the two controllers.
     CoreTopology per_core = makeTopology("2b2m4l", mp);
     CoreTopology shared = makeTopology("2b2m4l:pc", mp);

@@ -10,8 +10,7 @@
  * same topology (engine-cached; the DVFS lookup table is regenerated
  * per topology, one cell per census tuple).
  *
- * `--topology=NAME` (or AAWS_TOPOLOGY) restricts the sweep to one
- * preset.
+ * `--topology=NAME` restricts the sweep to one preset.
  */
 
 #include <cstdio>

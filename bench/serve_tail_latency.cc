@@ -21,18 +21,12 @@
  *    the machine-checked claims on them are conservation properties,
  *    not wall-clock comparisons.
  *
- * Scale knobs (environment, not flags — BenchCli owns the flag space):
- *   AAWS_SERVE_REQUESTS          sim requests per point (default 200000)
- *   AAWS_SERVE_NATIVE_REQUESTS   native requests per point (default 240)
- *   AAWS_SERVE_UTILS             comma list of percents (default
- *                                30,50,70,90)
- *   AAWS_SERVE_KERNEL            kernel name (default dict)
- *   AAWS_SERVE_NATIVE            0 skips the native sweep
+ * The scale is fixed (kKernel, kSimRequests, kNativeRequests, kUtils
+ * below); the shared flags (exp/cli.h) still select the native
+ * backend and the result artifact.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,39 +40,14 @@ using namespace aaws;
 
 namespace {
 
-uint64_t
-envU64(const char *name, uint64_t fallback)
-{
-    const char *text = std::getenv(name);
-    if (!text || !*text)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (!end || *end != '\0' || value == 0)
-        fatal("%s: expected a positive integer, got \"%s\"", name, text);
-    return value;
-}
-
-std::vector<int>
-envUtils(const char *name)
-{
-    const char *text = std::getenv(name);
-    std::string list = text && *text ? text : "30,50,70,90";
-    std::vector<int> utils;
-    size_t pos = 0;
-    while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        int value = std::atoi(list.substr(pos, comma - pos).c_str());
-        if (value < 1 || value > 99)
-            fatal("%s: utilization percents must be in [1, 99]", name);
-        utils.push_back(value);
-        pos = comma + 1;
-    }
-    AAWS_ASSERT(!utils.empty(), "empty utilization list");
-    return utils;
-}
+/** The kernel whose tasks every request runs. */
+constexpr const char *kKernel = "dict";
+/** Requests per simulated sweep point. */
+constexpr uint64_t kSimRequests = 200000;
+/** Requests per native sweep point. */
+constexpr uint64_t kNativeRequests = 240;
+/** Utilizations swept, in percent; the serving claims read 30/50/70. */
+constexpr int kUtils[] = {30, 50, 70, 90};
 
 /** The serving workload at one (kind, utilization) sweep point. */
 serve::ServeSpec
@@ -146,14 +115,7 @@ main(int argc, char **argv)
     exp::BenchCli cli;
     cli.parse(argc, argv);
 
-    const char *kernel_env = std::getenv("AAWS_SERVE_KERNEL");
-    std::string kernel =
-        kernel_env && *kernel_env ? kernel_env : "dict";
-    uint64_t requests = envU64("AAWS_SERVE_REQUESTS", 200000);
-    uint64_t native_requests = envU64("AAWS_SERVE_NATIVE_REQUESTS", 240);
-    std::vector<int> utils = envUtils("AAWS_SERVE_UTILS");
-    const char *native_env = std::getenv("AAWS_SERVE_NATIVE");
-    bool run_native = !(native_env && std::strcmp(native_env, "0") == 0);
+    const std::string kernel = kKernel;
     uint64_t seed = exp::kDefaultSeed;
 
     // Anchor every sweep point to the base variant's mean service
@@ -173,10 +135,10 @@ main(int argc, char **argv)
 
     std::vector<exp::RunSpec> specs;
     for (serve::ArrivalKind kind : kinds)
-        for (int util : utils)
+        for (int util : kUtils)
             for (Variant v : allVariants()) {
                 exp::RunSpec spec(kernel, v, seed);
-                spec.serve = specFor(kind, util, requests, s_base);
+                spec.serve = specFor(kind, util, kSimRequests, s_base);
                 specs.push_back(spec);
             }
     std::vector<RunResult> results = exp::runBatch(specs, cli.engine);
@@ -186,7 +148,7 @@ main(int argc, char **argv)
     size_t idx = 0;
     double p99_by_kind_u50[2] = {0.0, 0.0};
     for (size_t k = 0; k < 2; ++k)
-        for (int util : utils) {
+        for (int util : kUtils) {
             double base_p99 = 0.0;
             size_t block = idx;
             for (Variant v : allVariants()) {
@@ -218,61 +180,56 @@ main(int argc, char **argv)
         cli.results.add("sim_summary", "mmpp_tail_vs_poisson_u50",
                         p99_by_kind_u50[1] / p99_by_kind_u50[0]);
 
-    if (run_native) {
-        serve::NativeServeOptions nopt;
-        nopt.threads = 2;
-        nopt.n_big = 1;
-        nopt.variant = Variant::base;
-        nopt.seed = seed;
-        nopt.work_per_request = 8000;
-        nopt.fanout = 4;
-        // Both native backends face the same offered load: one sweep
-        // per backend behind the RuntimeBackend seam, anchored to that
-        // backend's own measured service time so utilization means the
-        // same thing on each.  --backend=deque|chan runs one side.
-        const BackendKind backends[] = {BackendKind::deque,
-                                        BackendKind::chan};
-        for (BackendKind backend : backends) {
-            if (!cli.backendEnabled(backend))
-                continue;
-            serve::NativeServeOptions bopt = nopt;
-            bopt.backend = backend;
-            double s_native =
-                serve::measureNativeServiceSeconds(bopt, 64);
-            AAWS_ASSERT(s_native > 0.0,
-                        "native service time must be positive");
-            const char *bname = backendName(backend);
-            std::printf("\nnative (%s) mean service time: %.1f us "
-                        "(threads=2)\n", bname, s_native * 1e6);
-            // The deque series keeps its historical name so committed
-            // claims stay evaluable.
-            std::string prefix = backend == BackendKind::deque
-                                     ? "native"
-                                     : std::string("native_") + bname;
-            for (int util : utils) {
-                double base_p99 = 0.0;
-                std::string series =
-                    strfmt("%s_poisson_u%02d", prefix.c_str(), util);
-                for (Variant v : allVariants()) {
-                    serve::NativeServeOptions opt = bopt;
-                    opt.variant = v;
-                    opt.spec = specFor(serve::ArrivalKind::poisson,
-                                       util, native_requests, s_native);
-                    serve::NativeServeResult out =
-                        serve::runNativeService(opt);
-                    if (v == Variant::base)
-                        base_p99 = out.stats.p99;
-                    emitPoint(cli, series, kernel, variantName(v),
-                              out.stats, base_p99);
-                    std::printf(
-                        "native-%s,poisson,%d%%,%s,%.6f,%.6f,%.6f,"
-                        "%.4f,%.4f\n",
-                        bname, util, variantName(v), out.stats.p50,
-                        out.stats.p99, out.stats.p999,
-                        static_cast<double>(out.stats.shed) /
-                            static_cast<double>(out.stats.submitted),
-                        out.stats.energy_per_request);
-                }
+    serve::NativeServeOptions nopt;
+    nopt.threads = 2;
+    nopt.n_big = 1;
+    nopt.variant = Variant::base;
+    nopt.seed = seed;
+    nopt.work_per_request = 8000;
+    nopt.fanout = 4;
+    // Both native backends face the same offered load: one sweep
+    // per backend behind the RuntimeBackend seam, anchored to that
+    // backend's own measured service time so utilization means the
+    // same thing on each.  --backend=deque|chan runs one side.
+    const BackendKind backends[] = {BackendKind::deque, BackendKind::chan};
+    for (BackendKind backend : backends) {
+        if (!cli.backendEnabled(backend))
+            continue;
+        serve::NativeServeOptions bopt = nopt;
+        bopt.backend = backend;
+        double s_native = serve::measureNativeServiceSeconds(bopt, 64);
+        AAWS_ASSERT(s_native > 0.0, "native service time must be positive");
+        const char *bname = backendName(backend);
+        std::printf("\nnative (%s) mean service time: %.1f us "
+                    "(threads=2)\n", bname, s_native * 1e6);
+        // The deque series keeps its historical name so committed
+        // claims stay evaluable.
+        std::string prefix = backend == BackendKind::deque
+                                 ? "native"
+                                 : std::string("native_") + bname;
+        for (int util : kUtils) {
+            double base_p99 = 0.0;
+            std::string series =
+                strfmt("%s_poisson_u%02d", prefix.c_str(), util);
+            for (Variant v : allVariants()) {
+                serve::NativeServeOptions opt = bopt;
+                opt.variant = v;
+                opt.spec = specFor(serve::ArrivalKind::poisson,
+                                   util, kNativeRequests, s_native);
+                serve::NativeServeResult out =
+                    serve::runNativeService(opt);
+                if (v == Variant::base)
+                    base_p99 = out.stats.p99;
+                emitPoint(cli, series, kernel, variantName(v),
+                          out.stats, base_p99);
+                std::printf(
+                    "native-%s,poisson,%d%%,%s,%.6f,%.6f,%.6f,"
+                    "%.4f,%.4f\n",
+                    bname, util, variantName(v), out.stats.p50,
+                    out.stats.p99, out.stats.p999,
+                    static_cast<double>(out.stats.shed) /
+                        static_cast<double>(out.stats.submitted),
+                    out.stats.energy_per_request);
             }
         }
     }

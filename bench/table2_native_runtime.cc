@@ -16,8 +16,8 @@
  * backends behind the same RuntimeBackend seam: the Chase-Lev deque
  * pool (runtime/worker_pool.h) versus the channel-based steal-request
  * pool (chan/channel_pool.h) in its steal-one / steal-half / adaptive
- * configurations.  `--backend=deque|chan` (or AAWS_BACKEND) restricts
- * the sweep to one side.  A fine-grained fib microkernel always runs
+ * configurations.  `--backend=deque|chan` restricts the sweep to one
+ * side.  A fine-grained fib microkernel always runs
  * (independent of --filter) and emits the structural steal-protocol
  * metrics the reproduction gate checks: steal-one moves exactly one
  * task per successful steal, steal-half moves at least as many.

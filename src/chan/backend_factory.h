@@ -5,8 +5,8 @@
  * Lives in src/chan/ (not src/runtime/) so the runtime library never
  * depends on the channel backend: code that only ever wants a
  * WorkerPool keeps constructing one directly, while benches, examples,
- * and the serving layer construct whatever `--backend=` / AAWS_BACKEND
- * selected through this factory.
+ * and the serving layer construct whatever `--backend=` selected
+ * through this factory.
  */
 
 #ifndef AAWS_CHAN_BACKEND_FACTORY_H

@@ -11,13 +11,8 @@
  * harmless temp file behind; corrupt or truncated records are treated
  * as misses and rewritten by the next run.
  *
- * The cache honors exactly what it is constructed with: the
- * AAWS_EXP_NO_CACHE / AAWS_EXP_CACHE_DIR environment variables are
- * resolved by the CLI layer (BenchCli::parse, exp/cli.h) and only when
- * the corresponding flag was not given, preserving the flag-beats-env
- * contract that --jobs/AAWS_EXP_JOBS and --backend/AAWS_BACKEND
- * established.  (An earlier version read the environment here, which
- * let AAWS_EXP_NO_CACHE override a caller's explicitly-enabled cache.)
+ * The cache honors exactly what it is constructed with; the benches
+ * set it from their --no-cache and --cache-dir flags (exp/cli.h).
  */
 
 #ifndef AAWS_EXP_CACHE_H
@@ -31,7 +26,7 @@
 namespace aaws {
 namespace exp {
 
-/** Default cache directory when no option or environment overrides. */
+/** Default cache directory when no option overrides it. */
 inline constexpr const char *kDefaultCacheDir = ".aaws-cache";
 
 class ResultCache

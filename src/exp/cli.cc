@@ -27,20 +27,17 @@ printUsage(const char *prog)
 {
     std::printf(
         "usage: %s [options]\n"
-        "  --jobs=N        worker threads (0 = auto; env AAWS_EXP_JOBS)\n"
-        "  --filter=SUB    only kernels containing SUB "
-        "(env AAWS_KERNEL_FILTER)\n"
+        "  --jobs=N        worker threads (0 = auto)\n"
+        "  --filter=SUB    only kernels containing SUB\n"
         "  --backend=B     restrict native runs to one backend: "
-        "all|deque|chan (env AAWS_BACKEND)\n"
+        "all|deque|chan\n"
         "  --topology=T    restrict topology sweeps to one preset, "
-        "e.g. 1b7l or 2b2m4l:pc (env AAWS_TOPOLOGY)\n"
-        "  --no-cache      disable the result cache "
-        "(env AAWS_EXP_NO_CACHE)\n"
-        "  --cache-dir=D   cache directory "
-        "(env AAWS_EXP_CACHE_DIR; default .aaws-cache)\n"
+        "e.g. 1b7l or 2b2m4l:pc\n"
+        "  --no-cache      disable the result cache\n"
+        "  --cache-dir=D   cache directory (default .aaws-cache)\n"
         "  --no-progress   suppress engine progress lines on stderr\n"
         "  --results-json=F  write the aaws-results/v1 datapoint "
-        "artifact to F (env AAWS_RESULTS_JSON)\n"
+        "artifact to F\n"
         "  --help          this message\n",
         prog);
 }
@@ -81,15 +78,6 @@ BenchCli::parse(int argc, char **argv)
 {
     std::string results_json;
     std::string bench_name;
-    // Flags parse first; the environment fills in only the knobs no
-    // flag set, so a flag always beats its env counterpart (the
-    // --jobs/AAWS_EXP_JOBS contract, uniformly applied).
-    bool filter_given = false;
-    bool backend_given = false;
-    bool topology_given = false;
-    bool no_cache_given = false;
-    bool cache_dir_given = false;
-    bool results_json_given = false;
     if (argc > 0)
         bench_name = progBasename(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -110,13 +98,11 @@ BenchCli::parse(int argc, char **argv)
             engine.jobs = parsed;
         } else if (const char *value = flagValue(arg, "--filter")) {
             filter = value;
-            filter_given = true;
         } else if (const char *value = flagValue(arg, "--backend")) {
             if (!parseBackendSelection(value, backend))
                 fatal("--backend: expected all, deque, or chan, "
                       "got '%s'",
                       value);
-            backend_given = true;
         } else if (const char *value = flagValue(arg, "--topology")) {
             CoreTopology parsed;
             if (!parseTopologyName(value, ModelParams{}, parsed))
@@ -124,16 +110,12 @@ BenchCli::parse(int argc, char **argv)
                       "1b7l, or 2b2m4l[:pc], got '%s'",
                       value);
             topology = value;
-            topology_given = true;
         } else if (const char *value = flagValue(arg, "--cache-dir")) {
             engine.cache_dir = value;
-            cache_dir_given = true;
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             engine.use_cache = false;
-            no_cache_given = true;
         } else if (const char *value = flagValue(arg, "--results-json")) {
             results_json = value;
-            results_json_given = true;
         } else if (std::strcmp(arg, "--no-progress") == 0) {
             engine.progress = false;
         } else if (std::strcmp(arg, "--help") == 0) {
@@ -142,46 +124,6 @@ BenchCli::parse(int argc, char **argv)
         } else {
             fatal("unknown argument '%s' (try --help)", arg);
         }
-    }
-
-    // Environment fallbacks (flag absent only).
-    if (!filter_given)
-        if (const char *env = std::getenv("AAWS_KERNEL_FILTER"))
-            filter = env;
-    if (!results_json_given)
-        if (const char *env = std::getenv("AAWS_RESULTS_JSON"))
-            results_json = env;
-    if (!backend_given) {
-        if (const char *env = std::getenv("AAWS_BACKEND")) {
-            // Malformed environment warns and is ignored (the
-            // strict-flag / lenient-env split parseJobs established).
-            if (!parseBackendSelection(env, backend))
-                warn("AAWS_BACKEND='%s' is not all/deque/chan; ignoring",
-                     env);
-        }
-    }
-    if (!topology_given) {
-        if (const char *env = std::getenv("AAWS_TOPOLOGY")) {
-            if (*env) {
-                CoreTopology parsed;
-                if (parseTopologyName(env, ModelParams{}, parsed))
-                    topology = env;
-                else
-                    warn("AAWS_TOPOLOGY='%s' is not a topology preset "
-                         "name; ignoring",
-                         env);
-            }
-        }
-    }
-    if (!no_cache_given) {
-        const char *env = std::getenv("AAWS_EXP_NO_CACHE");
-        if (env && *env)
-            engine.use_cache = false;
-    }
-    if (!cache_dir_given) {
-        const char *env = std::getenv("AAWS_EXP_CACHE_DIR");
-        if (env && *env)
-            engine.cache_dir = env;
     }
 
     if (!results_json.empty())

@@ -42,17 +42,6 @@ int
 resolveJobs(int requested, size_t batch_size)
 {
     int jobs = requested;
-    if (jobs <= 0) {
-        if (const char *env = std::getenv("AAWS_EXP_JOBS")) {
-            int parsed = 0;
-            if (!parseJobs(env, parsed))
-                warn("AAWS_EXP_JOBS='%s' is not a valid worker count; "
-                     "ignored (using auto-detection)",
-                     env);
-            else if (parsed > 0)
-                jobs = parsed;
-        }
-    }
     if (jobs <= 0)
         jobs = static_cast<int>(std::thread::hardware_concurrency());
     if (jobs <= 0)

@@ -15,12 +15,8 @@
  * elapsed time to the millisecond and the executed simulations' event
  * count, so sims/s and events/s read off it.
  *
- * Environment:
- *   AAWS_EXP_JOBS       worker count when options.jobs == 0
- *                       (default: hardware concurrency)
- *   AAWS_EXP_CACHE_DIR / AAWS_EXP_NO_CACHE  resolved by the CLI layer
- *                       (exp/cli.h) into use_cache/cache_dir; the
- *                       engine and cache honor the options as given
+ * The engine reads no environment variable: callers set every knob
+ * through EngineOptions (the benches from their flags, exp/cli.h).
  */
 
 #ifndef AAWS_EXP_ENGINE_H
@@ -38,11 +34,11 @@ namespace exp {
 /** Knobs of one runBatch() call. */
 struct EngineOptions
 {
-    /** Worker threads; 0 = AAWS_EXP_JOBS, then hardware concurrency. */
+    /** Worker threads; 0 = hardware concurrency. */
     int jobs = 0;
-    /** Master cache switch; honored as given (env is the CLI's job). */
+    /** Master cache switch. */
     bool use_cache = true;
-    /** Cache directory ("" = .aaws-cache; env is the CLI's job). */
+    /** Cache directory ("" = .aaws-cache). */
     std::string cache_dir;
     /** Progress/summary lines on stderr. */
     bool progress = true;
@@ -60,11 +56,10 @@ struct BatchStats
 };
 
 /**
- * Strict base-10 parse of a worker-count value, shared by `--jobs` and
- * AAWS_EXP_JOBS so both reject the same inputs: empty strings, trailing
- * garbage ("4x"), and anything outside int range (including strtol
- * ERANGE overflows, which a bare cast would silently truncate).  On
- * success `out` holds the value (which may be <= 0, meaning "auto").
+ * Strict base-10 parse of a `--jobs` value: rejects empty strings,
+ * trailing garbage ("4x"), and anything outside int range (including
+ * strtol ERANGE overflows, which a bare cast would silently truncate).
+ * On success `out` holds the value (which may be <= 0, meaning "auto").
  */
 bool parseJobs(const char *text, int &out);
 

@@ -69,8 +69,7 @@ bool loadResults(const std::string &path, std::vector<ResultPoint> &out);
  *
  * Disabled (default-constructed) writers swallow add() calls, so bench
  * code records datapoints unconditionally and only `--results-json=F`
- * (or AAWS_RESULTS_JSON) turns the recording into a file, written on
- * close() or destruction.
+ * turns the recording into a file, written on close() or destruction.
  */
 class ResultsWriter
 {

@@ -67,9 +67,7 @@ const char *backendName(BackendKind kind);
 
 /**
  * Strict parse of a backend name.  Returns false (leaving `out`
- * untouched) on anything but exactly "deque" or "chan" — callers decide
- * whether that is fatal (flags) or a warning (environment), mirroring
- * exp::parseJobs.
+ * untouched) on anything but exactly "deque" or "chan".
  */
 bool parseBackendKind(const char *text, BackendKind &out);
 

@@ -70,6 +70,12 @@ ChannelPool::spawnTask(RtTask *task)
     wakeOne();
 }
 
+void
+ChannelPool::forkTask(RtTask *task)
+{
+    ChannelPool::spawnTask(task);
+}
+
 RtTask *
 ChannelPool::tryTakeTask()
 {

@@ -74,6 +74,9 @@ class ChannelPool : public RuntimeBackend
 
     void spawnTask(RtTask *task) override;
 
+    /** A frame job takes the spawn path (a direct call). */
+    void forkTask(RtTask *task) override;
+
     RtTask *tryTakeTask() override;
 
     /** The configured request granularity. */

@@ -18,12 +18,14 @@
  * components built from `PoolOptions::policy` (a victim selector per
  * worker, the work-biasing steal gate and the mug trigger), and the
  * `sched::SchedView` answers those components read.  A backend
- * supplies only how work moves — `spawnTask`, `tryTakeTask`, and the
- * queue-occupancy probe `dequeSize` — plus one cache-line-aligned block
- * per worker that embeds the worker's `WorkerHint`.
+ * supplies only how work moves — `spawnTask`, `forkTask`,
+ * `tryTakeTask`, and the queue-occupancy probe `dequeSize` — plus one
+ * cache-line-aligned block per worker that embeds the worker's
+ * `WorkerHint`.
  *
  * The contract is what a productive blocking join needs: spawnTask
- * from a pool thread, enqueueTask from any thread, and a non-blocking
+ * (stealable at once) and forkTask (a frame job its frame joins) from a
+ * pool thread, enqueueTask from any thread, and a non-blocking
  * tryTakeTask that `helpUntil` — the one help loop every join runs —
  * spins on.
  */
@@ -132,6 +134,15 @@ class RuntimeBackend : protected sched::SchedView
      * threads fall back to the injection queue.
      */
     virtual void spawnTask(RtTask *task) = 0;
+
+    /**
+     * Push a frame job (detail::FrameJob) that the forking frame will
+     * join.  Because that join takes it back if no thief has, a backend
+     * may hide it from thieves for a while (the deque pool does, see
+     * WorkerPool::forkTask).  Foreign threads fall back to the
+     * injection queue.
+     */
+    virtual void forkTask(RtTask *task) = 0;
 
     /**
      * Submit a heap task from *any* thread — the open-loop ingest path.

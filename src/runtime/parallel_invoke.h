@@ -7,11 +7,18 @@
  * The two-way parallelInvoke is the primitive, in the style of
  * pbbslib's `pardo`: the forked callable travels as a small job that
  * lives in the forking frame, not on the heap.  The frame pushes it
- * through the backend's spawnTask, runs the other callable inline, and
- * then joins it.  The join takes one task first.  When that is the job
- * itself — the usual case — no other thread can reach it any more, so
- * the owner calls the callable directly: no indirect call, no done
- * flag, and no `new` or `delete` anywhere in the fork and join.
+ * through the backend's forkTask, runs the other callable inline, and
+ * then joins it.  Because the join takes the job back if no thief has,
+ * a backend may hide it from thieves for a while: the deque pool keeps
+ * it private while older work of the worker is stealable, and until the
+ * worker's next push or pop once that has drained.  So the inline
+ * callable must never wait for the forked one to run elsewhere.
+ *
+ * The join takes one task first.  When that is the job itself — the
+ * usual case — no other thread can reach it any more, so the owner
+ * calls the callable directly: no indirect call, no done flag, no `new`
+ * or `delete`, and on the deque pool no fence anywhere in the fork and
+ * join.
  * Otherwise a thief took the job, or the inline callable left newer
  * work above it (a bare spawn, an unjoined TaskGroup child); the owner
  * runs what it took and helps until the job's runner, on whichever
@@ -47,7 +54,7 @@ class FrameJob final : public RtTask
     FrameJob(RuntimeBackend &pool, const F &fn) : pool_(pool), fn_(fn)
     {
         invoke = &run;
-        pool_.spawnTask(this);
+        pool_.forkTask(this);
     }
 
     FrameJob(const FrameJob &) = delete;

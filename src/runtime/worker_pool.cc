@@ -46,6 +46,20 @@ WorkerPool::spawnTask(RtTask *task)
     wakeOne();
 }
 
+void
+WorkerPool::forkTask(RtTask *task)
+{
+    int w = currentWorker();
+    if (w < 0) {
+        enqueueTask(task);
+        return;
+    }
+    noteSpawn(w);
+    // Private unless the public part has drained; the job's own join
+    // pops it, so keeping it private cannot strand it.
+    workers_[w]->deque.pushPrivate(task, [this] { wakeOne(); });
+}
+
 RtTask *
 WorkerPool::tryTakeTask()
 {
@@ -53,7 +67,7 @@ WorkerPool::tryTakeTask()
     RtTask *task = nullptr;
     if (self >= 0) {
         WorkerState &w = *workers_[self];
-        if (w.deque.pop(task)) {
+        if (w.deque.pop(task, [this] { wakeOne(); })) {
             noteFound(self, w.hint);
             return task;
         }

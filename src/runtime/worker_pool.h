@@ -3,15 +3,21 @@
  * The native work-stealing thread pool (Section IV-C analog).
  *
  * A library-based, child-stealing runtime in the spirit of Intel TBB:
- * per-worker Chase-Lev deques, policy-selected victims, and
+ * per-worker split Chase-Lev deques, policy-selected victims, and
  * blocking-style joins in which the waiting thread keeps executing local
- * and stolen tasks.  Deliberately lightweight: no cancellation, and an
- * exception crosses tasks only at a join (a fork's inline branch, a
- * `TaskGroup` child at `wait()`).  An exception that escapes a bare
- * `spawn`/`enqueue` task panics, naming the pool worker that ran it and
- * the exception's what(); the task is freed on every exit.  The paper
- * credits the same omissions for its runtime's competitive
- * single-socket performance (Table II).
+ * and stolen tasks.  A frame job (forkTask) goes into the private part
+ * of its worker's deque, so a fork that no thief takes runs no fence
+ * and no locked instruction; the worker publishes its private part at
+ * its first push or pop that finds the public part drained.  A bare
+ * spawn (spawnTask) publishes everything the worker holds.
+ *
+ * Deliberately lightweight: no cancellation, and an exception crosses
+ * tasks only at a join (a fork's inline branch, a `TaskGroup` child at
+ * `wait()`).  An exception that escapes a bare `spawn`/`enqueue` task
+ * panics, naming the pool worker that ran it and the exception's
+ * what(); the task is freed on every exit.  The paper credits the same
+ * omissions for its runtime's competitive single-socket performance
+ * (Table II).
  *
  * Everything but the deques comes from the shared body in
  * `runtime/backend.h`: worker threads, the activity hints and census,
@@ -68,6 +74,14 @@ class WorkerPool : public RuntimeBackend
     void spawnTask(RtTask *task) override;
 
     /**
+     * Push a frame job into the private part of the current worker's
+     * deque: no fence, no RMW.  A push or pop that finds the public
+     * part drained publishes the private part and wakes a parked
+     * worker.  Foreign threads use the injection queue.
+     */
+    void forkTask(RtTask *task) override;
+
+    /**
      * Take one unit of work: own deque first, then — if the biasing
      * gate allows — the injection queue and a policy-selected victim,
      * then, for a starved big worker under work-mugging, a mug-targeted
@@ -92,7 +106,10 @@ class WorkerPool : public RuntimeBackend
      */
     struct alignas(kCacheLine) WorkerState
     {
-        /** Owner pushes and pops the bottom; thieves steal the top. */
+        /**
+         * Owner pushes and pops the bottom; thieves steal the top of
+         * the public part.
+         */
         ChaseLevDeque<RtTask *> deque;
         WorkerHint hint;
     };

@@ -172,6 +172,125 @@ TEST(ChaseLevStress, BurstPushStealOnlyDrain)
     EXPECT_TRUE(dq.empty());
 }
 
+TEST(ChaseLevStress, SplitHammerAcrossGrowth)
+{
+    // The owner mixes private pushes, public pushes and pops while the
+    // buffer grows from its 8-slot minimum; thieves steal whatever a
+    // public push, or a push or pop on a drained public part, publishes.
+    const int64_t items = envKnob("AAWS_STRESS_ITEMS", 200'000, 40'000);
+    const int thieves = 4;
+
+    ChaseLevDeque<int64_t> dq(1);
+    std::vector<std::atomic<uint8_t>> seen(items);
+    std::atomic<int64_t> stolen{0};
+    std::atomic<bool> done{false};
+
+    std::vector<std::thread> pack;
+    for (int t = 0; t < thieves; ++t) {
+        pack.emplace_back([&] {
+            int64_t out;
+            while (!done.load(std::memory_order_acquire)) {
+                if (dq.steal(out)) {
+                    seen[out].fetch_add(1, std::memory_order_relaxed);
+                    stolen.fetch_add(1, std::memory_order_relaxed);
+                } else {
+                    std::this_thread::yield();
+                }
+            }
+        });
+    }
+
+    int64_t popped = 0;
+    int64_t publishes = 0;
+    auto note = [&publishes] { ++publishes; };
+    int64_t out;
+    for (int64_t i = 0; i < items; ++i) {
+        if (i % 11 == 0)
+            dq.push(i);
+        else
+            dq.pushPrivate(i, note);
+        if (i % 3 == 0 && dq.pop(out, note)) {
+            seen[out].fetch_add(1, std::memory_order_relaxed);
+            popped++;
+        }
+    }
+    while (dq.pop(out, note)) {
+        seen[out].fetch_add(1, std::memory_order_relaxed);
+        popped++;
+    }
+    done.store(true, std::memory_order_release);
+    for (auto &thief : pack)
+        thief.join();
+
+    EXPECT_TRUE(dq.empty());
+    EXPECT_FALSE(dq.steal(out));
+    EXPECT_GT(publishes, 0);
+    EXPECT_EQ(popped + stolen.load(), items);
+    for (int64_t i = 0; i < items; ++i)
+        ASSERT_EQ(seen[i].load(), 1) << "element " << i;
+}
+
+TEST(ChaseLevStress, LastPublicElementRaceWithPrivateAbove)
+{
+    // Each round leaves one public element with two private ones above
+    // it.  Thieves race for the public one; the owner pops the private
+    // ones — the first publishing the other when a thief has drained
+    // the public part — and then fights through the CAS for whatever
+    // is last.  Every element goes to exactly one contender.
+    const int64_t rounds = envKnob("AAWS_STRESS_ROUNDS", 10'000, 1'500);
+    const int thieves = 2;
+    constexpr int64_t kPerRound = 3;
+
+    ChaseLevDeque<int64_t> dq;
+    std::vector<std::atomic<uint8_t>> seen(rounds * kPerRound);
+    std::atomic<int64_t> taken{0};
+    std::atomic<bool> settled{false};
+    std::barrier<> gate(thieves + 1);
+
+    std::vector<std::thread> pack;
+    for (int t = 0; t < thieves; ++t) {
+        pack.emplace_back([&] {
+            int64_t out;
+            for (int64_t r = 0; r < rounds; ++r) {
+                gate.arrive_and_wait(); // elements are in place
+                while (!settled.load(std::memory_order_acquire)) {
+                    if (dq.steal(out)) {
+                        seen[out].fetch_add(1, std::memory_order_relaxed);
+                        taken.fetch_add(1, std::memory_order_relaxed);
+                    }
+                }
+                gate.arrive_and_wait(); // round settled
+            }
+        });
+    }
+
+    int64_t out;
+    for (int64_t r = 0; r < rounds; ++r) {
+        const int64_t base = r * kPerRound;
+        dq.push(base);
+        dq.pushPrivate(base + 1, [] {});
+        dq.pushPrivate(base + 2, [] {});
+        settled.store(false, std::memory_order_relaxed);
+        gate.arrive_and_wait();
+        // A failed pop means the deque is empty: a private pop cannot
+        // fail, and a lost last-element CAS leaves nothing behind.
+        while (dq.pop(out)) {
+            seen[out].fetch_add(1, std::memory_order_relaxed);
+            taken.fetch_add(1, std::memory_order_relaxed);
+        }
+        settled.store(true, std::memory_order_release);
+        gate.arrive_and_wait();
+        ASSERT_EQ(taken.load(std::memory_order_relaxed), base + kPerRound)
+            << "round " << r;
+        ASSERT_TRUE(dq.empty()) << "round " << r;
+        for (int64_t i = base; i < base + kPerRound; ++i)
+            ASSERT_EQ(seen[i].load(std::memory_order_relaxed), 1)
+                << "round " << r << ", element " << i;
+    }
+    for (auto &thief : pack)
+        thief.join();
+}
+
 TEST(ChaseLevStress, SizeObserverIsExactForTheOwner)
 {
     // With no concurrent thieves, size()/empty() are exact from the

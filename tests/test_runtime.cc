@@ -198,6 +198,136 @@ TEST(ChaseLev, ConcurrentThievesNeverDuplicateOrLose)
     EXPECT_EQ(owner_sum + stolen_sum.load(), kItems * (kItems - 1) / 2);
 }
 
+/** A publish callback for deque tests that do not count publishes. */
+constexpr auto kIgnorePublish = [] {};
+
+TEST(ChaseLev, PrivatePushesStayHiddenUntilPublished)
+{
+    ChaseLevDeque<int64_t> dq;
+    int publishes = 0;
+    auto note = [&publishes] { ++publishes; };
+    // A private push onto an empty deque is published at once.
+    dq.pushPrivate(0, note);
+    EXPECT_EQ(publishes, 1);
+    // The public part still holds 0, so these stay private.
+    dq.pushPrivate(1, note);
+    dq.pushPrivate(2, note);
+    EXPECT_EQ(publishes, 1);
+    EXPECT_EQ(dq.size(), 3);
+    int64_t out = -1;
+    ASSERT_TRUE(dq.steal(out));
+    EXPECT_EQ(out, 0);
+    // Drained: 1 and 2 are invisible until the owner's next operation.
+    EXPECT_FALSE(dq.steal(out));
+    EXPECT_FALSE(dq.steal(out));
+    EXPECT_EQ(dq.size(), 2);
+    // That operation (a push here) publishes the whole private part.
+    dq.pushPrivate(3, note);
+    EXPECT_EQ(publishes, 2);
+    for (int64_t expect = 1; expect <= 3; ++expect) {
+        ASSERT_TRUE(dq.steal(out));
+        EXPECT_EQ(out, expect);
+    }
+    EXPECT_FALSE(dq.steal(out));
+    EXPECT_TRUE(dq.empty());
+}
+
+TEST(ChaseLev, OwnerPopPublishesWhatADrainLeftPrivate)
+{
+    ChaseLevDeque<int64_t> dq;
+    int publishes = 0;
+    auto note = [&publishes] { ++publishes; };
+    for (int64_t i = 0; i < 4; ++i)
+        dq.pushPrivate(i, note);
+    EXPECT_EQ(publishes, 1);
+    int64_t out = -1;
+    ASSERT_TRUE(dq.steal(out));
+    EXPECT_EQ(out, 0);
+    EXPECT_FALSE(dq.steal(out));
+    // The pop takes the newest element and publishes the two below it.
+    ASSERT_TRUE(dq.pop(out, note));
+    EXPECT_EQ(out, 3);
+    EXPECT_EQ(publishes, 2);
+    ASSERT_TRUE(dq.steal(out));
+    EXPECT_EQ(out, 1);
+    ASSERT_TRUE(dq.steal(out));
+    EXPECT_EQ(out, 2);
+    EXPECT_FALSE(dq.steal(out));
+    EXPECT_FALSE(dq.pop(out, note));
+    EXPECT_EQ(publishes, 2);
+}
+
+TEST(ChaseLev, PublicPushPublishesEverythingBelowIt)
+{
+    ChaseLevDeque<int64_t> dq;
+    for (int64_t i = 0; i < 5; ++i)
+        dq.pushPrivate(i, kIgnorePublish);
+    int64_t out = -1;
+    ASSERT_TRUE(dq.steal(out));
+    EXPECT_EQ(out, 0);
+    EXPECT_FALSE(dq.steal(out));
+    dq.push(5);
+    // Every private element below the public push is stealable, oldest
+    // first, and the public push itself last.
+    for (int64_t expect = 1; expect <= 5; ++expect) {
+        ASSERT_TRUE(dq.steal(out));
+        EXPECT_EQ(out, expect);
+    }
+    EXPECT_FALSE(dq.steal(out));
+}
+
+TEST(ChaseLev, OwnerPopsLifoAcrossTheSplit)
+{
+    ChaseLevDeque<int64_t> dq;
+    // 0 (published: the deque was empty), 1 private, 2 public (publishes
+    // 1), then 3 and 4 private above the split.
+    dq.pushPrivate(0, kIgnorePublish);
+    dq.pushPrivate(1, kIgnorePublish);
+    dq.push(2);
+    dq.pushPrivate(3, kIgnorePublish);
+    dq.pushPrivate(4, kIgnorePublish);
+    EXPECT_EQ(dq.size(), 5);
+    for (int64_t i = 4; i >= 0; --i) {
+        int64_t out = -1;
+        ASSERT_TRUE(dq.pop(out));
+        EXPECT_EQ(out, i);
+        EXPECT_EQ(dq.size(), i);
+    }
+    int64_t out;
+    EXPECT_FALSE(dq.pop(out));
+    EXPECT_FALSE(dq.steal(out));
+}
+
+TEST(ChaseLev, GrowthKeepsPrivateElements)
+{
+    // Element 0 is published; the other 4999 stay private while the
+    // ring grows from 8 slots past 4096.
+    constexpr int64_t kItems = 5000;
+    ChaseLevDeque<int64_t> dq(8);
+    for (int64_t i = 0; i < kItems; ++i)
+        dq.pushPrivate(i, kIgnorePublish);
+    EXPECT_EQ(dq.sizeEstimate(), kItems);
+    std::vector<int> seen(kItems, 0);
+    int64_t out;
+    ASSERT_TRUE(dq.steal(out));
+    seen[out]++;
+    EXPECT_FALSE(dq.steal(out));
+    // The first pop publishes what is left below it; thieves and the
+    // owner then share it.
+    ASSERT_TRUE(dq.pop(out));
+    EXPECT_EQ(out, kItems - 1);
+    seen[out]++;
+    for (int64_t i = 1; i < kItems / 2; ++i) {
+        ASSERT_TRUE(dq.steal(out));
+        EXPECT_EQ(out, i);
+        seen[out]++;
+    }
+    while (dq.pop(out))
+        seen[out]++;
+    for (int64_t i = 0; i < kItems; ++i)
+        EXPECT_EQ(seen[i], 1) << i;
+}
+
 TEST(WorkerPool, SpawnedTasksAllRun)
 {
     WorkerPool pool(4);

@@ -38,7 +38,17 @@
  * simulations above see only the three presets' tables, through
  * simulated time; this file pins every cell and both searches.
  *
- * After an *intentional* behaviour change, regenerate all four with
+ * ResultJsonDigestsMatchGoldenFile: the text runResultToJson writes
+ * for every simulation the end-to-end sim_sweep workload runs (22
+ * kernels x 5 variants x {4b4l, 1b7l, 2b2m4l}) at the default workload
+ * seed, plus one traced result and one serving result (332 results),
+ * reduces to one FNV-1a digest each, compared against
+ * tests/stress/golden/result_json_digests.txt.  The digests above see
+ * the numbers; this one pins their spelling, byte for byte, so a
+ * change to the JSON writer cannot move the result cache's records or
+ * --results-json artifacts unnoticed.
+ *
+ * After an *intentional* behaviour change, regenerate all five with
  *
  *   AAWS_UPDATE_GOLDEN=1 ./tests/stress/stress_golden_table3
  *
@@ -59,6 +69,7 @@
 #include "dvfs/lookup_table.h"
 #include "exp/run_spec.h"
 #include "model/cluster_opt.h"
+#include "serve/spec.h"
 #include "sim/stats_writer.h"
 
 namespace aaws {
@@ -424,6 +435,75 @@ TEST(GoldenTable3, DvfsTablesMatchGoldenFile)
         "# label values: every DVFS-table cell and Section II operating "
         "point at %.17g (see renderDvfsTables in stress_golden_table3.cc)",
         "table cells and operating points");
+}
+
+/** FNV-1a of `text`, as 16 hex digits. */
+std::string
+textDigest(const std::string &text)
+{
+    uint64_t hash = 14695981039346656037ull;
+    for (char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
+}
+
+/** label -> digest of runResultToJson's text (see the file comment). */
+std::map<std::string, std::string>
+renderResultJsonDigests()
+{
+    std::map<std::string, std::string> digests;
+    auto add = [&](const std::string &label, const exp::RunSpec &spec,
+                   const Kernel &kernel) {
+        digests[label] = textDigest(
+            exp::runResultToJson(exp::executeSpec(spec, kernel)));
+    };
+    for (const auto &name : kernelNames()) {
+        Kernel kernel = makeKernel(name, exp::kDefaultSeed);
+        for (const char *topology : {"4b4l", "1b7l", "2b2m4l"}) {
+            for (Variant v : allVariants()) {
+                exp::RunSpec spec{name, v, exp::kDefaultSeed};
+                spec.overrides.topology = topology;
+                add(name + "/" + variantName(v) + "/" + topology, spec,
+                    kernel);
+            }
+        }
+    }
+    // The activity trace's rows carry the only float fields.
+    exp::RunSpec traced{"hull", Variant::base_psm, exp::kDefaultSeed,
+                        /*trace=*/true};
+    add("hull/base+psm/4b4l/trace", traced,
+        makeKernel("hull", exp::kDefaultSeed));
+    // A serving result adds the serve object, its latency histogram
+    // and the per-tenant arrays.
+    exp::RunSpec served{"dict", Variant::base_psm, exp::kDefaultSeed};
+    serve::ServeSpec serve_spec;
+    serve_spec.arrival.kind = serve::ArrivalKind::mmpp;
+    serve_spec.arrival.rate_hz = 40.0;
+    serve_spec.requests = 2000;
+    serve_spec.tenants = 3;
+    serve_spec.queue_cap = 16;
+    serve_spec.deadline_s = 0.5;
+    serve_spec.service_samples = 2;
+    served.serve = serve_spec;
+    add("dict/base+psm/4b4l/serve", served,
+        makeKernel("dict", exp::kDefaultSeed));
+    return digests;
+}
+
+TEST(GoldenTable3, ResultJsonDigestsMatchGoldenFile)
+{
+    std::map<std::string, std::string> rendered = renderResultJsonDigests();
+    ASSERT_EQ(rendered.size(), 332u);
+    expectDigestsMatchGolden(
+        AAWS_RESULT_JSON_GOLDEN_FILE, rendered,
+        "# label digest: FNV-1a of runResultToJson's text (see "
+        "renderResultJsonDigests in stress_golden_table3.cc)",
+        "serialized results");
 }
 
 } // namespace

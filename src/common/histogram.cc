@@ -145,15 +145,15 @@ LatencyHistogram::operator==(const LatencyHistogram &other) const
                std::bit_cast<uint64_t>(other.maxValue());
 }
 
-std::string
-LatencyHistogram::toJson() const
+void
+LatencyHistogram::appendJson(std::string &out) const
 {
-    std::string out = "{\"count\":";
-    out += std::to_string(count_);
+    out += "{\"count\":";
+    json::appendU64(out, count_);
     out += ",\"min\":";
-    out += json::encodeDouble(minValue());
+    json::appendDouble(out, minValue());
     out += ",\"max\":";
-    out += json::encodeDouble(maxValue());
+    json::appendDouble(out, maxValue());
     out += ",\"buckets\":[";
     bool first = true;
     for (int i = 0; i < kNumBuckets; ++i) {
@@ -163,13 +163,12 @@ LatencyHistogram::toJson() const
             out.push_back(',');
         first = false;
         out.push_back('[');
-        out += std::to_string(i);
+        json::appendU64(out, static_cast<uint64_t>(i));
         out.push_back(',');
-        out += std::to_string(counts_[i]);
+        json::appendU64(out, counts_[i]);
         out.push_back(']');
     }
     out += "]}";
-    return out;
 }
 
 bool

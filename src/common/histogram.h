@@ -91,8 +91,17 @@ class LatencyHistogram
 
     bool operator==(const LatencyHistogram &other) const;
 
-    /** Compact one-line JSON (sparse nonzero buckets). */
-    std::string toJson() const;
+    /** Append compact one-line JSON (sparse nonzero buckets) to `out`. */
+    void appendJson(std::string &out) const;
+
+    /** appendJson into a new string. */
+    std::string
+    toJson() const
+    {
+        std::string out;
+        appendJson(out);
+        return out;
+    }
 
     /**
      * Rebuild from JSON; strict (false on malformed/unknown content,

@@ -1,17 +1,15 @@
 #include "common/json.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 namespace aaws {
 namespace json {
 
-std::string
-encodeString(std::string_view s)
+void
+appendString(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
     out.push_back('"');
     for (char c : s) {
         switch (c) {
@@ -30,35 +28,66 @@ encodeString(std::string_view s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
+          default: {
+            const auto code = static_cast<unsigned char>(c);
+            if (code < 0x20) {
+                out += "\\u00";
+                out.push_back("0123456789abcdef"[code >> 4]);
+                out.push_back("0123456789abcdef"[code & 0xf]);
             } else {
                 out.push_back(c);
             }
+          }
         }
     }
     out.push_back('"');
+}
+
+void
+appendDouble(std::string &out, double value)
+{
+    // Longest %.17g: sign, 17 digits, point, "e-308".
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof buf, value,
+                              std::chars_format::general, 17)
+                    .ptr;
+    out.append(buf, end);
+}
+
+void
+appendFloat(std::string &out, float value)
+{
+    char buf[24];
+    char *end = std::to_chars(buf, buf + sizeof buf,
+                              static_cast<double>(value),
+                              std::chars_format::general, 9)
+                    .ptr;
+    out.append(buf, end);
+}
+
+void
+appendU64(std::string &out, uint64_t value)
+{
+    char buf[24];
+    char *end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+    out.append(buf, end);
+}
+
+std::string
+encodeString(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendString(out, s);
     return out;
 }
 
 std::string
 encodeDouble(double value)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
-std::string
-encodeFloat(float value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%.9g", static_cast<double>(value));
-    return buf;
+    std::string out;
+    appendDouble(out, value);
+    return out;
 }
 
 const Value *

@@ -5,7 +5,11 @@
  * The writer emits compact one-line JSON; doubles are printed with 17
  * significant digits so parsing them back yields the bit-identical
  * value (the simulator's determinism contract extends to serialized
- * results).  The reader is a small recursive-descent parser that keeps
+ * results).  It appends to a caller's buffer, so a record is built in
+ * one string, and spells every number with std::to_chars, whose general
+ * format at a given precision is printf's %.*g in the C locale, byte for
+ * byte, without a format string, a locale or a temporary.  The reader
+ * is a small recursive-descent parser that keeps
  * number tokens as raw text, so integer fields can be converted with
  * full 64-bit precision instead of losing bits through a double.
  *
@@ -27,14 +31,23 @@ namespace json {
 
 // --- writing ------------------------------------------------------------
 
-/** Quote and escape a string as a JSON string literal. */
+/** Append `s` quoted and escaped as a JSON string literal. */
+void appendString(std::string &out, std::string_view s);
+
+/** Append `value` as %.17g spells it, which round-trips bit-exactly. */
+void appendDouble(std::string &out, double value);
+
+/** Append `value` as %.9g spells it, which round-trips every binary32. */
+void appendFloat(std::string &out, float value);
+
+/** Append `value` in decimal. */
+void appendU64(std::string &out, uint64_t value);
+
+/** appendString into a new string. */
 std::string encodeString(std::string_view s);
 
-/** Shortest-faithful double encoding (%.17g round-trips bit-exactly). */
+/** appendDouble into a new string. */
 std::string encodeDouble(double value);
-
-/** Float encoding (%.9g round-trips bit-exactly for binary32). */
-std::string encodeFloat(float value);
 
 // --- parsing ------------------------------------------------------------
 

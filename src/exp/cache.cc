@@ -82,11 +82,12 @@ ResultCache::store(const RunSpec &spec, const RunResult &result) const
         return false;
     }
 
-    std::string record = strfmt("{\"schema\":%u,\"spec\":%s,\"result\":",
-                                kCacheSchemaVersion,
-                                json::encodeString(canonicalSpec(spec))
-                                    .c_str());
-    record += runResultToJson(result);
+    std::string record = "{\"schema\":";
+    json::appendU64(record, kCacheSchemaVersion);
+    record += ",\"spec\":";
+    json::appendString(record, canonicalSpec(spec));
+    record += ",\"result\":";
+    appendRunResultJson(record, result);
     record += "}\n";
 
     std::string path = pathFor(spec);

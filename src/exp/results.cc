@@ -22,17 +22,27 @@ std::string
 resultPointToJson(const ResultPoint &point)
 {
     std::string out = "{\"schema\":";
-    out += json::encodeString(kResultsSchema);
-    out += ",\"bench\":" + json::encodeString(point.bench);
-    out += ",\"series\":" + json::encodeString(point.series);
-    if (!point.kernel.empty())
-        out += ",\"kernel\":" + json::encodeString(point.kernel);
-    if (!point.shape.empty())
-        out += ",\"shape\":" + json::encodeString(point.shape);
-    if (!point.variant.empty())
-        out += ",\"variant\":" + json::encodeString(point.variant);
-    out += ",\"metric\":" + json::encodeString(point.metric);
-    out += ",\"value\":" + json::encodeDouble(point.value);
+    json::appendString(out, kResultsSchema);
+    out += ",\"bench\":";
+    json::appendString(out, point.bench);
+    out += ",\"series\":";
+    json::appendString(out, point.series);
+    if (!point.kernel.empty()) {
+        out += ",\"kernel\":";
+        json::appendString(out, point.kernel);
+    }
+    if (!point.shape.empty()) {
+        out += ",\"shape\":";
+        json::appendString(out, point.shape);
+    }
+    if (!point.variant.empty()) {
+        out += ",\"variant\":";
+        json::appendString(out, point.variant);
+    }
+    out += ",\"metric\":";
+    json::appendString(out, point.metric);
+    out += ",\"value\":";
+    json::appendDouble(out, point.value);
     out += "}";
     return out;
 }

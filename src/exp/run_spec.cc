@@ -24,17 +24,18 @@ canonicalSpec(const RunSpec &spec)
     // The remaining overrides append in a fixed order, and only when
     // set, so a spec without them hashes identically across engine
     // versions that add new override knobs.
-    if (o.steal_attempt_cycles)
-        out += strfmt(";steal_attempt_cycles=%llu",
-                      static_cast<unsigned long long>(
-                          *o.steal_attempt_cycles));
-    if (o.mug_interrupt_cycles)
-        out += strfmt(";mug_interrupt_cycles=%llu",
-                      static_cast<unsigned long long>(
-                          *o.mug_interrupt_cycles));
-    if (o.regulator_ns_per_step)
-        out += ";regulator_ns_per_step=" +
-               json::encodeDouble(*o.regulator_ns_per_step);
+    if (o.steal_attempt_cycles) {
+        out += ";steal_attempt_cycles=";
+        json::appendU64(out, *o.steal_attempt_cycles);
+    }
+    if (o.mug_interrupt_cycles) {
+        out += ";mug_interrupt_cycles=";
+        json::appendU64(out, *o.mug_interrupt_cycles);
+    }
+    if (o.regulator_ns_per_step) {
+        out += ";regulator_ns_per_step=";
+        json::appendDouble(out, *o.regulator_ns_per_step);
+    }
     if (spec.serve)
         out += serve::canonicalServeFragment(*spec.serve);
     return out;
@@ -102,16 +103,23 @@ executeSpec(const RunSpec &spec, const Kernel &kernel)
     return result;
 }
 
+void
+appendRunResultJson(std::string &out, const RunResult &result)
+{
+    out += "{\"kernel\":";
+    json::appendString(out, result.kernel);
+    out += ",\"variant\":";
+    json::appendString(out, variantName(result.variant));
+    out += ",\"sim\":";
+    appendSimResultJson(out, result.sim);
+    out.push_back('}');
+}
+
 std::string
 runResultToJson(const RunResult &result)
 {
-    std::string out = "{\"kernel\":";
-    out += json::encodeString(result.kernel);
-    out += ",\"variant\":";
-    out += json::encodeString(variantName(result.variant));
-    out += ",\"sim\":";
-    out += simResultToJson(result.sim);
-    out += "}";
+    std::string out;
+    appendRunResultJson(out, result);
     return out;
 }
 

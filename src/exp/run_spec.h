@@ -138,7 +138,10 @@ RunResult executeSpec(const RunSpec &spec, const Kernel &kernel);
 
 // --- RunResult JSON round-tripping --------------------------------------
 
-/** Serialize kernel/variant plus the full SimResult (one line). */
+/** Append kernel/variant plus the full SimResult to `out` (one line). */
+void appendRunResultJson(std::string &out, const RunResult &result);
+
+/** appendRunResultJson into a new string. */
 std::string runResultToJson(const RunResult &result);
 
 /**

@@ -52,26 +52,28 @@ mmppRates(const ArrivalSpec &spec)
 std::string
 canonicalServeFragment(const ServeSpec &spec)
 {
-    std::string out = strfmt(
-        ";serve.kind=%s;serve.rate_hz=%s",
-        arrivalKindName(spec.arrival.kind),
-        json::encodeDouble(spec.arrival.rate_hz).c_str());
-    if (spec.arrival.kind == ArrivalKind::mmpp)
-        out += strfmt(";serve.burst_factor=%s;serve.mean_burst_s=%s"
-                      ";serve.mean_idle_s=%s",
-                      json::encodeDouble(spec.arrival.burst_factor)
-                          .c_str(),
-                      json::encodeDouble(spec.arrival.mean_burst_s)
-                          .c_str(),
-                      json::encodeDouble(spec.arrival.mean_idle_s)
-                          .c_str());
-    out += strfmt(";serve.requests=%llu;serve.tenants=%u"
-                  ";serve.queue_cap=%u;serve.deadline_s=%s"
-                  ";serve.service_samples=%u",
-                  static_cast<unsigned long long>(spec.requests),
-                  spec.tenants, spec.queue_cap,
-                  json::encodeDouble(spec.deadline_s).c_str(),
-                  spec.service_samples);
+    std::string out = ";serve.kind=";
+    out += arrivalKindName(spec.arrival.kind);
+    out += ";serve.rate_hz=";
+    json::appendDouble(out, spec.arrival.rate_hz);
+    if (spec.arrival.kind == ArrivalKind::mmpp) {
+        out += ";serve.burst_factor=";
+        json::appendDouble(out, spec.arrival.burst_factor);
+        out += ";serve.mean_burst_s=";
+        json::appendDouble(out, spec.arrival.mean_burst_s);
+        out += ";serve.mean_idle_s=";
+        json::appendDouble(out, spec.arrival.mean_idle_s);
+    }
+    out += ";serve.requests=";
+    json::appendU64(out, spec.requests);
+    out += ";serve.tenants=";
+    json::appendU64(out, spec.tenants);
+    out += ";serve.queue_cap=";
+    json::appendU64(out, spec.queue_cap);
+    out += ";serve.deadline_s=";
+    json::appendDouble(out, spec.deadline_s);
+    out += ";serve.service_samples=";
+    json::appendU64(out, spec.service_samples);
     return out;
 }
 

@@ -143,6 +143,18 @@ class Machine final
     /** Execute the whole program and return the measurements. */
     SimResult run();
 
+    /**
+     * The DVFS lookup table the controller reads: `table_override` when
+     * set, else the process-wide table every machine with the same
+     * topology and designer parameters (`table_params`) shares.
+     */
+    const DvfsLookupTable &
+    dvfsTable() const
+    {
+        return config_.table_override ? *config_.table_override
+                                      : *table_shared_;
+    }
+
     // --- sched::SchedView concept (read-only policy inputs) -------------
     //
     // Same signatures as the abstract interface, bound statically by

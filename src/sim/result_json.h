@@ -19,7 +19,13 @@
 
 namespace aaws {
 
-/** Serialize a SimResult as one compact JSON object (no newline). */
+/**
+ * Append a SimResult to `out` as one compact JSON object (no newline),
+ * reserving room for all of it first.
+ */
+void appendSimResultJson(std::string &out, const SimResult &result);
+
+/** appendSimResultJson into a new string. */
 std::string simResultToJson(const SimResult &result);
 
 /**

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -105,6 +106,74 @@ TEST(Json, NumbersKeepFullIntegerPrecision)
     uint64_t parsed = 0;
     ASSERT_TRUE(value.getU64(parsed));
     EXPECT_EQ(parsed, big);
+}
+
+/** `value` as printf spells it with `format`. */
+template <typename T>
+std::string
+printed(const char *format, T value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, format, value);
+    return buf;
+}
+
+TEST(Json, AppendersSpellNumbersAsPrintf)
+{
+    using dlim = std::numeric_limits<double>;
+    using flim = std::numeric_limits<float>;
+    std::vector<double> doubles = {
+        0.0, -0.0, 0.1, -0.1, 1.0, 1e21, -1e21, 1e16, 1e17, 123456789.0,
+        dlim::infinity(), -dlim::infinity(), dlim::quiet_NaN(),
+        -dlim::quiet_NaN(), dlim::denorm_min(), -dlim::denorm_min(),
+        dlim::min() / 3, dlim::min(), dlim::max(), -dlim::max(),
+        dlim::epsilon()};
+    // Random bit patterns cover every exponent, NaN payloads included.
+    uint64_t bits = 0x243F6A8885A308D3ull;
+    for (int i = 0; i < 4096; ++i) {
+        bits ^= bits << 13;
+        bits ^= bits >> 7;
+        bits ^= bits << 17;
+        doubles.push_back(std::bit_cast<double>(bits));
+        doubles.push_back(static_cast<double>(bits % 1000003) / 1000.0);
+    }
+    for (double value : doubles) {
+        std::string out = "x";
+        json::appendDouble(out, value);
+        EXPECT_EQ(out, "x" + printed("%.17g", value));
+        EXPECT_EQ(json::encodeDouble(value), printed("%.17g", value));
+
+        float narrow = static_cast<float>(value);
+        out.clear();
+        json::appendFloat(out, narrow);
+        EXPECT_EQ(out, printed("%.9g", static_cast<double>(narrow)));
+    }
+    for (float value : {flim::denorm_min(), flim::min(), flim::max(),
+                        -flim::max(), 0.1f, 3.3f}) {
+        std::string out;
+        json::appendFloat(out, value);
+        EXPECT_EQ(out, printed("%.9g", static_cast<double>(value)));
+    }
+    for (uint64_t value :
+         {uint64_t{0}, uint64_t{9}, uint64_t{10}, uint64_t{4294967295},
+          uint64_t{4294967296}, ~uint64_t{0}}) {
+        std::string out;
+        json::appendU64(out, value);
+        EXPECT_EQ(out, printed("%llu",
+                               static_cast<unsigned long long>(value)));
+    }
+}
+
+TEST(Json, StringsEscapeControlCharacters)
+{
+    std::string out;
+    json::appendString(out, std::string("a\"b\\c\n\r\t\x01\x1f"));
+    EXPECT_EQ(out, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\"");
+    json::Value value;
+    ASSERT_TRUE(json::parse(out, value));
+    std::string back;
+    ASSERT_TRUE(value.getString(back));
+    EXPECT_EQ(back, std::string("a\"b\\c\n\r\t\x01\x1f"));
 }
 
 TEST(RunSpec, CanonicalFormCoversEveryField)

@@ -75,6 +75,39 @@ bigIps(const MachineConfig &config)
                      config.app_params.v_nom);
 }
 
+TEST(SimMachine, DvfsTableIsSharedPerShapeAndDesignerParameters)
+{
+    TaskDag dag = serialDag(1000);
+    auto table = [&dag](const MachineConfig &config) {
+        return &Machine(config, dag).dvfsTable();
+    };
+    const MachineConfig base = plainConfig();
+    const DvfsLookupTable *shared = table(base);
+    EXPECT_EQ(table(base), shared);
+    // The table is the designer's: the parameters a machine executes
+    // under and its policy do not key it.
+    MachineConfig executing = base;
+    executing.app_params.alpha = 2.5;
+    executing.policy.work_pacing = true;
+    EXPECT_EQ(table(executing), shared);
+    // Every part of the shape does: kinds, counts and domains.
+    for (const char *topology : {"4b4l:pc", "2b6l", "2b2m4l", "8l"}) {
+        MachineConfig other = base;
+        other.topology = topology;
+        const DvfsLookupTable *own = table(other);
+        EXPECT_NE(own, shared) << topology;
+        EXPECT_EQ(table(other), own) << topology;
+        EXPECT_EQ(own->topology().name(), topology);
+    }
+    // So do the designer's parameters.
+    MachineConfig designer = base;
+    designer.table_params.lambda = 0.2;
+    EXPECT_NE(table(designer), shared);
+    designer = base;
+    designer.table_params.beta = 2.5;
+    EXPECT_NE(table(designer), shared);
+}
+
 TEST(SimSerial, ExactTimeAtNominal)
 {
     MachineConfig config = plainConfig();

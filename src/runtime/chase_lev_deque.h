@@ -176,8 +176,20 @@ class ChaseLevDeque
     /** True when size() observes no elements (same relaxed semantics). */
     bool empty() const { return size() == 0; }
 
-    /** Occupancy-based victim selection alias for size(). */
-    int64_t sizeEstimate() const { return size(); }
+    /**
+     * The victim probe: the public part's size, from relaxed reads of
+     * top/split.  Private elements do not count, because no thief can
+     * take them before the owner's next push or pop publishes them.
+     * Stale in either direction under concurrent operations, like
+     * size(), and never negative.
+     */
+    int64_t
+    sizeEstimate() const
+    {
+        int64_t s = split_.load(std::memory_order_relaxed);
+        int64_t t = top_.load(std::memory_order_relaxed);
+        return s > t ? s - t : 0;
+    }
 
   private:
     struct Buffer

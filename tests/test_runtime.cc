@@ -34,6 +34,7 @@
 #include "runtime/parallel_invoke.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
+#include "sched/victim.h"
 
 #ifndef AAWS_SANITIZER_BUILD
 // Every global operator new of this binary is counted, so a test can
@@ -306,7 +307,8 @@ TEST(ChaseLev, GrowthKeepsPrivateElements)
     ChaseLevDeque<int64_t> dq(8);
     for (int64_t i = 0; i < kItems; ++i)
         dq.pushPrivate(i, kIgnorePublish);
-    EXPECT_EQ(dq.sizeEstimate(), kItems);
+    EXPECT_EQ(dq.size(), kItems);
+    EXPECT_EQ(dq.sizeEstimate(), 1);
     std::vector<int> seen(kItems, 0);
     int64_t out;
     ASSERT_TRUE(dq.steal(out));
@@ -326,6 +328,88 @@ TEST(ChaseLev, GrowthKeepsPrivateElements)
         seen[out]++;
     for (int64_t i = 0; i < kItems; ++i)
         EXPECT_EQ(seen[i], 1) << i;
+}
+
+/**
+ * Deques probed as the deque pool probes its workers' deques
+ * (`WorkerPool::dequeSize` answers `sizeEstimate`), one worker per
+ * deque, all in one cluster.
+ */
+class DequeProbeView : public sched::SchedView
+{
+  public:
+    static constexpr int kWorkers = 3;
+    ChaseLevDeque<int64_t> deques[kWorkers];
+
+    int numWorkers() const override { return kWorkers; }
+    int64_t
+    dequeSize(int worker) const override
+    {
+        return deques[worker].sizeEstimate();
+    }
+    sched::CoreActivity
+    activity(int) const override
+    {
+        return sched::CoreActivity::running;
+    }
+    int numClusters() const override { return 1; }
+    int clusterOf(int) const override { return 0; }
+    int clusterSize(int) const override { return kWorkers; }
+    int clusterActive(int) const override { return kWorkers; }
+};
+
+TEST(ChaseLev, VictimProbeSeesOnlyStealableWork)
+{
+    DequeProbeView view;
+    sched::VictimSelector richest(sched::VictimPolicy::occupancy);
+    sched::VictimSelector random(sched::VictimPolicy::random);
+    auto expectPicks = [&](int victim) {
+        for (int round = 0; round < 64; ++round) {
+            EXPECT_EQ(richest.pick(view, 0), victim);
+            EXPECT_EQ(random.pick(view, 0), victim);
+        }
+    };
+    // Worker 1 forks five jobs: the first is published (its deque was
+    // empty) and a thief takes it, so the other four stay private.
+    ChaseLevDeque<int64_t> &owner = view.deques[1];
+    for (int64_t i = 0; i < 5; ++i)
+        owner.pushPrivate(i, kIgnorePublish);
+    int64_t out = -1;
+    ASSERT_TRUE(owner.steal(out));
+    EXPECT_EQ(owner.size(), 4);
+    EXPECT_EQ(owner.sizeEstimate(), 0);
+    // Worker 2 holds one public job: fewer jobs, but the only stealable
+    // one, so every pick goes there.
+    view.deques[2].push(100);
+    expectPicks(2);
+    ASSERT_TRUE(view.deques[2].steal(out));
+    EXPECT_EQ(out, 100);
+    // Only private work is left anywhere: no victim.
+    expectPicks(-1);
+    EXPECT_FALSE(owner.steal(out));
+    // The owner's next pop publishes the three jobs below it.
+    ASSERT_TRUE(owner.pop(out, kIgnorePublish));
+    EXPECT_EQ(out, 4);
+    EXPECT_EQ(owner.sizeEstimate(), 3);
+    expectPicks(1);
+    // With job 3 still public, two more pushes stay private; once a
+    // thief takes 3, nothing is stealable until the owner's next push
+    // publishes them with itself.
+    for (int64_t expect = 1; expect <= 2; ++expect) {
+        ASSERT_TRUE(owner.steal(out));
+        EXPECT_EQ(out, expect);
+    }
+    owner.pushPrivate(5, kIgnorePublish);
+    owner.pushPrivate(6, kIgnorePublish);
+    EXPECT_EQ(owner.size(), 3);
+    EXPECT_EQ(owner.sizeEstimate(), 1);
+    expectPicks(1);
+    ASSERT_TRUE(owner.steal(out));
+    EXPECT_EQ(out, 3);
+    expectPicks(-1);
+    owner.pushPrivate(7, kIgnorePublish);
+    EXPECT_EQ(owner.sizeEstimate(), 3);
+    expectPicks(1);
 }
 
 TEST(WorkerPool, SpawnedTasksAllRun)

@@ -89,12 +89,15 @@ TEST(ChaseLevStress, OwnerPopVsStealRaceOnLastElement)
 {
     // Every round puts exactly one element in the deque and has the
     // owner and two thieves fight for it through the seq_cst CAS on
-    // `top`.  Exactly one side may win each round.
+    // `top`.  The thieves keep stealing until the owner's pop has
+    // returned, so they are still at it when the pop runs.  Exactly one
+    // side may win each round.
     const int64_t rounds = envKnob("AAWS_STRESS_ROUNDS", 10'000, 1'500);
     const int thieves = 2;
 
     ChaseLevDeque<int64_t> dq;
     std::atomic<int64_t> taken{0};
+    std::atomic<bool> settled{false};
     std::barrier<> gate(thieves + 1);
 
     std::vector<std::thread> pack;
@@ -103,9 +106,11 @@ TEST(ChaseLevStress, OwnerPopVsStealRaceOnLastElement)
             int64_t out;
             for (int64_t r = 0; r < rounds; ++r) {
                 gate.arrive_and_wait(); // element is in place
-                if (dq.steal(out)) {
-                    EXPECT_EQ(out, r);
-                    taken.fetch_add(1, std::memory_order_relaxed);
+                while (!settled.load(std::memory_order_acquire)) {
+                    if (dq.steal(out)) {
+                        EXPECT_EQ(out, r);
+                        taken.fetch_add(1, std::memory_order_relaxed);
+                    }
                 }
                 gate.arrive_and_wait(); // round settled
             }
@@ -115,11 +120,13 @@ TEST(ChaseLevStress, OwnerPopVsStealRaceOnLastElement)
     int64_t out;
     for (int64_t r = 0; r < rounds; ++r) {
         dq.push(r);
+        settled.store(false, std::memory_order_relaxed);
         gate.arrive_and_wait();
         if (dq.pop(out)) {
             EXPECT_EQ(out, r);
             taken.fetch_add(1, std::memory_order_relaxed);
         }
+        settled.store(true, std::memory_order_release);
         gate.arrive_and_wait();
         // The element must have gone to exactly one contender.
         ASSERT_EQ(taken.load(std::memory_order_relaxed), r + 1)

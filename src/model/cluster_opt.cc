@@ -1,6 +1,8 @@
 #include "model/cluster_opt.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -10,6 +12,130 @@ namespace {
 
 /** Upper search bound for unconstrained voltages (well past any optimum). */
 constexpr double kUnconstrainedVMax = 8.0;
+
+/** A guess that leaves fixedPointSearch on the plain bisection. */
+constexpr double kNoGuess = std::numeric_limits<double>::quiet_NaN();
+
+/** Adjacent doubles where a fixed-point search's predicate switches. */
+struct Bracket
+{
+    double lo;
+    double hi;
+};
+
+/**
+ * Where `below` switches from true to false between lo and hi.
+ *
+ * Needs below(lo) true and below(hi) false.  Bisecting [lo, hi] until
+ * the midpoint rounds to an endpoint stops on adjacent doubles
+ * (a, next(a)) with below(a) true and below(next(a)) false.  If below
+ * is monotone over the doubles of [lo, hi], that pair is unique, so any
+ * search that keeps such a bracket and bisects it to the fixed point
+ * stops on it.  A guess inside (lo, hi) shrinks the bracket first: the
+ * search gallops from it, 4 ulps and then eight times as far at each
+ * step, on the side below points to, until below flips.  The guess
+ * sets only the number of evaluations; kNoGuess, or any guess outside
+ * (lo, hi), runs the plain bisection, which a predicate that is not
+ * monotone needs.
+ */
+template <typename Below>
+Bracket
+fixedPointSearch(double lo, double hi, double guess, const Below &below)
+{
+    AAWS_ASSERT(lo < hi, "search bracket [%g, %g] is empty", lo, hi);
+    if (guess > lo && guess < hi) {
+        double step = 4.0 * (std::nextafter(guess, hi) - guess);
+        if (below(guess)) {
+            lo = guess;
+            for (double x = lo + step; x < hi; x = lo + step) {
+                if (!below(x)) {
+                    hi = x;
+                    break;
+                }
+                lo = x;
+                step *= 8.0;
+            }
+        } else {
+            hi = guess;
+            for (double x = hi - step; x > lo; x = hi - step) {
+                if (below(x)) {
+                    lo = x;
+                    break;
+                }
+                hi = x;
+                step *= 8.0;
+            }
+        }
+    }
+    // The midpoint of two doubles with another between them rounds to
+    // a double strictly inside, so this ends on an adjacent pair.
+    for (;;) {
+        double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            return {lo, hi};
+        if (below(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+}
+
+/**
+ * Root of f on [lo, hi] by Illinois regula falsi (the end that stays
+ * put twice has its value halved, so both ends close in); NaN unless
+ * f(lo) < 0 < f(hi).
+ */
+template <typename F>
+double
+regulaFalsi(double lo, double hi, const F &f)
+{
+    double f_lo = f(lo);
+    double f_hi = f(hi);
+    if (!(f_lo < 0.0 && f_hi > 0.0))
+        return kNoGuess;
+    double x = kNoGuess;
+    int moved = 0; // -1: lo moved last step, +1: hi did
+    for (int iter = 0; iter < 64; ++iter) {
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo);
+        if (!(x > lo && x < hi))
+            break;
+        double f_x = f(x);
+        if (f_x < 0.0) {
+            lo = x;
+            f_lo = f_x;
+            if (moved == -1)
+                f_hi *= 0.5;
+            moved = -1;
+        } else if (f_x > 0.0) {
+            hi = x;
+            f_hi = f_x;
+            if (moved == 1)
+                f_lo *= 0.5;
+            moved = 1;
+        } else {
+            break;
+        }
+    }
+    return x;
+}
+
+/**
+ * Closed-form inverse of marginalCost, clamped to [v_min, v_max]:
+ * marginalCost(v) = lambda is 3 k1 v^2 + 2 k2 v + q = 0 with
+ * q = (I_leak - lambda ipc k1) / (ec ipc), and v its larger root.
+ */
+double
+closedFormVoltage(const FirstOrderModel &model, const ClusterParams &params,
+                  double lambda)
+{
+    const ModelParams &p = model.params();
+    double q = (model.leakCurrent(params) - lambda * params.ipc * p.k1) /
+               (params.energy_coeff * params.ipc);
+    double disc = 4.0 * p.k2 * p.k2 - 12.0 * p.k1 * q;
+    double root = (-2.0 * p.k2 + std::sqrt(std::max(disc, 0.0))) /
+                  (6.0 * p.k1);
+    return std::clamp(root, p.v_min, p.v_max);
+}
 
 /** Does any active cluster's voltage sit at v_min or v_max? */
 bool
@@ -74,26 +200,22 @@ ClusterOptimizer::voltageForMarginalCost(const ClusterParams &params,
                                          double lambda) const
 {
     const ModelParams &p = model_.params();
-    double lo = p.v_min;
-    double hi = p.v_max;
-    // marginalCost is strictly increasing on [v_min, v_max] (its
-    // stationary point -k2/(3 k1) lies far below v_min), so a clamped
-    // bisection inverts it.
-    if (model_.marginalCost(params, lo) >= lambda)
-        return lo;
-    if (model_.marginalCost(params, hi) <= lambda)
-        return hi;
-    // Stop at the fixed point, where the midpoint rounds to an endpoint.
-    for (int iter = 0; iter < 60; ++iter) {
-        double mid = 0.5 * (lo + hi);
-        if (mid == lo || mid == hi)
-            break;
-        if (model_.marginalCost(params, mid) < lambda)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return 0.5 * (lo + hi);
+    if (model_.marginalCost(params, p.v_min) >= lambda)
+        return p.v_min;
+    if (model_.marginalCost(params, p.v_max) <= lambda)
+        return p.v_max;
+    // marginalCost rises on [v_min, v_max] (its stationary point
+    // -k2/(3 k1) lies far below v_min), but not monotonically in its
+    // last bits: 3 k1 v^2 + 2 k2 v cancels, and for the big class it
+    // falls from 5.8000974986915539 at v = 0.99607236895571016 to
+    // 5.800097498691553 at the next double.  A bracket found from a
+    // guess could stop on another switch than the bisection's, so this
+    // inversion keeps the plain bisection from [v_min, v_max].
+    Bracket bracket = fixedPointSearch(
+        p.v_min, p.v_max, kNoGuess, [&](double v) {
+            return model_.marginalCost(params, v) < lambda;
+        });
+    return 0.5 * (bracket.lo + bracket.hi);
 }
 
 ClusterOperatingPoint
@@ -115,8 +237,8 @@ ClusterOptimizer::solve(const ClusterActivity &activity,
         return point;
 
     // Equi-marginal search: per-cluster voltages follow from a shared
-    // marginal cost lambda; bisect lambda until total power meets the
-    // budget (power is monotone nondecreasing in lambda).
+    // marginal cost lambda; search lambda until total power meets the
+    // budget.
     double lambda_lo = model_.marginalCost(topology_.cluster(0).params,
                                            p.v_min);
     double lambda_hi = lambda_lo;
@@ -141,19 +263,30 @@ ClusterOptimizer::solve(const ClusterActivity &activity,
     if (systemPower(activity, v) > p_target) {
         voltagesFor(lambda_lo);
         if (systemPower(activity, v) < p_target) {
-            double lo = lambda_lo;
-            double hi = lambda_hi;
-            for (int iter = 0; iter < 100; ++iter) {
-                double mid = 0.5 * (lo + hi);
-                if (mid == lo || mid == hi)
-                    break; // fixed point
-                voltagesFor(mid);
-                if (systemPower(activity, v) < p_target)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            voltagesFor(lo); // last budget-respecting lambda
+            // Power is monotone in lambda although marginalCost is not:
+            // two lambdas share voltageForMarginalCost's bisection path
+            // up to the first midpoint that tells them apart, and there
+            // the larger one goes up.  So each cluster's voltage is
+            // monotone in lambda, and systemPower sums terms monotone in
+            // the voltages in a fixed order, so a guess may seed the
+            // search: the lambda at which the closed-form voltages meet
+            // the budget.
+            std::vector<double> v_closed(n, 0.0);
+            double guess = regulaFalsi(
+                lambda_lo, lambda_hi, [&](double lambda) {
+                    for (int k = 0; k < n; ++k)
+                        if (activity.active[k] > 0)
+                            v_closed[k] = closedFormVoltage(
+                                model_, topology_.cluster(k).params,
+                                lambda);
+                    return systemPower(activity, v_closed) - p_target;
+                });
+            Bracket bracket = fixedPointSearch(
+                lambda_lo, lambda_hi, guess, [&](double lambda) {
+                    voltagesFor(lambda);
+                    return systemPower(activity, v) < p_target;
+                });
+            voltagesFor(bracket.lo); // last budget-respecting lambda
         }
         // else: even v_min everywhere exceeds the budget; report the
         // clamped floor point (the regulator cannot go lower).
@@ -179,21 +312,31 @@ ClusterOptimizer::solveVoltageForPower(const ClusterParams &params, int n,
     AAWS_ASSERT(n > 0, "no cores to solve for");
     if (n * model_.activePower(params, lo) >= budget)
         return lo;
-    if (n * model_.activePower(params, hi) <= budget)
+    double p_hi = n * model_.activePower(params, hi);
+    if (p_hi <= budget)
         return hi;
-    // activePower is strictly increasing in V over the search range.
-    // Once the midpoint rounds to an endpoint, every further halving is
-    // a no-op: each endpoint stays on its side of the test.
-    for (int iter = 0; iter < 80; ++iter) {
-        double mid = 0.5 * (lo + hi);
-        if (mid == lo || mid == hi)
+    // n activePower(v) < budget is monotone in v: activePower is a chain
+    // of rounded products and sums of terms that are positive and
+    // increasing above voltageFloor() (the lowest lo either range
+    // uses), and rounding to nearest is monotone in each operand.  So
+    // Newton's method may seed the search: n activePower(v) - budget is
+    // convex and increasing there, so from hi it descends onto the
+    // root.  dP/dV is marginalCost times dIPS/dV = ipc k1.
+    double excess = p_hi - budget;
+    const double dips_dv = params.ipc * model_.params().k1;
+    double guess = hi;
+    for (int iter = 0; iter < 64; ++iter) {
+        double step = excess / (n * dips_dv *
+                                model_.marginalCost(params, guess));
+        guess -= step;
+        if (!(std::fabs(step) > 1e-15 * guess))
             break;
-        if (n * model_.activePower(params, mid) < budget)
-            lo = mid;
-        else
-            hi = mid;
+        excess = n * model_.activePower(params, guess) - budget;
     }
-    return 0.5 * (lo + hi);
+    Bracket bracket = fixedPointSearch(lo, hi, guess, [&](double v) {
+        return n * model_.activePower(params, v) < budget;
+    });
+    return 0.5 * (bracket.lo + bracket.hi);
 }
 
 ClusterOperatingPoint

@@ -19,17 +19,26 @@
  *
  *  - solve(): any number of clusters, applying Eq. 7 directly.  Every
  *    active cluster whose voltage is not clamped to [v_min, v_max] runs
- *    at the same marginal cost lambda.  marginalCost() is strictly
- *    increasing in V over the feasible range (its stationary point
- *    -k2/(3 k1) ~ 0.18 V lies far below v_min), so for a given lambda
- *    each cluster's voltage is a clamped monotone inversion, total
- *    power is monotone in lambda, and one outer bisection on lambda
- *    meets the budget.
+ *    at the same marginal cost lambda.  marginalCost() rises over the
+ *    feasible range (its stationary point -k2/(3 k1) ~ 0.18 V lies far
+ *    below v_min), so for a given lambda each cluster's voltage is a
+ *    clamped inversion, total power is monotone in lambda, and one
+ *    outer search on lambda meets the budget.
  *
  * The lookup table picks the search by CoreTopology::isBigLittle
  * (dvfs/lookup_table.cc).  Tests cross-validate the two searches on
  * two-cluster inputs to a tight tolerance; they are not bit-identical,
  * and the tables pin each one's bits.
+ *
+ * The three root searches (voltageForMarginalCost, solveVoltageForPower
+ * and solve's lambda) end where a plain bisection of their range ends:
+ * on the adjacent doubles where the search's predicate switches, the
+ * bisection's fixed point.  Where that predicate is monotone over the
+ * doubles, the pair is unique, so solveVoltageForPower (from a Newton
+ * guess) and solve's lambda (from a closed-form guess) gallop to a
+ * narrow bracket first and bisect only that.  marginalCost() is not
+ * monotone in its last bits, so voltageForMarginalCost runs the plain
+ * bisection.  DESIGN.md §15 has the argument.
  */
 
 #ifndef AAWS_MODEL_CLUSTER_OPT_H
@@ -104,17 +113,19 @@ class ClusterOptimizer
 
     /**
      * Voltage where the cluster's marginal cost reaches lambda, clamped
-     * to [v_min, v_max].  The bisection stops at its fixed point, so the
-     * result is that of a fixed 60 halvings.
+     * to [v_min, v_max]: the plain bisection of [v_min, v_max], run to
+     * its fixed point (the midpoint rounds to an endpoint) and unseeded,
+     * since marginalCost is not monotone in its last bits.
      */
     double voltageForMarginalCost(const ClusterParams &params,
                                   double lambda) const;
 
     /**
      * Voltage at which `n` active cores of the class consume `budget`
-     * power, found by bisection on the monotonic activePower curve;
-     * returns a value clamped to [lo, hi].  The bisection stops at its
-     * fixed point, so the result is that of a fixed 80 halvings.
+     * power, clamped to [lo, hi]: the fixed point of a bisection of
+     * [lo, hi] on the monotone n * activePower(v) < budget, reached
+     * from a Newton guess in a few evaluations.  `lo` must be at least
+     * the model's voltageFloor().
      */
     double solveVoltageForPower(const ClusterParams &params, int n,
                                 double budget, double lo,

@@ -458,6 +458,28 @@ TEST_F(OptimizerFixture, VoltageForPowerMatchesTheFixedCountBisection)
             }
         }
     }
+    // Budgets at the predicate's own values, n * activePower(v) at
+    // random v, and their neighbouring doubles: a seeded search that
+    // stopped on another switch than the bisection's would show there.
+    Rng at_switch(17);
+    for (const ClusterParams &cp : {kBig, kLittle}) {
+        for (const auto &range : ranges) {
+            for (int n = 1; n <= 4; ++n) {
+                for (int i = 0; i < 1000; ++i) {
+                    double v = at_switch.uniform(range[0], range[1]);
+                    double at = n * model_.activePower(cp, v);
+                    for (double budget : {std::nextafter(at, 0.0), at,
+                                          std::nextafter(at, INFINITY)})
+                        EXPECT_EQ(opt_.solveVoltageForPower(
+                                      cp, n, budget, range[0], range[1]),
+                                  fixedCountVoltageForPower(
+                                      model_, cp, n, budget, range[0],
+                                      range[1]))
+                            << "n=" << n << " budget=" << budget;
+                }
+            }
+        }
+    }
 }
 
 TEST(Pareto, UpperRightQuadrantExists)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -403,6 +404,64 @@ TEST(ClusterOptimizerTest, BisectionsMatchTheirFixedCountLoops)
             for (int k = 0; k < n; ++k)
                 EXPECT_EQ(point.v[k], want[k])
                     << "cluster " << k << " target=" << target;
+        }
+    }
+
+    // Inputs at the predicates' own values, with their neighbouring
+    // doubles: lambda = marginalCost(v) at random v for each class, and
+    // solve() targets at the power of the voltages some lambda gives.
+    // A search that stopped on another switch than the bisection's
+    // would show there.
+    Rng at_switch(13);
+    CoreTopology three = makeTopology("2b2m4l", mp);
+    ClusterOptimizer direct(model, three);
+    for (const CoreCluster &cluster : three.clusters()) {
+        SCOPED_TRACE(cluster.kind);
+        for (int i = 0; i < 7000; ++i) {
+            double v = at_switch.uniform(mp.v_min, mp.v_max);
+            double at = model.marginalCost(cluster.params, v);
+            for (double lambda : {std::nextafter(at, 0.0), at,
+                                  std::nextafter(at, INFINITY)})
+                EXPECT_EQ(direct.voltageForMarginalCost(cluster.params,
+                                                        lambda),
+                          fixedCountVoltageForCost(model, cluster.params,
+                                                   lambda))
+                    << "lambda=" << lambda;
+        }
+    }
+    for (const char *preset : {"4b4l", "1b7l", "2b2m4l"}) {
+        SCOPED_TRACE(preset);
+        CoreTopology topo = makeTopology(preset, mp);
+        ClusterOptimizer opt(model, topo);
+        const int n = topo.numClusters();
+        for (int i = 0; i < 100; ++i) {
+            ClusterActivity activity;
+            activity.active.resize(n);
+            activity.waiting.resize(n);
+            for (int k = 0; k < n; ++k) {
+                int count = topo.cluster(k).count;
+                activity.active[k] =
+                    1 + static_cast<int>(at_switch.below(count));
+                activity.waiting[k] = count - activity.active[k];
+            }
+            const ClusterParams &pick =
+                topo.cluster(static_cast<int>(at_switch.below(n))).params;
+            double lambda = model.marginalCost(
+                pick, at_switch.uniform(mp.v_min, mp.v_max));
+            std::vector<double> v(n);
+            for (int k = 0; k < n; ++k)
+                v[k] = opt.voltageForMarginalCost(topo.cluster(k).params,
+                                                  lambda);
+            double at = opt.systemPower(activity, v);
+            for (double target : {std::nextafter(at, 0.0), at,
+                                  std::nextafter(at, INFINITY)}) {
+                ClusterOperatingPoint point = opt.solve(activity, target);
+                std::vector<double> want = fixedCountClusterVoltages(
+                    model, opt, topo, activity, target);
+                for (int k = 0; k < n; ++k)
+                    EXPECT_EQ(point.v[k], want[k])
+                        << "cluster " << k << " target=" << target;
+            }
         }
     }
 }

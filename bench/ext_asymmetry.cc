@@ -7,8 +7,8 @@
  * 2b2m4l} — including a three-cluster big/medium/little machine — to
  * check that the techniques generalize beyond the dichotomy.  Each cell
  * is the speedup and perf-per-joule gain vs the `base` runtime on the
- * same topology (engine-cached; the DVFS lookup table is regenerated
- * per topology, one cell per census tuple).
+ * same topology (run through the experiment engine; the DVFS lookup
+ * table is regenerated per topology, one cell per census tuple).
  *
  * `--topology=NAME` restricts the sweep to one preset.
  */
@@ -45,7 +45,7 @@ main(int argc, char **argv)
         if (cli.matches(name))
             names.push_back(name);
 
-    // Variant sweep across topologies (engine-cached).
+    // Variant sweep across topologies, one engine batch.
     std::vector<exp::RunSpec> specs;
     for (const auto &preset : presets) {
         for (const auto &name : names) {

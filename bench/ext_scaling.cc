@@ -7,8 +7,8 @@
  * energy-efficiency gain per shape.
  *
  * Driven by the experiment engine: each shape is an "<N>b<N>l"
- * topology preset, so each (shape, kernel, variant) simulation is an
- * independently cached parallel task.
+ * topology preset, so each (shape, kernel, variant) simulation is one
+ * parallel task.
  */
 
 #include <cstdio>

@@ -7,9 +7,8 @@
  * normalized to that kernel's baseline.
  *
  * Driven by the experiment engine: all (topology x kernel x variant)
- * simulations fan out on the native runtime and hit the result cache
- * on re-runs.  Shares the engine CLI (--jobs, --filter, --no-cache,
- * ...; see src/exp/cli.h).
+ * simulations fan out on the native runtime.  Shares the engine CLI
+ * (--jobs, --filter, --results-json, ...; see src/exp/cli.h).
  */
 
 #include <cstdio>

@@ -5,8 +5,8 @@
  * the baseline 4B4L system.  Points above perf=eff (the isopower
  * diagonal) draw less power than the baseline.
  *
- * Driven by the experiment engine (parallel fan-out + result cache);
- * the base runs are shared cache entries with fig08 and table3.
+ * Driven by the experiment engine (parallel fan-out); the base runs
+ * are the same specs fig08 and table3 simulate.
  */
 
 #include <cstdio>

@@ -6,7 +6,7 @@
  * 10 us on average).
  *
  * Driven by the experiment engine with regulator_ns_per_step spec
- * overrides (parallel + cached).
+ * overrides (parallel).
  */
 
 #include <cstdio>

@@ -6,7 +6,7 @@
  * instructions).
  *
  * Driven by the experiment engine with mug_interrupt_cycles spec
- * overrides (parallel + cached).
+ * overrides (parallel).
  */
 
 #include <cstdio>

@@ -7,7 +7,7 @@
  *
  * Driven by the experiment engine with steal_attempt_cycles spec
  * overrides; each (kernel, cost) point simulates once (the hand-rolled
- * version re-simulated every point twice) and caches.
+ * version re-simulated every point twice).
  */
 
 #include <cstdio>

@@ -11,7 +11,7 @@
  * variant, under Poisson and bursty (MMPP) arrivals:
  *
  *  - sim engine: the two-level serving simulation of serve/sim_server.h
- *    driven through exp::runBatch, so points are cached, parallel, and
+ *    driven through exp::runBatch, so points are parallel and
  *    byte-deterministic.  The offered load is anchored to the *base*
  *    variant's mean service time, so every variant faces the same
  *    arrival stream and differences are pure runtime policy.

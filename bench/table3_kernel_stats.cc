@@ -6,7 +6,7 @@
  * published values.
  *
  * The two baseline simulations per kernel run through the experiment
- * engine (parallel + cached); the serial-IO baselines are closed-form
+ * engine (in parallel); the serial-IO baselines are closed-form
  * model evaluations and stay inline.
  */
 

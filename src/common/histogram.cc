@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/json.h"
+
 namespace aaws {
 
 namespace {
@@ -169,50 +171,6 @@ LatencyHistogram::appendJson(std::string &out) const
         out.push_back(']');
     }
     out += "]}";
-}
-
-bool
-LatencyHistogram::fromJson(const json::Value &value, LatencyHistogram &out)
-{
-    if (value.kind != json::Value::Kind::object)
-        return false;
-    out = LatencyHistogram{};
-    const json::Value *count = value.find("count");
-    const json::Value *min = value.find("min");
-    const json::Value *max = value.find("max");
-    const json::Value *buckets = value.find("buckets");
-    if (!count || !count->getU64(out.count_) || !min ||
-        !min->getDouble(out.min_) || !max || !max->getDouble(out.max_) ||
-        !buckets || buckets->kind != json::Value::Kind::array)
-        return false;
-    uint64_t total = 0;
-    int64_t previous = -1;
-    for (const json::Value &entry : buckets->items) {
-        if (entry.kind != json::Value::Kind::array ||
-            entry.items.size() != 2)
-            return false;
-        int64_t index = 0;
-        uint64_t n = 0;
-        if (!entry.items[0].getI64(index) || !entry.items[1].getU64(n))
-            return false;
-        if (index <= previous || index >= kNumBuckets || n == 0)
-            return false;
-        previous = index;
-        out.counts_[static_cast<size_t>(index)] = n;
-        total += n;
-    }
-    // The stored total is redundant with the buckets; a mismatch means
-    // a corrupt or hand-edited record, so fail closed.
-    if (total != out.count_)
-        return false;
-    return true;
-}
-
-bool
-LatencyHistogram::fromJson(const std::string &text, LatencyHistogram &out)
-{
-    json::Value value;
-    return json::parse(text, value) && fromJson(value, out);
 }
 
 } // namespace aaws

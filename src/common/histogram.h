@@ -15,9 +15,8 @@
  * nearest-rank sample, which equals bucketLowerEdge(bucketIndex(s))
  * for the sample s a sorted-sample oracle would pick.
  *
- * JSON round-trips bit-exactly (%.17g doubles, integer counts), and a
- * parsed histogram is validated against its own total (fail-closed like
- * every other cache/artifact parser in the tree).
+ * Its JSON form spells doubles as %.17g and counts as integers, so it
+ * is exact.
  */
 
 #ifndef AAWS_COMMON_HISTOGRAM_H
@@ -26,8 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "common/json.h"
 
 namespace aaws {
 
@@ -93,22 +90,6 @@ class LatencyHistogram
 
     /** Append compact one-line JSON (sparse nonzero buckets) to `out`. */
     void appendJson(std::string &out) const;
-
-    /** appendJson into a new string. */
-    std::string
-    toJson() const
-    {
-        std::string out;
-        appendJson(out);
-        return out;
-    }
-
-    /**
-     * Rebuild from JSON; strict (false on malformed/unknown content,
-     * inconsistent totals, or out-of-range bucket indices).
-     */
-    static bool fromJson(const json::Value &value, LatencyHistogram &out);
-    static bool fromJson(const std::string &text, LatencyHistogram &out);
 
   private:
     std::vector<uint64_t> counts_;

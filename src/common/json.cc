@@ -112,16 +112,6 @@ Value::getDouble(double &out) const
 }
 
 bool
-Value::getFloat(float &out) const
-{
-    double d = 0.0;
-    if (!getDouble(d))
-        return false;
-    out = static_cast<float>(d);
-    return true;
-}
-
-bool
 Value::getU64(uint64_t &out) const
 {
     if (kind != Kind::number || scalar.empty())
@@ -136,22 +126,6 @@ Value::getU64(uint64_t &out) const
 }
 
 bool
-Value::getI64(int64_t &out) const
-{
-    if (kind != Kind::number || scalar.empty())
-        return false;
-    size_t start = scalar[0] == '-' ? 1 : 0;
-    if (start == scalar.size())
-        return false;
-    for (size_t i = start; i < scalar.size(); ++i)
-        if (!std::isdigit(static_cast<unsigned char>(scalar[i])))
-            return false;
-    char *end = nullptr;
-    out = std::strtoll(scalar.c_str(), &end, 10);
-    return end == scalar.c_str() + scalar.size();
-}
-
-bool
 Value::getString(std::string &out) const
 {
     if (kind != Kind::string)
@@ -160,18 +134,9 @@ Value::getString(std::string &out) const
     return true;
 }
 
-bool
-Value::getBool(bool &out) const
-{
-    if (kind != Kind::boolean)
-        return false;
-    out = bool_value;
-    return true;
-}
-
 namespace {
 
-/** Guard against pathological nesting in corrupt cache files. */
+/** Guard against pathological nesting in corrupt input. */
 constexpr int kMaxDepth = 64;
 
 class Parser

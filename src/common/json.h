@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal dependency-free JSON reader/writer for the on-disk caches.
+ * Minimal dependency-free JSON reader/writer for serialized results and
+ * the aaws-results/v1 artifacts.
  *
  * The writer emits compact one-line JSON; doubles are printed with 17
  * significant digits so parsing them back yields the bit-identical
@@ -14,7 +15,8 @@
  * full 64-bit precision instead of losing bits through a double.
  *
  * parse() returns false on malformed input rather than throwing or
- * aborting: cache consumers treat any unparsable file as a miss.
+ * aborting: the artifact loader (exp/results.h) reports the file and
+ * line it could not read.
  */
 
 #ifndef AAWS_COMMON_JSON_H
@@ -78,16 +80,10 @@ struct Value
 
     /** Number -> double via strtod; false when not a number. */
     bool getDouble(double &out) const;
-    /** Number -> float; false when not a number. */
-    bool getFloat(float &out) const;
     /** Non-negative integer token -> uint64_t, full precision. */
     bool getU64(uint64_t &out) const;
-    /** Integer token -> int64_t, full precision. */
-    bool getI64(int64_t &out) const;
     /** String payload; false when not a string. */
     bool getString(std::string &out) const;
-    /** Boolean payload; false when not a boolean. */
-    bool getBool(bool &out) const;
 };
 
 /**

@@ -33,8 +33,6 @@ printUsage(const char *prog)
         "all|deque|chan\n"
         "  --topology=T    restrict topology sweeps to one preset, "
         "e.g. 1b7l or 2b2m4l:pc\n"
-        "  --no-cache      disable the result cache\n"
-        "  --cache-dir=D   cache directory (default .aaws-cache)\n"
         "  --no-progress   suppress engine progress lines on stderr\n"
         "  --results-json=F  write the aaws-results/v1 datapoint "
         "artifact to F\n"
@@ -110,10 +108,6 @@ BenchCli::parse(int argc, char **argv)
                       "1b7l, or 2b2m4l[:pc], got '%s'",
                       value);
             topology = value;
-        } else if (const char *value = flagValue(arg, "--cache-dir")) {
-            engine.cache_dir = value;
-        } else if (std::strcmp(arg, "--no-cache") == 0) {
-            engine.use_cache = false;
         } else if (const char *value = flagValue(arg, "--results-json")) {
             results_json = value;
         } else if (std::strcmp(arg, "--no-progress") == 0) {

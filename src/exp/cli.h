@@ -10,8 +10,6 @@
  *   --backend=B     restrict native runs to one backend (all|deque|chan)
  *   --topology=T    restrict topology sweeps to one preset, e.g.
  *                   "1b7l" or "2b2m4l:pc"
- *   --no-cache      disable the result cache for this run
- *   --cache-dir=D   cache directory
  *   --no-progress   suppress the engine's stderr progress lines
  *   --results-json=F  write the aaws-results/v1 datapoint artifact to F
  *                   (see exp/results.h)

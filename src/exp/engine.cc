@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "exp/cache.h"
 #include "kernels/registry.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
@@ -62,7 +61,7 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** Throttled done/hit/miss/ETA reporting on stderr. */
+/** Throttled done/ETA reporting on stderr. */
 class ProgressReporter
 {
   public:
@@ -72,17 +71,12 @@ class ProgressReporter
     }
 
     void
-    onRunDone(bool hit)
+    onRunDone()
     {
         if (!enabled_)
             return;
-        // The three counters only change together under this mutex, so
-        // every printed line satisfies hits + misses == done (sampling
-        // the engine's atomics after incrementing `done` could not
-        // guarantee that).
         std::lock_guard<std::mutex> lock(mutex_);
         done_++;
-        (hit ? hits_ : misses_)++;
         if (done_ == total_)
             return; // the final line comes from summary()
         double elapsed = secondsSince(start_);
@@ -92,12 +86,8 @@ class ProgressReporter
         double eta = elapsed * static_cast<double>(total_ - done_) /
                      static_cast<double>(done_);
         std::fprintf(stderr,
-                     "[aaws-exp] %llu/%zu done, %llu hits, %llu misses, "
-                     "%.1fs elapsed, eta %.1fs\n",
-                     static_cast<unsigned long long>(done_), total_,
-                     static_cast<unsigned long long>(hits_),
-                     static_cast<unsigned long long>(misses_), elapsed,
-                     eta);
+                     "[aaws-exp] %zu/%zu done, %.1fs elapsed, eta %.1fs\n",
+                     done_, total_, elapsed, eta);
     }
 
     void
@@ -105,18 +95,10 @@ class ProgressReporter
     {
         if (!enabled_)
             return;
-        uint64_t runs = stats.hits + stats.misses;
-        double cached = runs > 0 ? 100.0 * static_cast<double>(stats.hits) /
-                                       static_cast<double>(runs)
-                                 : 0.0;
         std::fprintf(stderr,
-                     "[aaws-exp] batch complete: %llu runs, %llu hits, "
-                     "%llu misses (%.1f%% cached), %d jobs, %.3fs, "
-                     "%llu events\n",
-                     static_cast<unsigned long long>(runs),
-                     static_cast<unsigned long long>(stats.hits),
-                     static_cast<unsigned long long>(stats.misses),
-                     cached, stats.jobs, stats.elapsed_seconds,
+                     "[aaws-exp] batch complete: %zu runs, %d jobs, "
+                     "%.3fs, %llu events\n",
+                     total_, stats.jobs, stats.elapsed_seconds,
                      static_cast<unsigned long long>(stats.sim_events));
     }
 
@@ -128,15 +110,13 @@ class ProgressReporter
     Clock::time_point start_;
     std::mutex mutex_;
     double last_print_ = 0.0;
-    uint64_t done_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
+    size_t done_ = 0;
 };
 
 /**
  * Per-batch kernel memo: a sweep simulates the same (kernel, seed) DAG
  * under many configs, so each unique pair is generated at most once per
- * batch -- lazily, on the first cache miss that needs it -- and the
+ * batch -- lazily, by the first simulation that needs it -- and the
  * sealed, immutable DAG is shared by every concurrent simulation.
  */
 class KernelPool
@@ -176,61 +156,38 @@ std::vector<RunResult>
 runBatch(const std::vector<RunSpec> &specs, const EngineOptions &options,
          BatchStats *stats_out)
 {
-    ResultCache cache(options.use_cache, options.cache_dir);
     std::vector<RunResult> results(specs.size());
     std::atomic<uint64_t> sim_events{0};
     ProgressReporter progress(options.progress, specs.size());
     KernelPool kernels(specs);
 
-    // Pass 1 (serial): resolve cache hits and collect the miss set, so
-    // the hit/miss split never depends on which simulations finish
-    // first (a duplicate spec misses in both of its slots).
-    uint64_t hits = 0;
-    std::vector<size_t> miss;
-    miss.reserve(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        if (cache.lookup(specs[i], results[i])) {
-            hits++;
-            progress.onRunDone(true);
-        } else {
-            miss.push_back(i);
-        }
-    }
-
-    int jobs = resolveJobs(options.jobs, miss.size());
+    int jobs = resolveJobs(options.jobs, specs.size());
     if (options.progress)
-        std::fprintf(stderr,
-                     "[aaws-exp] running %zu specs (%zu cached, %zu to "
-                     "simulate) on %d jobs\n",
-                     specs.size(), static_cast<size_t>(hits), miss.size(),
-                     jobs);
+        std::fprintf(stderr, "[aaws-exp] running %zu specs on %d jobs\n",
+                     specs.size(), jobs);
 
-    // Pass 2: one executeSpec() per miss.
     auto runOne = [&](size_t i) {
         RunResult result = executeSpec(specs[i], kernels.get(specs[i]));
         sim_events.fetch_add(result.sim.sim_events,
                              std::memory_order_relaxed);
-        cache.store(specs[i], result);
         results[i] = std::move(result);
-        progress.onRunDone(false);
+        progress.onRunDone();
     };
 
-    if (jobs <= 1 || miss.size() <= 1) {
-        for (size_t i : miss)
+    if (jobs <= 1 || specs.size() <= 1) {
+        for (size_t i = 0; i < specs.size(); ++i)
             runOne(i);
     } else {
         // Dogfood the native runtime: one simulation per stealable
         // task; the master participates through the blocking join.
         WorkerPool pool(jobs);
         TaskGroup group(pool);
-        for (size_t i : miss)
+        for (size_t i = 0; i < specs.size(); ++i)
             group.run([&runOne, i] { runOne(i); });
         group.wait();
     }
 
     BatchStats stats;
-    stats.hits = hits;
-    stats.misses = miss.size();
     stats.jobs = jobs;
     stats.elapsed_seconds = secondsSince(progress.start());
     stats.sim_events = sim_events.load(std::memory_order_relaxed);

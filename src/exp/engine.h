@@ -1,19 +1,20 @@
 /**
  * @file
  * The experiment engine: parallel fan-out of simulations on the native
- * work-stealing runtime, backed by the content-addressed result cache.
+ * work-stealing runtime.
  *
  * runBatch() takes a declarative list of RunSpecs and returns one
- * RunResult per spec *in spec order*: every cache miss is one task on a
+ * RunResult per spec *in spec order*: every spec is one task on a
  * WorkerPool/TaskGroup that runs executeSpec() and writes into its
  * pre-sized slot, so output is independent of scheduling interleavings
- * and `--jobs=N` is byte-identical to `--jobs=1`.  Cache hits skip
- * simulation entirely.
+ * and `--jobs=N` is byte-identical to `--jobs=1`.  Every result is
+ * simulated by the code that returns it; nothing is read back from
+ * disk.
  *
- * Observability: progress lines on stderr (done/total, hit/miss
- * counts, elapsed, ETA) plus a final batch summary that also gives the
- * elapsed time to the millisecond and the executed simulations' event
- * count, so sims/s and events/s read off it.
+ * Observability: progress lines on stderr (done/total, elapsed, ETA)
+ * plus a final batch summary that also gives the elapsed time to the
+ * millisecond and the simulations' event count, so sims/s and
+ * events/s read off it.
  *
  * The engine reads no environment variable: callers set every knob
  * through EngineOptions (the benches from their flags, exp/cli.h).
@@ -36,9 +37,12 @@ struct EngineOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
     int jobs = 0;
-    /** Master cache switch. */
+    /**
+     * Inert: nothing reads these two.  bench/e2e/sim_workloads.cc still
+     * assigns both, and the benchmark change in ROADMAP.md's item 2
+     * deletes them along with those assignments.
+     */
     bool use_cache = true;
-    /** Cache directory ("" = .aaws-cache). */
     std::string cache_dir;
     /** Progress/summary lines on stderr. */
     bool progress = true;
@@ -47,11 +51,9 @@ struct EngineOptions
 /** What a batch did (for tests, CI assertions, and callers' logging). */
 struct BatchStats
 {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     int jobs = 1;
     double elapsed_seconds = 0.0;
-    /** Discrete events processed across executed (non-cached) sims. */
+    /** Discrete events processed across the batch's simulations. */
     uint64_t sim_events = 0;
 };
 
@@ -67,7 +69,7 @@ bool parseJobs(const char *text, int &out);
 int resolveJobs(int requested, size_t batch_size);
 
 /**
- * Run every spec (cache-first) and return results in spec order.
+ * Simulate every spec and return the results in spec order.
  * Duplicate specs in one batch are legal; each slot gets its own
  * result object.
  */

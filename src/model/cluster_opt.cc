@@ -281,12 +281,20 @@ ClusterOptimizer::solve(const ClusterActivity &activity,
                                 lambda);
                     return systemPower(activity, v_closed) - p_target;
                 });
-            Bracket bracket = fixedPointSearch(
-                lambda_lo, lambda_hi, guess, [&](double lambda) {
-                    voltagesFor(lambda);
-                    return systemPower(activity, v) < p_target;
-                });
-            voltagesFor(bracket.lo); // last budget-respecting lambda
+            // The result is the voltages of the last lambda at which the
+            // budget held, where the search ends (lambda_lo when it never
+            // moves): keep a copy at each such lambda.
+            std::vector<double> v_lo = v;
+            fixedPointSearch(lambda_lo, lambda_hi, guess,
+                             [&](double lambda) {
+                                 voltagesFor(lambda);
+                                 bool below =
+                                     systemPower(activity, v) < p_target;
+                                 if (below)
+                                     v_lo = v;
+                                 return below;
+                             });
+            v = v_lo;
         }
         // else: even v_min everywhere exceeds the budget; report the
         // clamped floor point (the regulator cannot go lower).

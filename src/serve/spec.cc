@@ -1,6 +1,5 @@
 #include "serve/spec.h"
 
-#include "common/json.h"
 #include "common/logging.h"
 
 namespace aaws {
@@ -47,34 +46,6 @@ mmppRates(const ArrivalSpec &spec)
                     (p_burst * spec.burst_factor + (1.0 - p_burst));
     rates.burst_hz = spec.burst_factor * rates.idle_hz;
     return rates;
-}
-
-std::string
-canonicalServeFragment(const ServeSpec &spec)
-{
-    std::string out = ";serve.kind=";
-    out += arrivalKindName(spec.arrival.kind);
-    out += ";serve.rate_hz=";
-    json::appendDouble(out, spec.arrival.rate_hz);
-    if (spec.arrival.kind == ArrivalKind::mmpp) {
-        out += ";serve.burst_factor=";
-        json::appendDouble(out, spec.arrival.burst_factor);
-        out += ";serve.mean_burst_s=";
-        json::appendDouble(out, spec.arrival.mean_burst_s);
-        out += ";serve.mean_idle_s=";
-        json::appendDouble(out, spec.arrival.mean_idle_s);
-    }
-    out += ";serve.requests=";
-    json::appendU64(out, spec.requests);
-    out += ";serve.tenants=";
-    json::appendU64(out, spec.tenants);
-    out += ";serve.queue_cap=";
-    json::appendU64(out, spec.queue_cap);
-    out += ";serve.deadline_s=";
-    json::appendDouble(out, spec.deadline_s);
-    out += ";serve.service_samples=";
-    json::appendU64(out, spec.service_samples);
-    return out;
 }
 
 uint64_t

@@ -6,9 +6,7 @@
  * tenant), how many, how the service is provisioned (admission-queue
  * bound, per-request deadline), and how the simulator-side engine
  * samples service times.  The experiment engine embeds an optional
- * ServeSpec in every RunSpec, and every field here participates in the
- * spec's canonical form — see canonicalServeFragment() — so serving
- * sweeps can never alias cached closed-loop results.
+ * ServeSpec in every RunSpec (exp/run_spec.h).
  */
 
 #ifndef AAWS_SERVE_SPEC_H
@@ -77,14 +75,6 @@ struct ServeSpec
     /** Simulator engine: seeded Machine runs in the service table. */
     uint32_t service_samples = 3;
 };
-
-/**
- * Canonical one-line fragment of every field, appended to the
- * experiment engine's canonical spec string (and therefore hashed into
- * the cache key).  Stable field order; doubles use the engine's
- * bit-exact encoding.
- */
-std::string canonicalServeFragment(const ServeSpec &spec);
 
 /** Derive an independent sub-seed (splitmix64 step over base + salt). */
 uint64_t deriveSeed(uint64_t base, uint64_t salt);

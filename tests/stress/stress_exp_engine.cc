@@ -1,28 +1,23 @@
 /**
  * @file
- * Stress tests for the experiment engine's parallel fan-out and result
- * cache.
+ * Stress tests for the experiment engine's parallel fan-out.
  *
  * The engine's contract is that orchestration is *invisible* in the
  * numbers: the same batch must produce bit-identical result arrays in
- * spec order whether it runs on 1, 2, or N workers, from a cold cache
- * (every spec simulated) or a warm one (every spec loaded), and a
- * corrupted cache must only ever cost re-simulation, never wrong
- * results or a crash.  Every slot must also equal executeSpec() on its
- * own spec.  The golden cross-check drives the committed Table III
- * statistics dump through the engine and requires byte-for-byte
- * equality with tests/stress/golden/table3_stats.txt, proving the bench
- * ports changed orchestration only.
+ * spec order whether it runs on 1, 2, or N workers, and every slot must
+ * equal executeSpec() on its own spec.  The golden cross-check drives
+ * the committed Table III statistics dump through the engine and
+ * requires byte-for-byte equality with
+ * tests/stress/golden/table3_stats.txt, proving the bench ports changed
+ * orchestration only.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "exp/cache.h"
 #include "exp/engine.h"
 #include "sim/machine.h"
 #include "sim/stats_writer.h"
@@ -31,18 +26,6 @@
 
 namespace aaws {
 namespace {
-
-namespace fs = std::filesystem;
-
-fs::path
-scratchDir(const char *name)
-{
-    fs::path dir = fs::path(::testing::TempDir()) /
-                   (std::string("aaws_exp_stress_") + name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
 
 /**
  * A small but heterogeneous batch: shapes, variants, and overrides,
@@ -62,7 +45,7 @@ sampleBatch()
             }
         }
     }
-    // One traced spec and one override spec so every cache field sees
+    // One traced spec and one override spec so every result field sees
     // traffic.
     exp::RunSpec traced("dict", Variant::base_m, exp::kDefaultSeed,
                         /*trace=*/true);
@@ -103,12 +86,10 @@ expectBatchesIdentical(const std::vector<RunResult> &a,
 }
 
 exp::EngineOptions
-quietOptions(int jobs, const fs::path &cache_dir, bool use_cache = true)
+quietOptions(int jobs)
 {
     exp::EngineOptions options;
     options.jobs = jobs;
-    options.use_cache = use_cache;
-    options.cache_dir = cache_dir.string();
     options.progress = false;
     return options;
 }
@@ -116,93 +97,37 @@ quietOptions(int jobs, const fs::path &cache_dir, bool use_cache = true)
 TEST(ExpEngine, ThreadCountAndCacheStateNeverChangeResults)
 {
     const std::vector<exp::RunSpec> specs = sampleBatch();
-    fs::path cache_dir = scratchDir("determinism");
 
-    // Reference: serial, cache disabled.
+    // Reference: serial, and every slot equals executeSpec() on its
+    // own spec.
     exp::BatchStats stats;
     std::vector<RunResult> reference =
-        exp::runBatch(specs, quietOptions(1, cache_dir, false), &stats);
+        exp::runBatch(specs, quietOptions(1), &stats);
     ASSERT_EQ(reference.size(), specs.size());
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, specs.size());
+    EXPECT_EQ(stats.jobs, 1);
     for (size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(testing::Message() << "spec slot " << i);
         stress::expectIdenticalResults(exp::executeSpec(specs[i]).sim,
                                        reference[i].sim);
     }
 
-    // Cold cache, 2 workers.
-    std::vector<RunResult> cold2 =
-        exp::runBatch(specs, quietOptions(2, cache_dir), &stats);
-    EXPECT_EQ(stats.misses, specs.size());
-    expectBatchesIdentical(reference, cold2);
+    // 2 and N workers.
+    std::vector<RunResult> two =
+        exp::runBatch(specs, quietOptions(2), &stats);
+    EXPECT_EQ(stats.jobs, 2);
+    expectBatchesIdentical(reference, two);
 
-    // Warm cache, N workers: pure cache load.
     const int n = static_cast<int>(
         stress::envKnob("AAWS_EXP_STRESS_JOBS", 8, 4));
-    std::vector<RunResult> warm_n =
-        exp::runBatch(specs, quietOptions(n, cache_dir), &stats);
-    EXPECT_EQ(stats.hits, specs.size()) << "warm cache must be all hits";
-    EXPECT_EQ(stats.misses, 0u);
-    expectBatchesIdentical(reference, warm_n);
-
-    // Warm cache, serial: load path is jobs-independent too.
-    std::vector<RunResult> warm1 =
-        exp::runBatch(specs, quietOptions(1, cache_dir), &stats);
-    EXPECT_EQ(stats.hits, specs.size());
-    expectBatchesIdentical(reference, warm1);
-}
-
-TEST(ExpEngine, CorruptCacheFilesAreResimulatedAndRewritten)
-{
-    const std::vector<exp::RunSpec> specs = sampleBatch();
-    fs::path cache_dir = scratchDir("corruption");
-
-    exp::BatchStats stats;
-    std::vector<RunResult> reference =
-        exp::runBatch(specs, quietOptions(2, cache_dir), &stats);
-    ASSERT_EQ(stats.misses, specs.size());
-
-    // Vandalize three distinct entries: truncate, garbage, delete.
-    exp::ResultCache cache(true, cache_dir.string());
-    std::string truncated = cache.pathFor(specs[0]);
-    std::string garbage = cache.pathFor(specs[1]);
-    std::string removed = cache.pathFor(specs[2]);
-    {
-        std::ifstream in(truncated, std::ios::binary);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        ASSERT_GT(text.size(), 10u);
-        std::ofstream out(truncated,
-                          std::ios::binary | std::ios::trunc);
-        out << text.substr(0, text.size() / 3);
-    }
-    {
-        std::ofstream out(garbage, std::ios::binary | std::ios::trunc);
-        out << "{\"schema\":1,\"spec\":\"nonsense\",\"result\":[1,2";
-    }
-    ASSERT_TRUE(fs::remove(removed));
-
-    // The batch silently re-simulates exactly the vandalized specs...
-    std::vector<RunResult> repaired =
-        exp::runBatch(specs, quietOptions(2, cache_dir), &stats);
-    EXPECT_EQ(stats.misses, 3u);
-    EXPECT_EQ(stats.hits, specs.size() - 3);
-    expectBatchesIdentical(reference, repaired);
-
-    // ...and rewrites them: the next run is all hits again.
-    std::vector<RunResult> warm =
-        exp::runBatch(specs, quietOptions(2, cache_dir), &stats);
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.hits, specs.size());
-    expectBatchesIdentical(reference, warm);
+    std::vector<RunResult> many =
+        exp::runBatch(specs, quietOptions(n), &stats);
+    EXPECT_EQ(stats.jobs, exp::resolveJobs(n, specs.size()));
+    expectBatchesIdentical(reference, many);
 }
 
 /**
  * Golden cross-check: the engine-driven Table III batch must reproduce
- * the committed golden statistics dump byte-for-byte -- through a cold
- * cache (simulated results) *and* a warm one (deserialized results),
- * so serialization provably preserves every statistic the dump prints.
+ * the committed golden statistics dump byte-for-byte.
  */
 TEST(ExpEngineGolden, EngineBatchReproducesTable3GoldenFile)
 {
@@ -215,7 +140,6 @@ TEST(ExpEngineGolden, EngineBatchReproducesTable3GoldenFile)
     for (const auto &name : kernelNames())
         specs.emplace_back(name, Variant::base_psm);
 
-    fs::path cache_dir = scratchDir("golden");
     auto render = [&](const std::vector<RunResult> &results) {
         std::string out;
         for (size_t i = 0; i < specs.size(); ++i) {
@@ -227,19 +151,9 @@ TEST(ExpEngineGolden, EngineBatchReproducesTable3GoldenFile)
         return out;
     };
 
-    exp::BatchStats stats;
-    std::vector<RunResult> cold =
-        exp::runBatch(specs, quietOptions(0, cache_dir), &stats);
-    EXPECT_EQ(stats.misses, specs.size());
-    EXPECT_EQ(render(cold), golden)
+    EXPECT_EQ(render(exp::runBatch(specs, quietOptions(0))), golden)
         << "engine-driven Table III drifted from the golden file; the "
            "port must change orchestration only";
-
-    std::vector<RunResult> warm =
-        exp::runBatch(specs, quietOptions(0, cache_dir), &stats);
-    EXPECT_EQ(stats.hits, specs.size());
-    EXPECT_EQ(render(warm), golden)
-        << "cache round trip changed rendered statistics";
 }
 
 } // namespace

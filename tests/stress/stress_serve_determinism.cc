@@ -74,7 +74,6 @@ TEST(StressServeDeterminism, BatchesReplayByteIdentically)
             fuzzedServeSpec(stress::nthSeed(stress::baseSeed(), i)));
 
     exp::EngineOptions options;
-    options.use_cache = false;
     options.progress = false;
     options.jobs = 1;
     std::vector<RunResult> serial = exp::runBatch(specs, options);

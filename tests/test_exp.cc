@@ -1,10 +1,9 @@
 /**
  * @file
- * Unit tests for the experiment engine: JSON round-tripping of
- * simulation results (bit-identical, the same contract style as
- * stress_determinism), canonical spec hashing, result-cache hit/miss
- * semantics including corrupt-file tolerance, and the shared bench
- * CLI's kernel filter.
+ * Unit tests for the experiment engine: the JSON number and string
+ * writers, how a spec becomes a machine config, the batch's stats and
+ * summary line (and that a batch writes no file), the shared bench
+ * CLI, and the aaws-results/v1 artifacts.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +17,11 @@
 #include <limits>
 
 #include "common/json.h"
-#include "exp/cache.h"
 #include "exp/cli.h"
 #include "exp/engine.h"
 #include "exp/results.h"
 #include "exp/run_spec.h"
-#include "sim/result_json.h"
+#include "sim/machine.h"
 #include "stress/sim_compare.h"
 
 namespace aaws {
@@ -46,54 +44,6 @@ exp::RunSpec
 sampleSpec()
 {
     return exp::RunSpec("dict", Variant::base_psm);
-}
-
-TEST(ResultJson, SimResultRoundTripsBitIdentically)
-{
-    // Trace enabled exercises every serialized field, including the
-    // record array.
-    RunResult run = exp::executeSpec(
-        {"dict", Variant::base_psm, exp::kDefaultSeed, /*trace=*/true});
-    std::string text = simResultToJson(run.sim);
-    EXPECT_EQ(text.find('\n'), std::string::npos) << "must be one line";
-
-    SimResult parsed;
-    ASSERT_TRUE(simResultFromJson(text, parsed));
-    stress::expectIdenticalResults(run.sim, parsed);
-    EXPECT_EQ(run.sim.trace.enabled(), parsed.trace.enabled());
-    EXPECT_EQ(run.sim.trace.end(), parsed.trace.end());
-
-    // And the round trip is a fixed point: serializing the parsed
-    // result reproduces the text byte-for-byte.
-    EXPECT_EQ(text, simResultToJson(parsed));
-}
-
-TEST(ResultJson, RunResultRoundTripPreservesIdentity)
-{
-    exp::RunSpec spec{"qsort-1", Variant::base_m};
-    spec.overrides.topology = "1b7l";
-    RunResult run = exp::executeSpec(spec);
-    std::string text = exp::runResultToJson(run);
-    RunResult parsed;
-    ASSERT_TRUE(exp::runResultFromJson(text, parsed));
-    EXPECT_EQ(parsed.kernel, "qsort-1");
-    EXPECT_EQ(parsed.variant, Variant::base_m);
-    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.sim.exec_seconds),
-              std::bit_cast<uint64_t>(run.sim.exec_seconds));
-    stress::expectIdenticalResults(run.sim, parsed.sim);
-}
-
-TEST(ResultJson, RejectsMalformedInput)
-{
-    SimResult sim;
-    EXPECT_FALSE(simResultFromJson(std::string("{"), sim));
-    EXPECT_FALSE(simResultFromJson(std::string("{}"), sim));
-    EXPECT_FALSE(simResultFromJson(std::string("not json at all"), sim));
-    RunResult run;
-    EXPECT_FALSE(exp::runResultFromJson("{\"kernel\":\"x\"}", run));
-    // Unknown enum names fail closed instead of fatal()ing.
-    EXPECT_FALSE(exp::runResultFromJson(
-        "{\"kernel\":\"dict\",\"variant\":\"turbo\",\"sim\":{}}", run));
 }
 
 TEST(Json, NumbersKeepFullIntegerPrecision)
@@ -176,159 +126,20 @@ TEST(Json, StringsEscapeControlCharacters)
     EXPECT_EQ(back, std::string("a\"b\\c\n\r\t\x01\x1f"));
 }
 
-TEST(RunSpec, CanonicalFormCoversEveryField)
-{
-    exp::RunSpec spec = sampleSpec();
-    std::string canonical = exp::canonicalSpec(spec);
-    EXPECT_NE(canonical.find("kernel=dict"), std::string::npos);
-    EXPECT_NE(canonical.find(";topology=4b4l;"), std::string::npos);
-    EXPECT_NE(canonical.find("variant=base+psm"), std::string::npos);
-    // The topology is the only machine description.
-    EXPECT_EQ(canonical.find("system="), std::string::npos);
-    EXPECT_EQ(canonical.find("n_big="), std::string::npos);
-    // Unset overrides stay out of the canonical form so hashes remain
-    // stable when new override knobs are added.
-    EXPECT_EQ(canonical.find("steal_attempt_cycles"), std::string::npos);
-
-    spec.overrides.steal_attempt_cycles = 1000;
-    EXPECT_NE(exp::canonicalSpec(spec).find(";steal_attempt_cycles=1000"),
-              std::string::npos);
-}
-
 TEST(RunSpec, CanonicalFormAlwaysNamesTheTopology)
 {
-    // An unset topology is the default 4b4l machine: the two specs are
-    // one cache entry.
+    // An unset topology is the default 4b4l machine.
     exp::RunSpec spec = sampleSpec();
-    exp::RunSpec named = sampleSpec();
-    named.overrides.topology = "4b4l";
-    EXPECT_EQ(exp::canonicalSpec(spec), exp::canonicalSpec(named));
-    EXPECT_EQ(exp::specHash(spec), exp::specHash(named));
-
-    spec.overrides.topology = "2b2m4l";
-    EXPECT_NE(exp::canonicalSpec(spec).find(";topology=2b2m4l;"),
-              std::string::npos);
-    EXPECT_NE(exp::specHash(spec), exp::specHash(sampleSpec()));
-
-    // Different presets hash apart.
-    exp::RunSpec other = sampleSpec();
-    other.overrides.topology = "1b7l";
-    EXPECT_NE(exp::specHash(spec), exp::specHash(other));
+    Kernel kernel = makeKernel(spec.kernel, spec.seed);
+    EXPECT_EQ(exp::configForSpec(kernel, spec).topology, "4b4l");
 
     // The preset name is the machine config's shape.
-    Kernel kernel = makeKernel(spec.kernel, spec.seed);
+    spec.overrides.topology = "2b2m4l";
     MachineConfig config = exp::configForSpec(kernel, spec);
     EXPECT_EQ(config.topology, "2b2m4l");
     Machine machine(config, kernel.dag);
     EXPECT_EQ(machine.numClusters(), 3);
     EXPECT_EQ(machine.numCores(), 8);
-}
-
-TEST(RunSpec, HashSeparatesSpecs)
-{
-    exp::RunSpec spec = sampleSpec();
-    EXPECT_EQ(exp::specHash(spec), exp::specHash(sampleSpec()));
-
-    exp::RunSpec other = sampleSpec();
-    other.variant = Variant::base;
-    EXPECT_NE(exp::specHash(spec), exp::specHash(other));
-
-    other = sampleSpec();
-    other.seed ^= 1;
-    EXPECT_NE(exp::specHash(spec), exp::specHash(other));
-
-    other = sampleSpec();
-    other.overrides.steal_attempt_cycles = 30;
-    EXPECT_NE(exp::specHash(spec), exp::specHash(other));
-
-    other = sampleSpec();
-    other.collect_trace = true;
-    EXPECT_NE(exp::specHash(spec), exp::specHash(other));
-}
-
-TEST(ResultCache, StoreThenLookupRoundTrips)
-{
-    fs::path dir = scratchDir("cache_roundtrip");
-    exp::ResultCache cache(true, dir.string());
-    EXPECT_EQ(cache.dir(), dir.string());
-    EXPECT_EQ(exp::ResultCache(true).dir(), exp::kDefaultCacheDir)
-        << "an empty dir means the compiled-in default";
-    exp::RunSpec spec = sampleSpec();
-
-    RunResult miss;
-    EXPECT_FALSE(cache.lookup(spec, miss)) << "cold cache must miss";
-
-    RunResult computed = exp::executeSpec(spec);
-    ASSERT_TRUE(cache.store(spec, computed));
-    RunResult hit;
-    ASSERT_TRUE(cache.lookup(spec, hit));
-    EXPECT_EQ(hit.kernel, computed.kernel);
-    stress::expectIdenticalResults(computed.sim, hit.sim);
-
-    // A different spec never sees that entry.
-    exp::RunSpec other = sampleSpec();
-    other.variant = Variant::base;
-    EXPECT_FALSE(cache.lookup(other, miss));
-}
-
-TEST(ResultCache, CorruptOrTruncatedFilesReadAsMisses)
-{
-    fs::path dir = scratchDir("cache_corrupt");
-    exp::ResultCache cache(true, dir.string());
-    exp::RunSpec spec = sampleSpec();
-    RunResult computed = exp::executeSpec(spec);
-    ASSERT_TRUE(cache.store(spec, computed));
-    std::string path = cache.pathFor(spec);
-
-    // Truncate to half: unparsable, must miss (not crash).
-    {
-        std::ifstream in(path, std::ios::binary);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << text.substr(0, text.size() / 2);
-    }
-    RunResult out_result;
-    EXPECT_FALSE(cache.lookup(spec, out_result));
-
-    // Garbage bytes: miss.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "\x00\xff garbage {]";
-    }
-    EXPECT_FALSE(cache.lookup(spec, out_result));
-
-    // Valid JSON recorded for a *different* canonical spec (as after a
-    // schema change or hash collision): miss.
-    {
-        exp::RunSpec other = sampleSpec();
-        other.seed ^= 1;
-        std::string record = "{\"schema\":1,\"spec\":" +
-                             json::encodeString(exp::canonicalSpec(other)) +
-                             ",\"result\":" +
-                             exp::runResultToJson(computed) + "}";
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << record;
-    }
-    EXPECT_FALSE(cache.lookup(spec, out_result));
-
-    // Re-storing repairs the entry.
-    ASSERT_TRUE(cache.store(spec, computed));
-    EXPECT_TRUE(cache.lookup(spec, out_result));
-}
-
-TEST(ResultCache, DisabledCacheNeverTouchesDisk)
-{
-    fs::path dir = scratchDir("cache_disabled");
-    fs::remove_all(dir);
-    exp::ResultCache cache(false, dir.string());
-    EXPECT_FALSE(cache.enabled());
-    exp::RunSpec spec = sampleSpec();
-    RunResult computed = exp::executeSpec(spec);
-    EXPECT_FALSE(cache.store(spec, computed));
-    RunResult out_result;
-    EXPECT_FALSE(cache.lookup(spec, out_result));
-    EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(BenchCli, FilterMatchesSubstrings)
@@ -348,14 +159,11 @@ TEST(BenchCli, FilterMatchesSubstrings)
 TEST(BenchCli, ParseReadsSharedFlags)
 {
     const char *argv[] = {"bench", "--jobs=3", "--filter=uts",
-                          "--no-cache", "--cache-dir=/tmp/x",
                           "--no-progress"};
     exp::BenchCli cli;
-    cli.parse(6, const_cast<char **>(argv));
+    cli.parse(4, const_cast<char **>(argv));
     EXPECT_EQ(cli.engine.jobs, 3);
     EXPECT_EQ(cli.filter, "uts");
-    EXPECT_FALSE(cli.engine.use_cache);
-    EXPECT_EQ(cli.engine.cache_dir, "/tmp/x");
     EXPECT_FALSE(cli.engine.progress);
 }
 
@@ -635,65 +443,64 @@ TEST(BenchCli, ResultsJsonFlagOpensWriter)
 
 TEST(Engine, BatchStatsCountSimEvents)
 {
-    fs::path dir = scratchDir("engine_sim_events");
     exp::EngineOptions options;
     options.jobs = 1;
-    options.cache_dir = dir.string();
     options.progress = false;
-    // Distinct specs: a duplicate would hit the cache mid-batch.
     exp::RunSpec other = sampleSpec();
     other.variant = Variant::base;
-    std::vector<exp::RunSpec> specs = {sampleSpec(), other};
+    std::vector<exp::RunSpec> specs = {sampleSpec(), other, sampleSpec()};
 
-    // Cold: both specs execute; events accumulate over executed sims.
-    exp::BatchStats cold;
-    std::vector<RunResult> results = exp::runBatch(specs, options, &cold);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(cold.misses, 2u);
-    EXPECT_EQ(cold.sim_events,
-              results[0].sim.sim_events + results[1].sim.sim_events);
-    EXPECT_GT(cold.sim_events, 0u);
-
-    // Warm: all hits, nothing simulated, so no events counted.
-    exp::BatchStats warm;
-    exp::runBatch(specs, options, &warm);
-    EXPECT_EQ(warm.hits, 2u);
-    EXPECT_EQ(warm.sim_events, 0u);
+    // Every slot simulates, a duplicate spec included; events
+    // accumulate over all of them.
+    exp::BatchStats stats;
+    std::vector<RunResult> results = exp::runBatch(specs, options, &stats);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(stats.jobs, 1);
+    EXPECT_EQ(stats.sim_events, results[0].sim.sim_events +
+                                    results[1].sim.sim_events +
+                                    results[2].sim.sim_events);
+    EXPECT_GT(stats.sim_events, 0u);
 }
 
 TEST(Engine, SummaryLineReportsExecutedEvents)
 {
-    fs::path dir = scratchDir("engine_summary");
     exp::EngineOptions options;
     options.jobs = 1;
-    options.cache_dir = dir.string();
 
-    // Runs the batch with progress on; returns its summary line.
-    auto summaryLine = [&](exp::BatchStats &stats) {
-        ::testing::internal::CaptureStderr();
-        exp::runBatch({sampleSpec()}, options, &stats);
-        std::string err = ::testing::internal::GetCapturedStderr();
-        size_t at = err.rfind("[aaws-exp] batch complete: ");
-        return at == std::string::npos ? err : err.substr(at);
-    };
+    ::testing::internal::CaptureStderr();
+    exp::BatchStats stats;
+    exp::runBatch({sampleSpec()}, options, &stats);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    size_t at = err.rfind("[aaws-exp] batch complete: ");
+    std::string line = at == std::string::npos ? err : err.substr(at);
+
     // The line ends with the elapsed time to the millisecond and the
-    // executed simulations' event count.
-    auto tail = [](const exp::BatchStats &stats) {
-        return strfmt(" 1 jobs, %.3fs, %llu events\n", stats.elapsed_seconds,
-                      static_cast<unsigned long long>(stats.sim_events));
-    };
+    // simulations' event count.
+    EXPECT_GT(stats.sim_events, 0u);
+    EXPECT_TRUE(line.ends_with(strfmt(
+        " 1 runs, 1 jobs, %.3fs, %llu events\n", stats.elapsed_seconds,
+        static_cast<unsigned long long>(stats.sim_events))))
+        << line;
+}
 
-    exp::BatchStats cold;
-    std::string line = summaryLine(cold);
-    EXPECT_GT(cold.sim_events, 0u);
-    EXPECT_TRUE(line.ends_with(tail(cold))) << line;
-
-    // Warm: served from the cache, so nothing executed.
-    exp::BatchStats warm;
-    line = summaryLine(warm);
-    EXPECT_EQ(warm.hits, 1u);
-    EXPECT_EQ(warm.sim_events, 0u);
-    EXPECT_TRUE(line.ends_with(tail(warm))) << line;
+TEST(Engine, BatchLeavesNoFileBehind)
+{
+    // A batch reads and writes nothing but its results: run one with
+    // the default options from an empty directory, which must stay
+    // empty.
+    fs::path dir = scratchDir("engine_no_files");
+    fs::path previous = fs::current_path();
+    fs::current_path(dir);
+    exp::RunSpec traced("qsort-1", Variant::base_psm, exp::kDefaultSeed,
+                        /*trace=*/true);
+    exp::RunSpec small = sampleSpec();
+    small.overrides.topology = "1b7l";
+    std::vector<RunResult> results =
+        exp::runBatch({sampleSpec(), traced, small});
+    fs::current_path(previous);
+    EXPECT_EQ(results.size(), 3u);
+    EXPECT_TRUE(fs::is_empty(dir))
+        << fs::directory_iterator(dir)->path() << " was left behind";
 }
 
 // --- Open-loop serving dimension ------------------------------------
@@ -714,169 +521,6 @@ serveSpecSample()
     return spec;
 }
 
-TEST(RunSpec, CacheSchemaCoversServeDimension)
-{
-    // v3 made the serving fields spec-addressable; v4 retired every
-    // record of an older engine; v5 retired pre-topology records; v6
-    // made the topology the only machine description (see
-    // kCacheSchemaVersion).  A tree that adds spec
-    // dimensions or execution paths without bumping this would alias
-    // stale entries (alias-miss test below).
-    EXPECT_EQ(exp::kCacheSchemaVersion, 6u);
-    std::string closed = exp::canonicalSpec(sampleSpec());
-    EXPECT_NE(closed.find("aaws-exp/v6"), std::string::npos);
-    // Closed-loop specs stay serve-free so their hashes are stable.
-    EXPECT_EQ(closed.find("serve."), std::string::npos);
-
-    std::string canonical = exp::canonicalSpec(serveSpecSample());
-    EXPECT_NE(canonical.find("serve.kind=mmpp"), std::string::npos);
-    EXPECT_NE(canonical.find("serve.rate_hz="), std::string::npos);
-    EXPECT_NE(canonical.find("serve.burst_factor="), std::string::npos);
-    EXPECT_NE(canonical.find("serve.requests=2000"), std::string::npos);
-    EXPECT_NE(canonical.find("serve.tenants=3"), std::string::npos);
-    EXPECT_NE(canonical.find("serve.queue_cap=16"), std::string::npos);
-    EXPECT_NE(canonical.find("serve.deadline_s="), std::string::npos);
-    EXPECT_NE(canonical.find("serve.service_samples=2"),
-              std::string::npos);
-
-    // Poisson streams have no dwell parameters; they stay out of the
-    // canonical form so unused MMPP knobs can never split the cache.
-    exp::RunSpec poisson = serveSpecSample();
-    poisson.serve->arrival.kind = serve::ArrivalKind::poisson;
-    EXPECT_EQ(exp::canonicalSpec(poisson).find("burst"),
-              std::string::npos);
-}
-
-TEST(RunSpec, ServeFieldsSeparateHashes)
-{
-    exp::RunSpec spec = serveSpecSample();
-    EXPECT_EQ(exp::specHash(spec), exp::specHash(serveSpecSample()));
-
-    exp::RunSpec closed = serveSpecSample();
-    closed.serve.reset();
-    EXPECT_NE(exp::specHash(spec), exp::specHash(closed));
-
-    auto mutated = [&](auto mutate) {
-        exp::RunSpec other = serveSpecSample();
-        mutate(*other.serve);
-        return exp::specHash(other);
-    };
-    uint64_t hash = exp::specHash(spec);
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.arrival.kind = serve::ArrivalKind::poisson;
-              }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.arrival.rate_hz *= 2.0;
-              }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.arrival.burst_factor += 1.0;
-              }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.arrival.mean_burst_s *= 2.0;
-              }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.arrival.mean_idle_s *= 2.0;
-              }));
-    EXPECT_NE(hash,
-              mutated([](serve::ServeSpec &s) { s.requests += 1; }));
-    EXPECT_NE(hash,
-              mutated([](serve::ServeSpec &s) { s.tenants += 1; }));
-    EXPECT_NE(hash,
-              mutated([](serve::ServeSpec &s) { s.queue_cap += 1; }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.deadline_s += 0.25;
-              }));
-    EXPECT_NE(hash, mutated([](serve::ServeSpec &s) {
-                  s.service_samples += 1;
-              }));
-}
-
-TEST(ResultCache, ServeResultRoundTripsThroughCache)
-{
-    fs::path dir = scratchDir("cache_serve");
-    exp::ResultCache cache(true, dir.string());
-    exp::RunSpec spec = serveSpecSample();
-
-    RunResult computed = exp::executeSpec(spec);
-    ASSERT_TRUE(computed.sim.serve.enabled);
-    EXPECT_EQ(computed.sim.serve.submitted, spec.serve->requests);
-    ASSERT_TRUE(cache.store(spec, computed));
-
-    RunResult hit;
-    ASSERT_TRUE(cache.lookup(spec, hit));
-    stress::expectIdenticalResults(computed.sim, hit.sim);
-
-    // The closed-loop twin of the same (kernel, variant, seed) must
-    // not alias the serving entry in either direction.
-    exp::RunSpec closed = serveSpecSample();
-    closed.serve.reset();
-    RunResult miss;
-    EXPECT_FALSE(cache.lookup(closed, miss));
-}
-
-TEST(ResultCache, PreServeSchemaRecordReadsAsMiss)
-{
-    // Regression guard for the cache-key bug the schema bump fixes: a
-    // record written by a v2 tree (no serving fields in the canonical
-    // form) must never satisfy a serving lookup, even if it lands in
-    // the right file (hash collision / copied cache dir).
-    fs::path dir = scratchDir("cache_pre_serve");
-    exp::ResultCache cache(true, dir.string());
-    exp::RunSpec spec = serveSpecSample();
-    RunResult computed = exp::executeSpec(spec);
-    ASSERT_TRUE(cache.store(spec, computed));
-
-    exp::RunSpec closed = serveSpecSample();
-    closed.serve.reset();
-    std::string v2_canonical = exp::canonicalSpec(closed);
-    size_t tag = v2_canonical.find("aaws-exp/v6");
-    ASSERT_NE(tag, std::string::npos);
-    v2_canonical.replace(tag, 11, "aaws-exp/v2");
-    {
-        std::ofstream out(cache.pathFor(spec),
-                          std::ios::binary | std::ios::trunc);
-        out << "{\"schema\":2,\"spec\":"
-            << json::encodeString(v2_canonical)
-            << ",\"result\":" << exp::runResultToJson(computed) << "}";
-    }
-    RunResult out_result;
-    EXPECT_FALSE(cache.lookup(spec, out_result));
-}
-
-TEST(ResultCache, V5RecordReadsAsMiss)
-{
-    // A record as the v5 engine wrote it (a `system=` machine in the
-    // canonical form, a "system" member in the result) must not satisfy
-    // a lookup, even at the path the current spec hashes to and even
-    // under the current schema number.
-    fs::path dir = scratchDir("cache_v5");
-    exp::ResultCache cache(true, dir.string());
-    exp::RunSpec spec = sampleSpec();
-    RunResult computed = exp::executeSpec(spec);
-    std::string v5_spec = strfmt(
-        "aaws-exp/v5;kernel=dict;system=4B4L;variant=base+psm;"
-        "seed=0x%llx;trace=0",
-        static_cast<unsigned long long>(spec.seed));
-    std::string v5_result = exp::runResultToJson(computed);
-    v5_result.insert(v5_result.find(",\"variant\""),
-                     ",\"system\":\"4B4L\"");
-    for (unsigned schema : {5u, exp::kCacheSchemaVersion}) {
-        {
-            std::ofstream out(cache.pathFor(spec),
-                              std::ios::binary | std::ios::trunc);
-            out << "{\"schema\":" << schema
-                << ",\"spec\":" << json::encodeString(v5_spec)
-                << ",\"result\":" << v5_result << "}\n";
-        }
-        RunResult out_result;
-        EXPECT_FALSE(cache.lookup(spec, out_result)) << "schema " << schema;
-    }
-    // The current engine's own record at that path is a hit.
-    ASSERT_TRUE(cache.store(spec, computed));
-    RunResult hit;
-    EXPECT_TRUE(cache.lookup(spec, hit));
-}
-
 TEST(Engine, ServeBatchIsJobsInvariant)
 {
     // Slot-ordered results: a serving sweep must be byte-identical
@@ -889,7 +533,6 @@ TEST(Engine, ServeBatchIsJobsInvariant)
         specs.push_back(spec);
     }
     exp::EngineOptions options;
-    options.use_cache = false;
     options.progress = false;
     options.jobs = 1;
     std::vector<RunResult> serial = exp::runBatch(specs, options);

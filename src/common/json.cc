@@ -112,20 +112,6 @@ Value::getDouble(double &out) const
 }
 
 bool
-Value::getU64(uint64_t &out) const
-{
-    if (kind != Kind::number || scalar.empty())
-        return false;
-    // Only plain non-negative integer tokens keep full 64-bit precision.
-    for (char c : scalar)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-    char *end = nullptr;
-    out = std::strtoull(scalar.c_str(), &end, 10);
-    return end == scalar.c_str() + scalar.size();
-}
-
-bool
 Value::getString(std::string &out) const
 {
     if (kind != Kind::string)

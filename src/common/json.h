@@ -80,8 +80,6 @@ struct Value
 
     /** Number -> double via strtod; false when not a number. */
     bool getDouble(double &out) const;
-    /** Non-negative integer token -> uint64_t, full precision. */
-    bool getU64(uint64_t &out) const;
     /** String payload; false when not a string. */
     bool getString(std::string &out) const;
 };

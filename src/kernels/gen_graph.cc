@@ -8,34 +8,26 @@
 
 namespace aaws {
 
-namespace {
-
-/** Compressed adjacency of a synthetic "random local graph" (PBBS). */
-struct LocalGraph
-{
-    int64_t n;
-    std::vector<int32_t> offsets;   // n + 1
-    std::vector<int32_t> neighbors; // undirected, both directions stored
-
-    int64_t degree(int64_t u) const { return offsets[u + 1] - offsets[u]; }
-};
+namespace detail {
 
 /**
- * PBBS randLocalGraph analog: every node draws `deg` neighbors uniformly
- * within a locality window, giving the high-diameter structure that makes
- * BFS run for many rounds.
+ * Every node draws `deg` neighbours within the locality window, giving
+ * the high-diameter structure that makes BFS run for many rounds.
  *
  * Built in two passes: draw every edge in node order, counting both
- * endpoints' degrees; then fill the neighbor lists in draw order, so
- * each node lists its neighbors in the order their edges were drawn.
+ * endpoints' degrees; then fill the neighbour lists in draw order, each
+ * node's offsets entry serving as its cursor.
  */
 LocalGraph
 makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
 {
+    AAWS_ASSERT(window >= 1 && window < 32768 && 2 * window < n,
+                "window %lld on %lld nodes does not fit an int16 offset",
+                static_cast<long long>(window), static_cast<long long>(n));
     LocalGraph g;
     g.n = n;
     g.offsets.assign(n + 1, 0);
-    std::vector<int32_t> far(n * deg);
+    std::vector<int16_t> far(n * deg); // each draw's offset from its node
     for (int64_t u = 0; u < n; ++u) {
         int64_t lo = std::max<int64_t>(0, u - window);
         int64_t hi = std::min<int64_t>(n - 1, u + window);
@@ -43,7 +35,11 @@ makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
             int64_t v = rng.range(lo, hi);
             if (v == u)
                 v = (u + 1) % n;
-            far[u * deg + d] = static_cast<int32_t>(v);
+            // The one wrap, node n - 1 redrawing itself as node 0, is +1.
+            int64_t offset = v - u;
+            if (offset < -window)
+                offset += n;
+            far[u * deg + d] = static_cast<int16_t>(offset);
             g.offsets[u + 1]++;
             g.offsets[v + 1]++;
         }
@@ -51,16 +47,26 @@ makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window)
     for (int64_t u = 0; u < n; ++u)
         g.offsets[u + 1] += g.offsets[u];
     g.neighbors.resize(g.offsets[n]);
-    std::vector<int32_t> cursor(g.offsets.begin(), g.offsets.end() - 1);
     for (int64_t u = 0; u < n; ++u) {
         for (int d = 0; d < deg; ++d) {
-            int32_t v = far[u * deg + d];
-            g.neighbors[cursor[u]++] = v;
-            g.neighbors[cursor[v]++] = static_cast<int32_t>(u);
+            int16_t offset = far[u * deg + d];
+            int32_t v = g.decode(u, offset);
+            g.neighbors[g.offsets[u]++] = offset;
+            g.neighbors[g.offsets[v]++] = static_cast<int16_t>(-offset);
         }
     }
+    // Each cursor ended at the next node's start: shift them back.
+    for (int64_t u = n; u > 0; --u)
+        g.offsets[u] = g.offsets[u - 1];
+    g.offsets[0] = 0;
     return g;
 }
+
+} // namespace detail
+
+namespace {
+
+using detail::LocalGraph;
 
 /**
  * A real BFS from node 0: the visit order, cut into frontiers.  Level l
@@ -88,7 +94,7 @@ bfsLevels(const LocalGraph &g)
         for (size_t end = bfs.order.size(); head < end; ++head) {
             int32_t u = bfs.order[head];
             for (int32_t i = g.offsets[u]; i < g.offsets[u + 1]; ++i) {
-                int32_t v = g.neighbors[i];
+                int32_t v = g.neighbor(u, i);
                 if (!visited[v]) {
                     visited[v] = 1;
                     bfs.order.push_back(v);
@@ -147,7 +153,7 @@ TaskDag
 genBfsD(Rng &rng)
 {
     // Deterministic BFS: reserve + commit sub-phases per level.
-    LocalGraph g = makeLocalGraph(rng, 150000, 5, 8000);
+    LocalGraph g = detail::makeLocalGraph(rng, 150000, 5, 8000);
     return buildBfs(rng, g, /*sub_phases=*/2, BfsCosts{30, 8},
                     /*tasks_per_level=*/34, /*jitter=*/0.15);
 }
@@ -157,7 +163,7 @@ genBfsNd(Rng &rng)
 {
     // Non-deterministic BFS: single sub-phase but compare-and-swap
     // retries make per-node work larger and noisier.
-    LocalGraph g = makeLocalGraph(rng, 150000, 5, 8000);
+    LocalGraph g = detail::makeLocalGraph(rng, 150000, 5, 8000);
     return buildBfs(rng, g, /*sub_phases=*/1, BfsCosts{70, 25},
                     /*tasks_per_level=*/100, /*jitter=*/0.35);
 }
@@ -167,7 +173,7 @@ genMis(Rng &rng)
 {
     // Luby-style maximal independent set: rounds of a parallel_for over
     // the remaining vertices of a real random local graph.
-    LocalGraph g = makeLocalGraph(rng, 50000, 5, 500);
+    LocalGraph g = detail::makeLocalGraph(rng, 50000, 5, 500);
     std::vector<int8_t> alive(g.n, 1);
     std::vector<double> priority(g.n);
     TaskDag dag;
@@ -186,7 +192,7 @@ genMis(Rng &rng)
         for (int32_t u : remaining) {
             bool is_min = true;
             for (int32_t i = g.offsets[u]; i < g.offsets[u + 1]; ++i) {
-                int32_t v = g.neighbors[i];
+                int32_t v = g.neighbor(u, i);
                 if (alive[v] && priority[v] < priority[u]) {
                     is_min = false;
                     break;
@@ -210,7 +216,7 @@ genMis(Rng &rng)
             }
             bool neighbor_selected = false;
             for (int32_t i = g.offsets[u]; i < g.offsets[u + 1]; ++i) {
-                if (selected[g.neighbors[i]]) {
+                if (selected[g.neighbor(u, i)]) {
                     neighbor_selected = true;
                     break;
                 }

@@ -17,6 +17,9 @@
 #ifndef AAWS_KERNELS_GENERATORS_H
 #define AAWS_KERNELS_GENERATORS_H
 
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
 #include "kernels/task_dag.h"
 
@@ -81,6 +84,52 @@ TaskDag genBscholes(Rng &rng);
 
 // UTS: unbalanced tree search (geometric tree).
 TaskDag genUts(Rng &rng);
+
+namespace detail {
+
+/**
+ * Compressed adjacency of a synthetic "random local graph" (PBBS), the
+ * input of bfs-d, bfs-nd and mis.  Node u's list is the slots
+ * [offsets[u], offsets[u + 1]) of `neighbors`; each slot holds the
+ * neighbour's offset v - u, reduced modulo n into [-window, window] so
+ * that it fits in an int16.
+ */
+struct LocalGraph
+{
+    int64_t n;
+    std::vector<int32_t> offsets;   // n + 1
+    std::vector<int16_t> neighbors; // undirected, both directions stored
+
+    int64_t degree(int64_t u) const { return offsets[u + 1] - offsets[u]; }
+
+    /** The node `offset` away from node u, modulo n. */
+    int32_t
+    decode(int64_t u, int64_t offset) const
+    {
+        int64_t v = u + offset;
+        if (v < 0)
+            v += n;
+        else if (v >= n)
+            v -= n;
+        return static_cast<int32_t>(v);
+    }
+
+    /** The neighbour in slot i, one of u's slots. */
+    int32_t
+    neighbor(int64_t u, int32_t i) const
+    {
+        return decode(u, neighbors[i]);
+    }
+};
+
+/**
+ * PBBS randLocalGraph analog: every node draws `deg` neighbours
+ * uniformly within `window` of itself.  Each list holds its neighbours
+ * in the order their edges were drawn.
+ */
+LocalGraph makeLocalGraph(Rng &rng, int64_t n, int deg, int64_t window);
+
+} // namespace detail
 
 } // namespace aaws
 

@@ -22,11 +22,11 @@ TaskDag::ensurePacked() const
     size_t n = head_.size();
     op_begin_.assign(n + 1, 0);
     packed_ops_.clear();
-    packed_ops_.reserve(pool_.size());
+    packed_ops_.reserve(pool_ops_.size());
     for (size_t t = 0; t < n; ++t) {
         op_begin_[t] = static_cast<uint32_t>(packed_ops_.size());
-        for (int32_t node = head_[t]; node >= 0; node = pool_[node].next)
-            packed_ops_.push_back(pool_[node].op);
+        for (int32_t node = head_[t]; node >= 0; node = pool_next_[node])
+            packed_ops_.push_back(pool_ops_[node]);
     }
     op_begin_[n] = static_cast<uint32_t>(packed_ops_.size());
     dirty_ = false;
@@ -35,16 +35,20 @@ TaskDag::ensurePacked() const
 void
 TaskDag::seal()
 {
+    // Packing walks only the heads and the next links, so the chain
+    // tails go before the packed view is built.
+    tail_.clear();
+    tail_.shrink_to_fit();
     ensurePacked();
     sealed_ = true;
     // Release the build arena: sealed DAGs are read-only and the packed
     // view is the only representation consumers touch.
-    pool_.clear();
-    pool_.shrink_to_fit();
+    pool_ops_.clear();
+    pool_ops_.shrink_to_fit();
+    pool_next_.clear();
+    pool_next_.shrink_to_fit();
     head_.clear();
     head_.shrink_to_fit();
-    tail_.clear();
-    tail_.shrink_to_fit();
 }
 
 uint64_t

@@ -26,7 +26,8 @@
  * interleaved order (recursive decompositions build children before
  * finishing the parent), so ops are built in one shared arena as
  * per-task linked chains -- one allocation stream for the whole DAG
- * instead of a vector per task.  Consumers read a packed
+ * instead of a vector per task.  The arena is two parallel arrays, the
+ * 8-byte ops and their 4-byte next links.  Consumers read a packed
  * structure-of-arrays view (flat op array + per-task span offsets)
  * built lazily and frozen by seal(); the simulator's inner interpreter
  * walks the flat array directly.
@@ -46,13 +47,18 @@ namespace aaws {
 /** Operation kind inside a task program. */
 enum class OpKind : uint8_t { work, spawn, call, sync };
 
-/** One operation of a task program. */
+/** The largest arg a TaskOp holds: 62 bits. */
+inline constexpr uint64_t kMaxOpArg = (uint64_t{1} << 62) - 1;
+
+/** One operation of a task program, packed in one 64-bit word. */
 struct TaskOp
 {
-    OpKind kind;
+    OpKind kind : 2;
     /** work: instruction count; spawn/call: child task id; sync: unused. */
-    uint64_t arg;
+    uint64_t arg : 62;
 };
+
+static_assert(sizeof(TaskOp) == 8, "TaskOp must pack into 8 bytes");
 
 /** One application phase executed by logical thread 0. */
 struct Phase
@@ -90,12 +96,14 @@ class TaskDag
         AAWS_ASSERT(t < head_.size(), "bad task id %u", t);
         AAWS_ASSERT(!sealed_, "mutating a sealed TaskDag");
         int32_t tl = tail_[t];
-        if (tl >= 0 && pool_[tl].op.kind == OpKind::work) {
-            pool_[tl].op.arg += instructions;
+        if (tl >= 0 && pool_ops_[tl].kind == OpKind::work) {
+            AAWS_ASSERT(instructions <= kMaxOpArg - pool_ops_[tl].arg,
+                        "task %u's work does not fit in 62 bits", t);
+            pool_ops_[tl].arg += instructions;
             dirty_ = true;
             return;
         }
-        appendOp(t, {OpKind::work, instructions});
+        appendOp(t, OpKind::work, instructions);
     }
 
     /** Append a spawn of `child` to task `t`. */
@@ -105,7 +113,7 @@ class TaskDag
         AAWS_ASSERT(t < head_.size() && child < head_.size(),
                     "bad spawn %u -> %u", t, child);
         AAWS_ASSERT(child != t, "task %u cannot spawn itself", t);
-        appendOp(t, {OpKind::spawn, child});
+        appendOp(t, OpKind::spawn, child);
     }
 
     /** Append an inline call of `child` to task `t`. */
@@ -115,7 +123,7 @@ class TaskDag
         AAWS_ASSERT(t < head_.size() && child < head_.size(),
                     "bad call %u -> %u", t, child);
         AAWS_ASSERT(child != t, "task %u cannot call itself", t);
-        appendOp(t, {OpKind::call, child});
+        appendOp(t, OpKind::call, child);
     }
 
     /** Append a sync (join with all children spawned so far) to `t`. */
@@ -123,7 +131,7 @@ class TaskDag
     addSync(uint32_t t)
     {
         AAWS_ASSERT(t < head_.size(), "bad task id %u", t);
-        appendOp(t, {OpKind::sync, 0});
+        appendOp(t, OpKind::sync, 0);
     }
 
     /** Append a phase. Pass root = -1 for a pure serial phase. */
@@ -200,21 +208,20 @@ class TaskDag
     void validate() const;
 
   private:
-    /** Arena node: one op in a task's linked program chain. */
-    struct OpNode
-    {
-        TaskOp op;
-        int32_t next;
-    };
-
     void
-    appendOp(uint32_t t, TaskOp op)
+    appendOp(uint32_t t, OpKind kind, uint64_t arg)
     {
         AAWS_ASSERT(!sealed_, "mutating a sealed TaskDag");
-        int32_t node = static_cast<int32_t>(pool_.size());
-        pool_.push_back({op, -1});
+        AAWS_ASSERT(arg <= kMaxOpArg, "op arg %llu does not fit in 62 bits",
+                    static_cast<unsigned long long>(arg));
+        int32_t node = static_cast<int32_t>(pool_ops_.size());
+        TaskOp op;
+        op.kind = kind;
+        op.arg = arg;
+        pool_ops_.push_back(op);
+        pool_next_.push_back(-1);
         if (tail_[t] >= 0)
-            pool_[tail_[t]].next = node;
+            pool_next_[tail_[t]] = node;
         else
             head_[t] = node;
         tail_[t] = node;
@@ -226,8 +233,10 @@ class TaskDag
     uint64_t criticalPathOf(uint32_t t,
                             std::vector<uint64_t> &memo) const;
 
-    // Build representation: shared op arena + per-task chain ends.
-    std::vector<OpNode> pool_;
+    // Build representation: shared op arena (ops and their next links,
+    // -1 ending a chain) + per-task chain ends.
+    std::vector<TaskOp> pool_ops_;
+    std::vector<int32_t> pool_next_;
     std::vector<int32_t> head_;
     std::vector<int32_t> tail_;
     std::vector<Phase> phases_;

@@ -17,18 +17,6 @@ arrivalKindName(ArrivalKind kind)
     return "?";
 }
 
-bool
-arrivalKindFromName(const std::string &name, ArrivalKind &out)
-{
-    for (ArrivalKind kind : {ArrivalKind::poisson, ArrivalKind::mmpp}) {
-        if (name == arrivalKindName(kind)) {
-            out = kind;
-            return true;
-        }
-    }
-    return false;
-}
-
 MmppRates
 mmppRates(const ArrivalSpec &spec)
 {

@@ -13,7 +13,6 @@
 #define AAWS_SERVE_SPEC_H
 
 #include <cstdint>
-#include <string>
 
 namespace aaws {
 namespace serve {
@@ -27,9 +26,6 @@ enum class ArrivalKind
 
 /** Display name ("poisson" / "mmpp"). */
 const char *arrivalKindName(ArrivalKind kind);
-
-/** Inverse of arrivalKindName(); false on unknown names. */
-bool arrivalKindFromName(const std::string &name, ArrivalKind &out);
 
 /**
  * One tenant's arrival process.  For MMPP the *mean* rate equals

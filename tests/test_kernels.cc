@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "kernels/dag_builders.h"
+#include "kernels/generators.h"
 #include "kernels/registry.h"
 
 namespace aaws {
@@ -113,6 +116,110 @@ TEST(TaskDag, ValidateRejectsUnreachable)
     dag.addTask(); // orphan
     dag.addPhase(0, static_cast<int32_t>(root));
     EXPECT_DEATH(dag.validate(), "unreachable");
+}
+
+TEST(TaskDag, OpFitsEightBytes)
+{
+    static_assert(sizeof(TaskOp) == 8);
+    const uint64_t kArgs[] = {0, 1, uint64_t{1} << 32, kMaxOpArg};
+    for (OpKind kind :
+         {OpKind::work, OpKind::spawn, OpKind::call, OpKind::sync}) {
+        for (uint64_t arg : kArgs) {
+            TaskOp op;
+            op.kind = kind;
+            op.arg = arg;
+            EXPECT_EQ(op.kind, kind);
+            EXPECT_EQ(op.arg, arg);
+        }
+    }
+
+    // Through the builder: each work op ends at a sync, so none
+    // coalesces, and the children's ids come back from the packed view.
+    TaskDag dag;
+    uint32_t spawned = dag.addTask();
+    uint32_t called = dag.addTask();
+    uint32_t root = dag.addTask();
+    for (uint64_t arg : kArgs) {
+        dag.addWork(root, arg); // 0 adds no op
+        dag.addSync(root);
+    }
+    dag.addSpawn(root, spawned);
+    dag.addCall(root, called);
+    dag.addPhase(0, static_cast<int32_t>(root));
+    dag.seal();
+    dag.validate();
+    ASSERT_EQ(dag.opCount(root), 9u);
+    const TaskOp *ops = dag.ops(root);
+    EXPECT_EQ(ops[0].kind, OpKind::sync);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(ops[1 + 2 * i].kind, OpKind::work);
+        EXPECT_EQ(ops[1 + 2 * i].arg, kArgs[1 + i]);
+        EXPECT_EQ(ops[2 + 2 * i].kind, OpKind::sync);
+        EXPECT_EQ(ops[2 + 2 * i].arg, 0u);
+    }
+    EXPECT_EQ(ops[7].kind, OpKind::spawn);
+    EXPECT_EQ(ops[7].arg, spawned);
+    EXPECT_EQ(ops[8].kind, OpKind::call);
+    EXPECT_EQ(ops[8].arg, called);
+    EXPECT_EQ(dag.totalTaskWork(), 1 + (uint64_t{1} << 32) + kMaxOpArg);
+
+    // Work past 62 bits dies, whether it coalesces or starts an op.
+    TaskDag full;
+    uint32_t t = full.addTask();
+    full.addWork(t, kMaxOpArg);
+    EXPECT_DEATH(full.addWork(t, 1), "62 bits");
+    full.addSync(t);
+    EXPECT_DEATH(full.addWork(t, kMaxOpArg + 1), "62 bits");
+}
+
+TEST(LocalGraph, MatchesPerNodeListBuild)
+{
+    constexpr int kDeg = 5;
+    bool wrapped = false; // some node n - 1 drew itself, so got node 0
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        for (int64_t n : {40, 97}) {
+            for (int64_t window : {1, 3, 8}) {
+                SCOPED_TRACE("seed=" + std::to_string(seed) +
+                             " n=" + std::to_string(n) +
+                             " window=" + std::to_string(window));
+                Rng graph_rng(seed);
+                detail::LocalGraph g =
+                    detail::makeLocalGraph(graph_rng, n, kDeg, window);
+
+                // Reference: one vector per node, appended in draw order.
+                Rng list_rng(seed);
+                std::vector<std::vector<int32_t>> lists(n);
+                for (int64_t u = 0; u < n; ++u) {
+                    int64_t lo = std::max<int64_t>(0, u - window);
+                    int64_t hi = std::min<int64_t>(n - 1, u + window);
+                    for (int d = 0; d < kDeg; ++d) {
+                        int64_t v = list_rng.range(lo, hi);
+                        if (v == u)
+                            v = (u + 1) % n;
+                        wrapped |= u == n - 1 && v == 0;
+                        lists[u].push_back(static_cast<int32_t>(v));
+                        lists[v].push_back(static_cast<int32_t>(u));
+                    }
+                }
+
+                ASSERT_EQ(g.n, n);
+                ASSERT_EQ(g.offsets.size(), static_cast<size_t>(n + 1));
+                ASSERT_EQ(g.offsets[0], 0);
+                ASSERT_EQ(g.neighbors.size(),
+                          static_cast<size_t>(g.offsets[n]));
+                for (int16_t offset : g.neighbors)
+                    ASSERT_LE(std::abs(offset), window);
+                for (int64_t u = 0; u < n; ++u) {
+                    std::vector<int32_t> decoded;
+                    for (int32_t i = g.offsets[u]; i < g.offsets[u + 1]; ++i)
+                        decoded.push_back(g.neighbor(u, i));
+                    ASSERT_EQ(decoded, lists[u]) << "node " << u;
+                }
+                EXPECT_EQ(graph_rng.next(), list_rng.next());
+            }
+        }
+    }
+    EXPECT_TRUE(wrapped) << "no seed reached the n - 1 -> 0 wrap";
 }
 
 /** A loop body of `work` instructions at every index. */

@@ -44,8 +44,8 @@ Variant variantFromName(const std::string &name);
 
 /**
  * The variant as a scheduling-policy assembly — what a simulated
- * machine (`MachineConfig::policy`), a native pool
- * (`PoolOptions::policy`) or a software pacing governor consumes.
+ * machine (`MachineConfig::policy`) or a native pool
+ * (`PoolOptions::policy`) consumes.
  * Victim selection stays at its default (occupancy); the ablation
  * benches override it separately.
  */

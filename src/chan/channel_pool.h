@@ -31,8 +31,8 @@
  * threads, the activity hints and census, parking, the injection queue,
  * the steal/mug counters and hooks, and the `src/sched/` policy
  * components (victim selection, the work-biasing steal gate, the mug
- * trigger) — so all five AAWS variants and the PacingGovernor run on it
- * unchanged.  This class adds only the queues and the channel protocol.
+ * trigger) — so all five AAWS variants run on it unchanged.  This
+ * class adds only the queues and the channel protocol.
  * Work-mugging becomes a *literal message*: a starved big worker posts
  * a mug-flagged request straight into the policy-picked muggee's
  * mailbox (never forwarded, never held), much closer to the paper's

@@ -25,10 +25,9 @@
  *
  * Timing (transition latency, decision locking) is handled by the
  * simulator; this class is a pure activity -> voltages function.  The
- * *decision* half (which cores rest, sprint, or pace) is the shared
- * `sched::RestPolicy` component — also used by the native runtime's
- * software pacing governor — and this class only maps the resulting
- * intents to volts through the lookup table.
+ * *decision* half (which cores rest, sprint, or pace) is the
+ * `sched::RestPolicy` component, and this class only maps the
+ * resulting intents to volts through the lookup table.
  */
 
 #ifndef AAWS_DVFS_CONTROLLER_H

@@ -49,18 +49,6 @@ DvfsLookupTable::generate(const FirstOrderModel &model)
     }
 }
 
-void
-DvfsLookupTable::setEntryAt(int index, const DvfsTableEntry &entry)
-{
-    AAWS_ASSERT(index >= 0 && index < size(),
-                "entry index %d outside table of %d", index, size());
-    AAWS_ASSERT(static_cast<int>(entry.v.size()) ==
-                    topology_.numClusters(),
-                "entry arity %zu does not match %d clusters",
-                entry.v.size(), topology_.numClusters());
-    entries_[index] = entry;
-}
-
 const DvfsTableEntry &
 DvfsLookupTable::atCounts(const std::vector<int> &counts) const
 {

@@ -41,7 +41,13 @@ struct DvfsTableEntry
     double speedup = 1.0;
 };
 
-/** The full per-census voltage table for one machine topology. */
+/**
+ * The full per-census voltage table for one machine topology.
+ *
+ * A table is immutable once built: it has no mutator, so machines with
+ * the same designer parameters and shape share one (the simulator's
+ * `sharedDvfsTable`), across threads, without locking.
+ */
 class DvfsLookupTable
 {
   public:
@@ -74,13 +80,6 @@ class DvfsLookupTable
 
     /** Number of entries (prod (count_k + 1); 25 for 4B4L). */
     int size() const { return static_cast<int>(entries_.size()); }
-
-    /**
-     * Overwrite one entry by census index (adaptive controllers refine
-     * the table from observed performance/energy counters; Section
-     * III-A future work).
-     */
-    void setEntryAt(int index, const DvfsTableEntry &entry);
 
   private:
     void generate(const FirstOrderModel &model);

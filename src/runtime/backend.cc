@@ -168,11 +168,11 @@ RuntimeBackend::workerLoop(int index)
             std::this_thread::yield();
             continue;
         }
-        // Deep sleep until new work arrives or shutdown: the rest
-        // decision a software pacing governor maps to v_min.  The 1 ms
-        // backstop bounds how long a parked worker goes without polling
-        // even if every wakeup went to another worker — which is what
-        // keeps a parked channel victim answering its mailbox.
+        // Deep sleep until new work arrives or shutdown (the rest state
+        // that hooks see as onRest).  The 1 ms backstop bounds how long
+        // a parked worker goes without polling even if every wakeup
+        // went to another worker — which is what keeps a parked channel
+        // victim answering its mailbox.
         if (hooks_)
             hooks_->onRest(index);
         std::unique_lock<std::mutex> lock(sleep_mutex_);

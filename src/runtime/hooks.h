@@ -8,8 +8,8 @@
  * and again when work is found; the DVFS controller reads the bits.  On
  * commodity hardware there is no DVFS controller to inform, but the
  * same instrumentation points are exposed as virtual hooks so users can
- * attach governors, profilers, or (as `ActivityMonitor` does) maintain
- * the active-worker census the AAWS controller would see.
+ * attach profilers or (as `ActivityMonitor` does) maintain the
+ * active-worker census the AAWS controller would see.
  */
 
 #ifndef AAWS_RUNTIME_HOOKS_H
@@ -93,10 +93,9 @@ class SchedulerHooks
 
     /**
      * Worker parked (rest state: blocked on the wakeup condition
-     * variable after exhausting its idle spins).  A software pacing
-     * governor maps this to the v_min rest decision of work-sprinting.
-     * The worker signals waiting via onWorkerWaiting well before it
-     * rests; onWorkerActive marks the end of the rest.
+     * variable after exhausting its idle spins).  The worker signals
+     * waiting via onWorkerWaiting well before it rests; onWorkerActive
+     * marks the end of the rest.
      */
     virtual void onRest(int worker) { (void)worker; }
 };

@@ -8,10 +8,11 @@
  * trigger is armed, and which voltage intents the rest policy may
  * emit.  `PolicyConfig` is that switch set, and every engine reads it
  * directly: `policyConfigFor` (src/aaws/) produces it, the simulator
- * holds it as `MachineConfig::policy`, the DVFS controller and the
- * native pacing governor take it, and the native pools take it as
- * `PoolOptions::policy`.  Each engine builds its `VictimSelector`,
- * `StealGate`, `MugTrigger` and `RestPolicy` values from it.
+ * holds it as `MachineConfig::policy`, the DVFS controller takes it,
+ * and the native pools take it as `PoolOptions::policy`.  Both engines
+ * build their `VictimSelector`, `StealGate` and `MugTrigger` values
+ * from it; the `RestPolicy` is the simulator DVFS controller's alone,
+ * since no native run drives a voltage.
  */
 
 #ifndef AAWS_SCHED_POLICY_STACK_H

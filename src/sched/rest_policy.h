@@ -9,9 +9,8 @@
  * *intents* are pure scheduling policy — serial-sprinting,
  * work-pacing, and work-sprinting are exactly which intents are
  * reachable — while the voltage each intent maps to is the lookup
- * table's business.  `RestPolicy` computes the intents so the same
- * code drives the simulator's cycle-approximate controller and the
- * native runtime's software pacing governor.
+ * table's business.  `RestPolicy` computes the intents, and the DVFS
+ * controller (dvfs/controller.h) maps them to volts.
  */
 
 #ifndef AAWS_SCHED_REST_POLICY_H

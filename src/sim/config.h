@@ -25,7 +25,7 @@
 
 #include <string>
 
-#include "dvfs/lookup_table.h"
+#include "model/params.h"
 #include "sched/policy_stack.h"
 #include "sim/cost_model.h"
 
@@ -65,12 +65,6 @@ struct MachineConfig
     double mpki = 0.0;
     /** Contention slope (calibrated against Table III speedups). */
     double mem_contention = 0.003;
-    /**
-     * Optional externally supplied DVFS lookup table (borrowed; must
-     * outlive the machine).  When null the machine generates the table
-     * from `table_params`.  Used by the adaptive controller.
-     */
-    const DvfsLookupTable *table_override = nullptr;
 };
 
 } // namespace aaws

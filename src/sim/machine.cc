@@ -72,14 +72,9 @@ delayTicks(double delay_seconds)
 Machine::Machine(const MachineConfig &config, const TaskDag &dag)
     : config_(config), dag_(dag), app_model_(config.app_params),
       topo_(makeTopology(config.topology, config.app_params)),
-      table_shared_(config.table_override
-                        ? nullptr
-                        : sharedDvfsTable(
-                              config.table_params,
-                              topo_.retargeted(config.table_params))),
-      controller_(config.table_override ? *config.table_override
-                                        : *table_shared_,
-                  config.policy, config.table_params),
+      table_shared_(sharedDvfsTable(config.table_params,
+                                    topo_.retargeted(config.table_params))),
+      controller_(*table_shared_, config.policy, config.table_params),
       regulator_(config.regulator_ns_per_step,
                  config.regulator_volts_per_step),
       energy_(app_model_, topo_),

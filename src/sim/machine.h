@@ -133,8 +133,7 @@ class Machine final
   public:
     /**
      * @param config Machine + runtime-variant configuration (copied;
-     *     a temporary is fine, but `config.table_override`, when set,
-     *     is borrowed and must outlive the machine).
+     *     a temporary is fine).
      * @param dag Borrowed task graph; must outlive the machine.
      */
     Machine(const MachineConfig &config, const TaskDag &dag);
@@ -144,16 +143,11 @@ class Machine final
     SimResult run();
 
     /**
-     * The DVFS lookup table the controller reads: `table_override` when
-     * set, else the process-wide table every machine with the same
-     * topology and designer parameters (`table_params`) shares.
+     * The DVFS lookup table the controller reads: the process-wide
+     * table every machine with the same topology and designer
+     * parameters (`table_params`) shares.
      */
-    const DvfsLookupTable &
-    dvfsTable() const
-    {
-        return config_.table_override ? *config_.table_override
-                                      : *table_shared_;
-    }
+    const DvfsLookupTable &dvfsTable() const { return *table_shared_; }
 
     // --- sched::SchedView concept (read-only policy inputs) -------------
     //
@@ -419,7 +413,7 @@ class Machine final
     FirstOrderModel app_model_;
     /** Machine shape: config.topology parsed against app_params. */
     const CoreTopology topo_;
-    /** Process-wide shared DVFS table (null when config overrides it). */
+    /** Process-wide shared DVFS table (sharedDvfsTable). */
     std::shared_ptr<const DvfsLookupTable> table_shared_;
     DvfsController controller_;
     RegulatorModel regulator_;
@@ -475,8 +469,8 @@ class Machine final
     sched::ActivityCensus state_census_;
     // Census of the *hint bits* (what the DVFS controller sees).
     sched::ActivityCensus hint_census_;
-    // Occupancy-time accounting for the adaptive controller
-    // (mixed-radix census index; see CoreTopology::censusIndex).
+    // Seconds spent at each activity census (state_census_), indexed
+    // by CoreTopology::censusIndex; the cells sum to exec_seconds.
     int census_idx_ = 0;
     Tick census_since_ = 0;
     std::vector<double> occupancy_seconds_;

@@ -90,8 +90,8 @@ struct SimResult
     std::vector<CoreStats> core_stats;
     /**
      * Seconds spent at each activity census (active cores per cluster),
-     * indexed by CoreTopology::censusIndex; feeds the adaptive
-     * controller.
+     * indexed by CoreTopology::censusIndex; the cells sum to
+     * exec_seconds.
      */
     std::vector<double> occupancy_seconds;
     /** Activity trace (only populated when collect_trace is set). */

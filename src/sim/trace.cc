@@ -15,20 +15,6 @@ ActivityTrace::record(Tick tick, int core, TraceState state, double voltage)
                         static_cast<float>(voltage)});
 }
 
-std::string
-ActivityTrace::toCsv() const
-{
-    std::string out = "tick_ps,core,state,voltage\n";
-    for (const auto &rec : records_) {
-        out += strfmt("%llu,%d,%c,%.3f\n",
-                      static_cast<unsigned long long>(rec.tick),
-                      static_cast<int>(rec.core),
-                      static_cast<char>(rec.state),
-                      static_cast<double>(rec.voltage));
-    }
-    return out;
-}
-
 namespace {
 
 /** Voltage-row glyph for one bucket (idle buckets render blank). */

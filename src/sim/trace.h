@@ -66,12 +66,6 @@ class ActivityTrace
      */
     std::string renderAscii(int num_cores, int width, double v_nom) const;
 
-    /**
-     * Serialize all records as CSV ("tick_ps,core,state,voltage") for
-     * external plotting; the header line is included.
-     */
-    std::string toCsv() const;
-
   private:
     bool enabled_ = false;
     Tick end_ = 0;

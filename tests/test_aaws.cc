@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "aaws/adaptive.h"
 #include "aaws/experiment.h"
 #include "exp/run_spec.h"
 
@@ -21,14 +20,6 @@ simulate(const Kernel &kernel, Variant variant,
     exp::RunSpec spec{kernel.stats.name, variant};
     spec.overrides.topology = topology;
     return exp::executeSpec(spec, kernel).sim;
-}
-
-/** Tune `kernel`'s base+psm table on the default machine. */
-AdaptiveReport
-adapt(const Kernel &kernel, const AdaptiveOptions &options)
-{
-    return adaptDvfsTable(kernel, configFor(kernel, Variant::base_psm),
-                          options);
 }
 
 TEST(Variant, NamesRoundTrip)
@@ -192,86 +183,6 @@ TEST(Experiment, ParallelBeatsSerialOnBothSystems)
         SimResult result = simulate(kernel, Variant::base, topology);
         EXPECT_GT(serial_io / result.exec_seconds, 2.0) << topology;
     }
-}
-
-TEST(Adaptive, ImprovesEdpWithinPowerCap)
-{
-    Kernel kernel = makeKernel("qsort-1");
-    AdaptiveOptions options;
-    options.max_accepted = 4;
-    AdaptiveReport report = adapt(kernel, options);
-    EXPECT_LE(report.tuned_edp, report.static_edp);
-    EXPECT_LE(report.tuned_power,
-              report.static_power * options.power_slack + 1e-9);
-}
-
-TEST(Adaptive, TunedVoltagesStayFeasible)
-{
-    Kernel kernel = makeKernel("mis");
-    AdaptiveOptions options;
-    options.max_accepted = 3;
-    AdaptiveReport report = adapt(kernel, options);
-    ModelParams params;
-    ASSERT_EQ(report.table.size(), 25);
-    for (int cell = 0; cell < report.table.size(); ++cell) {
-        for (double v : report.table.atIndex(cell).v) {
-            EXPECT_GE(v, params.v_min - 1e-9) << "cell " << cell;
-            EXPECT_LE(v, params.v_max + 1e-9) << "cell " << cell;
-        }
-    }
-}
-
-TEST(Adaptive, Deterministic)
-{
-    Kernel kernel = makeKernel("mis");
-    AdaptiveOptions options;
-    options.max_accepted = 2;
-    AdaptiveReport a = adapt(kernel, options);
-    AdaptiveReport b = adapt(kernel, options);
-    EXPECT_EQ(a.tuned_edp, b.tuned_edp);
-    EXPECT_EQ(a.accepted.size(), b.accepted.size());
-}
-
-TEST(Adaptive, ZeroBudgetKeepsStaticTable)
-{
-    Kernel kernel = makeKernel("mis");
-    AdaptiveOptions options;
-    options.max_accepted = 0;
-    AdaptiveReport report = adapt(kernel, options);
-    EXPECT_TRUE(report.accepted.empty());
-    EXPECT_EQ(report.tuned_edp, report.static_edp);
-}
-
-TEST(Adaptive, AcceptedStepsRecordMonotoneEdp)
-{
-    Kernel kernel = makeKernel("qsort-1");
-    AdaptiveOptions options;
-    options.max_accepted = 5;
-    AdaptiveReport report = adapt(kernel, options);
-    double prev = report.static_edp;
-    for (const auto &step : report.accepted) {
-        EXPECT_LT(step.edp, prev);
-        prev = step.edp;
-    }
-}
-
-TEST(MachineConfig, TableOverrideIsUsed)
-{
-    // An override table with all-nominal voltages must behave like the
-    // asymmetry-oblivious baseline even under base+psm's pacing policy.
-    Kernel kernel = makeKernel("radix-2");
-    MachineConfig config = configFor(kernel, Variant::base_ps);
-    FirstOrderModel designer(config.table_params);
-    DvfsLookupTable flat(designer,
-                         makeTopology(config.topology, config.table_params));
-    for (int cell = 0; cell < flat.size(); ++cell)
-        flat.setEntryAt(cell, DvfsTableEntry{{1.0, 1.0}, 1.0});
-    config.table_override = &flat;
-    // Sprinting still rests waiters at v_min, but active cores stay
-    // nominal: the run must be slower than with the real table.
-    SimResult flat_run = Machine(config, kernel.dag).run();
-    SimResult tuned_run = simulate(kernel, Variant::base_ps);
-    EXPECT_GT(flat_run.exec_seconds, tuned_run.exec_seconds);
 }
 
 namespace {

@@ -21,10 +21,7 @@
 
 #include <gtest/gtest.h>
 
-#include "aaws/governor.h"
 #include "aaws/variant.h"
-#include "dvfs/lookup_table.h"
-#include "model/first_order.h"
 #include "chan/backend_factory.h"
 #include "chan/channel.h"
 #include "chan/channel_pool.h"
@@ -263,21 +260,6 @@ TEST(ChannelPool, AllFiveVariantsRunUnchanged)
             EXPECT_EQ(pool.mugs(), 0u) << variantName(variant);
         }
     }
-}
-
-TEST(ChannelPool, PacingGovernorAttachesLikeAnyHooks)
-{
-    ModelParams params;
-    DvfsLookupTable table(FirstOrderModel(params),
-                          makeTopology("2b2l", params));
-    sched::PolicyConfig policy = policyConfigFor(Variant::base_ps);
-    PacingGovernor governor(policy, table, params);
-    PoolOptions options;
-    options.policy = policy;
-    options.n_big = 2;
-    options.hooks = &governor;
-    ChannelPool pool(4, options);
-    EXPECT_EQ(fib(pool, 18), 2584u);
 }
 
 TEST(ChannelPool, MuggingIsDeliveredAsMessage)

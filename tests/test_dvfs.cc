@@ -104,22 +104,6 @@ TEST_F(TableFixture, SingleActiveBigSprintsToMax)
     EXPECT_NEAR(table_.atCounts({1, 0}).v[0], model_.params().v_max, 1e-6);
 }
 
-TEST_F(TableFixture, SetEntryRejectsOutOfRange)
-{
-    DvfsLookupTable table(model_, makeTopology("4b4l", model_.params()));
-    EXPECT_DEATH(table.setEntryAt(table.size(), DvfsTableEntry{}),
-                 "outside");
-}
-
-TEST_F(TableFixture, SetEntryOverwrites)
-{
-    DvfsLookupTable table(model_, makeTopology("4b4l", model_.params()));
-    table.setEntryAt(table.topology().censusIndex({2, 3}),
-                     DvfsTableEntry{{1.11, 0.99}, 1.2});
-    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).v[0], 1.11);
-    EXPECT_DOUBLE_EQ(table.atCounts({2, 3}).v[1], 0.99);
-}
-
 TEST(Table, Shape1B7L)
 {
     FirstOrderModel model;

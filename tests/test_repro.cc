@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests of the reproduction gate: registry sanity (unique ids, sound
- * tolerances, enough coverage), the claim evaluator's verdict logic
- * for every claim kind, and the perturbation property the CI gate
- * relies on — a datapoint pushed outside its fail tolerance must flip
- * the scoreboard to failing.
+ * tolerances, enough coverage, every bench read by some claim), the
+ * claim evaluator's verdict logic for every claim kind, and the
+ * perturbation property the CI gate relies on — a datapoint pushed
+ * outside its fail tolerance must flip the scoreboard to failing.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 #include "exp/results.h"
@@ -79,6 +80,26 @@ TEST(ClaimRegistry, HasBroadUniqueCoverage)
     }
     EXPECT_GE(benches.size(), 10u)
         << "claims must span the bench suite, not one binary";
+}
+
+TEST(ClaimRegistry, EveryBenchFeedsAClaim)
+{
+    // CI's gate runs the bench built from each top-level bench/*.cc; a
+    // bench that no claim reads is mechanism the gate never checks.
+    std::set<std::string> claimed;
+    for (const repro::Claim &c : repro::paperClaims())
+        claimed.insert(c.where.bench);
+    int benches = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(AAWS_BENCH_DIR)) {
+        if (!entry.is_regular_file() || entry.path().extension() != ".cc")
+            continue;
+        ++benches;
+        const std::string name = entry.path().stem().string();
+        EXPECT_TRUE(claimed.count(name))
+            << "bench/" << name << ".cc feeds no claim";
+    }
+    EXPECT_GE(benches, 10) << "too few bench sources under " AAWS_BENCH_DIR;
 }
 
 TEST(Evaluate, BandVerdictsFollowTolerances)

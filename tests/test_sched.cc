@@ -14,10 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "aaws/governor.h"
 #include "aaws/variant.h"
-#include "dvfs/lookup_table.h"
-#include "model/first_order.h"
 #include "runtime/parallel_for.h"
 #include "runtime/task_group.h"
 #include "runtime/worker_pool.h"
@@ -629,95 +626,6 @@ TEST(PoolHooks, StealSuccessesMatchThePoolCounter)
     WorkerPool pool(4, &monitor);
     const int64_t n = 1 << 15;
     EXPECT_EQ(checksumRun(pool, n), n * (n - 1) / 2);
-    EXPECT_EQ(monitor.stealSuccesses(), pool.steals());
-}
-
-// --- software pacing governor -----------------------------------------------
-
-class GovernorTest : public ::testing::Test
-{
-  protected:
-    GovernorTest()
-        : table_(FirstOrderModel(mp_), makeTopology("1b3l", mp_))
-    {
-    }
-
-    ModelParams mp_;
-    DvfsLookupTable table_;
-};
-
-TEST_F(GovernorTest, BootDecisionPacesTheFullyActiveMachine)
-{
-    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
-    // All hint bits boot active, so work-pacing applies the full cell.
-    const DvfsTableEntry &entry = table_.atCounts({1, 3});
-    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.v[0]);
-    for (int w = 1; w < 4; ++w)
-        EXPECT_DOUBLE_EQ(gov.decision(w).voltage, entry.v[1]);
-    EXPECT_EQ(gov.activeWorkers(), 4);
-}
-
-TEST_F(GovernorTest, PacingOnlyGovernorGoesNominalWhenAWorkerRests)
-{
-    PacingGovernor gov(policyConfigFor(Variant::base_p), table_, mp_);
-    gov.onWorkerWaiting(2);
-    EXPECT_EQ(gov.activeWorkers(), 3);
-    // base+p has no work-sprinting: partial activity is all-nominal.
-    for (int w = 0; w < 4; ++w)
-        EXPECT_DOUBLE_EQ(gov.decision(w).voltage, mp_.v_nom);
-}
-
-TEST_F(GovernorTest, SprintingGovernorRestsWaitersAndSprintsActives)
-{
-    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
-    gov.onWorkerWaiting(2);
-    const DvfsTableEntry &entry = table_.atCounts({1, 2});
-    EXPECT_DOUBLE_EQ(gov.decision(2).voltage, mp_.v_min);
-    EXPECT_EQ(gov.decision(2).intent, sched::VoltageIntent::rest);
-    EXPECT_DOUBLE_EQ(gov.decision(0).voltage, entry.v[0]);
-    EXPECT_DOUBLE_EQ(gov.decision(1).voltage, entry.v[1]);
-    EXPECT_GT(gov.restIntents(), 0u);
-    EXPECT_GT(gov.sprintIntents(), 0u);
-    // The worker coming back re-decides: all-active pacing again.
-    gov.onWorkerActive(2);
-    const DvfsTableEntry &full = table_.atCounts({1, 3});
-    EXPECT_DOUBLE_EQ(gov.decision(2).voltage, full.v[1]);
-}
-
-TEST_F(GovernorTest, RedundantTransitionsDoNotDoubleCount)
-{
-    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_);
-    uint64_t rounds = gov.decisionRounds();
-    gov.onWorkerActive(1); // already active: census unchanged
-    EXPECT_EQ(gov.decisionRounds(), rounds);
-    gov.onWorkerWaiting(1);
-    EXPECT_EQ(gov.decisionRounds(), rounds + 1);
-    gov.onWorkerWaiting(1); // already waiting
-    EXPECT_EQ(gov.decisionRounds(), rounds + 1);
-}
-
-TEST_F(GovernorTest, GovernsALivePoolAndForwardsDownstream)
-{
-    ActivityMonitor monitor(4);
-    PacingGovernor gov(policyConfigFor(Variant::base_ps), table_, mp_,
-                       &monitor);
-    PoolOptions options;
-    options.policy = policyConfigFor(Variant::base_ps);
-    options.n_big = 1;
-    options.hooks = &gov;
-    WorkerPool pool(4, options);
-    const int64_t n = 1 << 16;
-    EXPECT_EQ(checksumRun(pool, n), n * (n - 1) / 2);
-    // After the run the workers idle, fail steals, and toggle waiting,
-    // so the governor must re-decide past its boot round; give the
-    // threads (which may still be starting up) time to get there.
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (gov.decisionRounds() <= 1 &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GT(gov.decisionRounds(), 1u);
     EXPECT_EQ(monitor.stealSuccesses(), pool.steals());
 }
 

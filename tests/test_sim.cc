@@ -394,19 +394,6 @@ TEST(SimTrace, RenderAsciiIgnoresOutOfRangeCores)
               "       dvfs |----|\n");
 }
 
-TEST(SimTrace, CsvExportHasHeaderAndRows)
-{
-    MachineConfig config = plainConfig();
-    config.collect_trace = true;
-    TaskDag dag = forkJoinDag(4, 500'000);
-    SimResult result = Machine(config, dag).run();
-    std::string csv = result.trace.toCsv();
-    EXPECT_EQ(csv.rfind("tick_ps,core,state,voltage\n", 0), 0u);
-    EXPECT_EQ(static_cast<size_t>(
-                  std::count(csv.begin(), csv.end(), '\n')),
-              result.trace.records().size() + 1);
-}
-
 TEST(SimTrace, DisabledTraceStaysEmpty)
 {
     MachineConfig config = plainConfig();
